@@ -1,20 +1,24 @@
 """Gain and phase recovery from beatnote records.
 
-Mirrors the experimental data processing chain: Fourier-transform the trace,
-read the coherent amplitudes of the peaks at delta and 2*delta, take the
-cell-on / cell-off ratio of the 2*delta peaks for the gain, and read
-cos(dphi_out) from the signed delta-peak amplitude normalised by
-4*sqrt(I_p * G * I_s).
+Mirrors the experimental data processing chain: read the coherent Fourier
+amplitudes of the peaks at delta and 2*delta, take the cell-on / cell-off
+ratio of the 2*delta peaks for the gain, and read cos(dphi_out) from the
+signed delta-peak amplitude normalised by 4*sqrt(I_p * G * I_s).
 
 Because records span an integer number of periods with the time origin at
 t = 0, an on-bin tone A*cos(w t + theta) appears with complex amplitude
 A*exp(j*theta) exactly; no window corrections are involved.  The phase
 readout is therefore taken from the signed real part of the delta bin
 rather than from arg(), which would jitter by pi at near-zero amplitudes.
+
+Only those two bins are read, so each is a single-bin DFT (Goertzel's
+observation): a projection of the trace onto one cached basis row, with
+no full FFT.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -68,6 +72,16 @@ def _bin_index(frequency: float, bin_resolution: float, n: int) -> int:
     return k
 
 
+@functools.lru_cache(maxsize=16)
+def _bin_basis(n: int, k1: int, k2: int) -> np.ndarray:
+    """Rows exp(-2j*pi*((k*m) mod n)/n) for k = k1, k2, scaled to single-sided amplitudes."""
+    m = np.arange(n)
+    turns = (np.array([[k1], [k2]]) * m) % n
+    basis = (2.0 / n) * np.exp(-2j * math.pi * turns / n)
+    basis.setflags(write=False)
+    return basis
+
+
 def spectrum_peaks(rec: BeatnoteRecord) -> SpectrumPeaks:
     """Read DC and the delta / 2*delta coherent amplitudes of a record.
 
@@ -78,12 +92,11 @@ def spectrum_peaks(rec: BeatnoteRecord) -> SpectrumPeaks:
     resolution = rec.sample_rate / n
     k1 = _bin_index(rec.delta, resolution, n)
     k2 = _bin_index(2.0 * rec.delta, resolution, n)
-    spectrum = np.fft.rfft(rec.samples)
-    dc = float(spectrum[0].real) / n
+    at_delta, at_two_delta = _bin_basis(n, k1, k2) @ rec.samples
     return SpectrumPeaks(
-        dc=dc,
-        at_delta=complex(2.0 * spectrum[k1] / n),
-        at_two_delta=complex(2.0 * spectrum[k2] / n),
+        dc=float(np.mean(rec.samples)),
+        at_delta=complex(at_delta),
+        at_two_delta=complex(at_two_delta),
         bin_resolution=resolution,
     )
 

@@ -21,6 +21,7 @@ cosine whose signed amplitude carries cos(dphi_out).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -136,6 +137,15 @@ def _rng_for(seed: int, stream: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream,)))
 
 
+@functools.lru_cache(maxsize=16)
+def _carrier(n_samples: int, sample_rate: float, delta: float) -> np.ndarray:
+    """exp(2j*pi*delta*t) at the sample times; its conjugate is the -delta carrier."""
+    t = np.arange(n_samples) / sample_rate
+    carrier = np.exp(1j * (2.0 * math.pi * delta * t))
+    carrier.setflags(write=False)
+    return carrier
+
+
 def _synthesize(
     s_out: FieldAmplitude,
     i_out: FieldAmplitude,
@@ -145,10 +155,9 @@ def _synthesize(
     stream: int,
 ) -> BeatnoteRecord:
     cfg.validate_for_delta(delta)
-    t = np.arange(cfg.n_samples) / cfg.sample_rate
-    w = 2.0 * math.pi * delta * t
+    carrier = _carrier(cfg.n_samples, cfg.sample_rate, delta)
     lo = math.sqrt(cfg.residual_pump_intensity) * np.exp(1j * pump_phase)
-    field_total = lo + s_out.as_complex * np.exp(1j * w) + i_out.as_complex * np.exp(-1j * w)
+    field_total = lo + s_out.as_complex * carrier + i_out.as_complex * carrier.conj()
     trace = np.abs(field_total) ** 2
     if cfg.noise_sigma > 0.0:
         trace = trace + _rng_for(cfg.rng_seed, stream).normal(0.0, cfg.noise_sigma, cfg.n_samples)

@@ -98,18 +98,15 @@ def _build_config(args: argparse.Namespace, kind: str | None) -> RunConfig:
 
 def _summary(result: SweepResult) -> str:
     cols = result.columns
-    if "g_max" in cols:
-        g_max = float(cols["g_max"].max())
-        g_min = float(cols["g_min"].min()) if "g_min" in cols else float(cols["g_pia"].min())
+    parts = [f"{result.metadata['kind']}:"]
+    if "g_pia" in cols:
+        # No g_min is measured: report how well the unseeded gain predicts g_max.
+        residual = float(abs(cols["g_max"] - cols["g_max_from_pia"]).max())
+        parts += [f"g_max={float(cols['g_max'].max()):.6g}", f"pia_residual_max={residual:.3g}"]
     else:
-        g_max = float(cols["gain"].max())
-        g_min = float(cols["gain"].min())
-    parts = [
-        f"{result.metadata['kind']}:",
-        f"g_max={g_max:.6g}",
-        f"g_min={g_min:.6g}",
-        f"product={g_max * g_min:.6g}",
-    ]
+        g_max = float(cols["g_max" if "g_max" in cols else "gain"].max())
+        g_min = float(cols["g_min" if "g_min" in cols else "gain"].min())
+        parts += [f"g_max={g_max:.6g}", f"g_min={g_min:.6g}", f"product={g_max * g_min:.6g}"]
     bandwidth = result.metadata.get("bandwidth_khz")
     if bandwidth is not None:
         parts.append(f"bandwidth_khz={bandwidth:.6g}")

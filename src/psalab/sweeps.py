@@ -9,8 +9,9 @@ depend on evaluation order.
 
 Two pipelines are supported.  ``model_exact`` evaluates the measurement
 equations in closed form; ``full_beatnote`` synthesizes cell-on/cell-off
-records and pushes them through the FFT analyzer.  Noiseless, the two
-agree on every reported series, which is the central cross-module check.
+records and pushes them through the spectral-peak analyzer.  Noiseless,
+the two agree on every reported series, which is the central cross-module
+check.
 
 The measured gain is the 2*delta peak ratio: for unequal seeds that equals
 sqrt(G_s * G_i), so the transfer-curve runner reports the signal gain G_s
@@ -50,15 +51,26 @@ PIPELINES = ("model_exact", "full_beatnote")
 POWER_RANGE_MW = (0.0, 80.0)
 
 # Inner search for gain extrema over the pump phase: coarse grid over
-# [0, pi) followed by golden-section refinement of the phase to this width.
-EXTREMA_COARSE_POINTS = 256
-EXTREMA_PHASE_TOL = 1e-10
+# [0, pi) followed by Brent refinement of the phase to this absolute
+# tolerance (plus Brent's sqrt(machine epsilon) relative term).  Near an
+# extremum the gain moves as the squared phase error, so finer phases
+# than ~sqrt(eps) are not resolved by the gain values anyway.
+EXTREMA_COARSE_POINTS = 16
+EXTREMA_PHASE_TOL = 1e-8
+# A coarse scan whose gains spread less than this fraction of the largest
+# is flat to rounding (no squeezing): its extremes are final.
+EXTREMA_FLAT_RTOL = 1e-13
 
 # A sweep point counts as "pure PSA" while |g_min - 1/g_max| stays within
 # this fraction of 1/g_max; the largest such detuning is the bandwidth.
 BANDWIDTH_TOLERANCE = 0.05
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# Noisy cosine readouts may overshoot the unit circle by this many standard
+# deviations of the propagated delta-bin noise before extraction errors out.
+COS_CLAMP_SIGMAS = 6.0
+
+_GOLDEN_STEP = (3.0 - math.sqrt(5.0)) / 2.0
+_SQRT_EPS = math.sqrt(np.finfo(np.float64).eps)
 
 
 @dataclass(frozen=True)
@@ -136,8 +148,26 @@ class ScanSpec:
                         "full_beatnote detuning_spectrum scales the sampling from "
                         "amplifier.detuning, which must be > 0"
                     )
+                if min(self.grid) == 0.0:
+                    raise DomainError(
+                        "full_beatnote detuning grid holds delta = 0 kHz: the non-degenerate "
+                        "beat is undefined at delta = 0; start the grid above 0 or run model_exact"
+                    )
+                for delta in self.grid:
+                    self.detection_for(delta).validate_for_delta(delta)
             else:
                 self.detection.validate_for_delta(self.amplifier.detuning)
+
+    def detection_for(self, delta: float) -> DetectionConfig:
+        """The detection config at one beat frequency.
+
+        Detuning sweeps keep samples-per-period constant by scaling the
+        sample rate with the beat frequency.
+        """
+        cfg = self.detection
+        if delta == self.amplifier.detuning:
+            return cfg
+        return replace(cfg, sample_rate=cfg.sample_rate / self.amplifier.detuning * delta)
 
     @property
     def master_seed(self) -> int:
@@ -170,21 +200,61 @@ def point_seed(master_seed: int, index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _golden_section(fun, a: float, b: float, tol: float) -> float:
-    """Argmin of a unimodal function on [a, b] by golden-section search."""
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1, f2 = fun(x1), fun(x2)
-    while b - a > tol:
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = fun(x1)
+def _brent_min(fun, bracket: tuple, values: tuple, tol: float) -> float:
+    """Smallest value of fun on [a, b] by Brent's parabolic/golden search.
+
+    Brent, Algorithms for Minimization without Derivatives (1973), ch. 5.
+    ``bracket`` is (a, x, b) with x interior and ``values`` the known fun
+    values there, so the first step is the parabola through all three.
+    Returns the least value evaluated once x is pinned to
+    sqrt(eps)*|x| + tol/3.
+    """
+    a, x, b = bracket
+    fv, fx, fw = values
+    v, w = a, b
+    d = e = 0.5 * (b - a)
+    while True:
+        m = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(x) + tol / 3.0
+        tol2 = 2.0 * tol1
+        if abs(x - m) <= tol2 - 0.5 * (b - a):
+            return fx
+        p = q = 0.0
+        if abs(e) > tol1:
+            # Parabola through (v, fv), (w, fw), (x, fx).
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            else:
+                q = -q
+            r, e = e, d
+        if q != 0.0 and abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x):
+            d = p / q
+            if (x + d) - a < tol2 or b - (x + d) < tol2:
+                d = tol1 if x < m else -tol1
         else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = fun(x2)
-    return 0.5 * (a + b)
+            e = (b - x) if x < m else (a - x)
+            d = _GOLDEN_STEP * e
+        u = x + (d if abs(d) >= tol1 else math.copysign(tol1, d))
+        fu = fun(u)
+        if fu <= fx:
+            if u < x:
+                b = x
+            else:
+                a = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
 
 
 def _attenuated(amp: FieldAmplitude, loss: float) -> FieldAmplitude:
@@ -238,32 +308,32 @@ class _ModelPipeline:
 
 
 class _BeatnotePipeline:
-    """Record synthesis plus FFT extraction, seeded per grid point."""
+    """Record synthesis plus peak extraction, seeded per grid point."""
 
     def __init__(self, spec: ScanSpec):
         self.spec = spec
         self.a_s, self.a_i = spec.input_fields()
 
     def _config(self, index: int, delta: float) -> DetectionConfig:
-        cfg = self.spec.detection
-        seed = point_seed(self.spec.master_seed, index)
-        if delta != self.spec.amplifier.detuning:
-            # Detuning sweeps keep samples-per-period constant by scaling
-            # the sample rate with the beat frequency.
-            scale = cfg.sample_rate / self.spec.amplifier.detuning
-            return replace(cfg, sample_rate=scale * delta, rng_seed=seed)
-        return replace(cfg, rng_seed=seed)
+        return replace(
+            self.spec.detection_for(delta), rng_seed=point_seed(self.spec.master_seed, index)
+        )
+
+    def _on_record(
+        self, r: float, loss: float, pump_phase: float, delta: float, cfg: DetectionConfig
+    ) -> BeatnoteRecord:
+        params = AmplifierParams(r=r, pump_phase=pump_phase, detuning=delta)
+        s_out, i_out = evolve_two_mode(self.a_s, self.a_i, params)
+        return synthesize_beatnote(
+            _attenuated(s_out, loss), _attenuated(i_out, loss), pump_phase, delta, cfg
+        )
 
     def _records(
         self, r: float, loss: float, pump_phase: float, index: int, delta: float | None
     ) -> tuple[BeatnoteRecord, BeatnoteRecord]:
         delta = self.spec.amplifier.detuning if delta is None else delta
         cfg = self._config(index, delta)
-        params = AmplifierParams(r=r, pump_phase=pump_phase, detuning=delta)
-        s_out, i_out = evolve_two_mode(self.a_s, self.a_i, params)
-        on = synthesize_beatnote(
-            _attenuated(s_out, loss), _attenuated(i_out, loss), pump_phase, delta, cfg
-        )
+        on = self._on_record(r, loss, pump_phase, delta, cfg)
         off = cell_off_record(self.a_s, self.a_i, pump_phase, delta, cfg)
         return on, off
 
@@ -278,23 +348,39 @@ class _BeatnotePipeline:
     ) -> tuple[float, float]:
         """Locate the extremal measured gains by scanning the pump phase.
 
-        The gain is pi-periodic in the pump phase, so a coarse scan of
-        [0, pi) plus golden-section refinement around the best coarse
-        points pins both extrema.
+        The gain is smooth and pi-periodic in the pump phase, so a coarse
+        scan of [0, pi) plus Brent refinement within one coarse step of
+        the best coarse points pins both extrema.  Only the 2*delta peak
+        of the cell-off record is read, and it does not depend on the pump
+        phase, so one cell-off record (one noise realization) serves the
+        whole search.
         """
+        delta = self.spec.amplifier.detuning if delta is None else delta
+        cfg = self._config(index, delta)
+        off = cell_off_record(self.a_s, self.a_i, 0.0, delta, cfg)
+
+        def gain(pump_phase: float) -> float:
+            return extract_gain(self._on_record(r, loss, pump_phase, delta, cfg), off)
+
         phases = np.linspace(0.0, math.pi, EXTREMA_COARSE_POINTS, endpoint=False)
-        gains = [self.measured_gain(r, loss, p, index, delta) for p in phases]
+        gains = [gain(p) for p in phases]
+        if max(gains) - min(gains) <= EXTREMA_FLAT_RTOL * max(gains):
+            return max(gains), min(gains)
         step = math.pi / EXTREMA_COARSE_POINTS
 
         def refine(best: int, sign: float) -> float:
-            center = phases[best]
-            fun = lambda p: sign * self.measured_gain(r, loss, p, index, delta)
-            phi = _golden_section(fun, center - step, center + step, EXTREMA_PHASE_TOL)
-            return self.measured_gain(r, loss, phi, index, delta)
+            # The coarse neighbours bracket the extremum; pi-periodicity
+            # supplies the neighbour past either end of the grid.
+            center = float(phases[best])
+            neighbours = (gains[best - 1], gains[best], gains[(best + 1) % len(gains)])
+            return sign * _brent_min(
+                lambda p: sign * gain(p),
+                (center - step, center, center + step),
+                tuple(sign * g for g in neighbours),
+                EXTREMA_PHASE_TOL,
+            )
 
-        g_max = refine(int(np.argmax(gains)), -1.0)
-        g_min = refine(int(np.argmin(gains)), +1.0)
-        return g_max, g_min
+        return refine(int(np.argmax(gains)), -1.0), refine(int(np.argmin(gains)), 1.0)
 
     def transfer_point(
         self, r: float, loss: float, pump_phase: float, index: int = 0
@@ -304,11 +390,10 @@ class _BeatnotePipeline:
         cfg = on.config_echo
         clamp_tol = 1e-6
         if cfg.noise_sigma > 0.0:
-            # 3-sigma propagated bin-amplitude noise on the cosine readout.
+            # Propagated bin-amplitude noise on the cosine readout.
             scale = 4.0 * math.sqrt(cfg.residual_pump_intensity * gain * self.a_s.intensity)
-            clamp_tol = max(
-                clamp_tol, 3.0 * cfg.noise_sigma * math.sqrt(2.0 / cfg.n_samples) / scale
-            )
+            sigma = cfg.noise_sigma * math.sqrt(2.0 / cfg.n_samples) / scale
+            clamp_tol = max(clamp_tol, COS_CLAMP_SIGMAS * sigma)
         cos_out = extract_cos_phase(
             on, cfg.residual_pump_intensity, gain, self.a_s.intensity, clamp_tol=clamp_tol
         )

@@ -1,4 +1,4 @@
-"""FFT peak readout, gain/phase extraction and phase reconstruction."""
+"""Spectral peak readout, gain/phase extraction and phase reconstruction."""
 
 import math
 
@@ -70,6 +70,28 @@ class TestSpectrumPeaks:
         peaks = spectrum_peaks(tone_record(dc=1.0, a1=a1, th1=math.pi))
         assert peaks.at_delta.real == pytest.approx(-a1, rel=1e-10)
         assert abs(peaks.at_delta.imag) <= 1e-9
+
+    @pytest.mark.parametrize(
+        "n, k1",
+        [(2000, 40), (64, 3), (1001, 7), (4096, 1), (2002, 500)],
+        ids=lambda v: str(v),
+    )
+    def test_bin_projection_matches_full_fft(self, n, k1):
+        # Three on-bin tones (delta, 2*delta and a third bin) plus noise;
+        # (2002, 500) puts the 2*delta bin at n//2 - 1, the last usable one.
+        rng = np.random.default_rng(n + k1)
+        k2, k3 = 2 * k1, (3 * k1) % (n // 2) or 1
+        m = np.arange(n)
+        samples = rng.normal(0.0, 0.3, n) + rng.uniform(-2.0, 2.0)
+        for k in (k1, k2, k3):
+            samples += rng.uniform(0.1, 3.0) * np.cos(2.0 * math.pi * k * m / n + rng.uniform(0, 7))
+        cfg = DetectionConfig(sample_rate=float(n), n_samples=n)
+        peaks = spectrum_peaks(BeatnoteRecord(samples, cfg.sample_rate, float(k1), cfg))
+        spectrum = np.fft.rfft(samples)
+        tol = 1e-12 * math.sqrt(np.mean(samples**2))
+        assert abs(peaks.dc - spectrum[0].real / n) <= tol
+        assert abs(peaks.at_delta - 2.0 * spectrum[k1] / n) <= tol
+        assert abs(peaks.at_two_delta - 2.0 * spectrum[k2] / n) <= tol
 
     def test_off_bin_delta_rejected(self):
         cfg = DetectionConfig(sample_rate=100.0, n_samples=2000)

@@ -69,6 +69,11 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="2\\*pi"):
             parse_config('{"scan": {"kind": "phase_scan", "grid": [0.0, 1.0]}}')
 
+    def test_full_beatnote_spectrum_default_grid_fails_at_parse(self):
+        # The default detuning grid starts at 0 kHz.
+        with pytest.raises(ConfigError, match="undefined at delta = 0"):
+            parse_config('{"scan": {"kind": "detuning_spectrum", "pipeline": "full_beatnote"}}')
+
     def test_not_json(self):
         with pytest.raises(ConfigError, match="not valid JSON"):
             parse_config("kind: phase_scan")
@@ -177,6 +182,60 @@ class TestCliSweeps:
         assert blob[:4] == b"PSSW"
         # header + 4 named columns of 33 doubles
         assert len(blob) > 4 * 33 * 8
+
+
+def run_summary(tmp_path, capsys, subcommand):
+    """Run a stock subcommand; return its summary fields and its CSV columns."""
+    assert main([subcommand, "--out", str(tmp_path), "--name", "run"]) == EXIT_OK
+    kind, *pairs = capsys.readouterr().out.splitlines()[0].split()
+    fields = {key: float(value) for key, value in (pair.split("=") for pair in pairs)}
+    names, data = read_sweep_csv(tmp_path / "run.csv")
+    return kind, fields, dict(zip(names, data.T))
+
+
+class TestCliSummary:
+    """The one-line summary carries the right fields for each scan kind."""
+
+    @staticmethod
+    def check_extrema(fields, top, bottom):
+        assert fields["g_max"] == pytest.approx(top.max(), rel=1e-5)
+        assert fields["g_min"] == pytest.approx(bottom.min(), rel=1e-5)
+        assert fields["product"] == pytest.approx(top.max() * bottom.min(), rel=1e-5)
+        assert fields["n"] == top.size
+
+    def test_phase_scan(self, tmp_path, capsys):
+        kind, fields, cols = run_summary(tmp_path, capsys, "phase-scan")
+        assert kind == "phase_scan:"
+        assert set(fields) == {"g_max", "g_min", "product", "n"}
+        self.check_extrema(fields, cols["gain"], cols["gain"])
+
+    def test_power_sweep(self, tmp_path, capsys):
+        kind, fields, cols = run_summary(tmp_path, capsys, "power-sweep")
+        assert kind == "power_sweep:"
+        assert set(fields) == {"g_max", "g_min", "product", "n"}
+        self.check_extrema(fields, cols["g_max"], cols["g_min"])
+
+    def test_pia_compare_reports_residual_not_g_min(self, tmp_path, capsys):
+        kind, fields, cols = run_summary(tmp_path, capsys, "pia-compare")
+        assert kind == "pia_compare:"
+        assert set(fields) == {"g_max", "pia_residual_max", "n"}
+        assert fields["g_max"] == pytest.approx(cols["g_max"].max(), rel=1e-5)
+        residual = np.max(np.abs(cols["g_max"] - cols["g_max_from_pia"]))
+        assert fields["pia_residual_max"] == pytest.approx(residual, rel=1e-2, abs=1e-300)
+        assert fields["pia_residual_max"] <= 1e-6
+
+    def test_spectrum(self, tmp_path, capsys):
+        kind, fields, cols = run_summary(tmp_path, capsys, "spectrum")
+        assert kind == "detuning_spectrum:"
+        assert set(fields) == {"g_max", "g_min", "product", "bandwidth_khz", "n"}
+        self.check_extrema(fields, cols["g_max"], cols["g_min"])
+        assert fields["bandwidth_khz"] >= 200.0
+
+    def test_transfer(self, tmp_path, capsys):
+        kind, fields, cols = run_summary(tmp_path, capsys, "transfer")
+        assert kind == "transfer_curve:"
+        assert set(fields) == {"g_max", "g_min", "product", "n"}
+        self.check_extrema(fields, cols["gain"], cols["gain"])
 
 
 class TestCliTransferAndHistogram:

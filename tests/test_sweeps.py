@@ -2,6 +2,7 @@
 reproducibility."""
 
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -11,12 +12,14 @@ from psalab import (
     AmplifierParams,
     DetectionConfig,
     DomainError,
+    FieldAmplitude,
     ScanSpec,
     default_calibration,
     effective_r,
     point_seed,
     run_scan,
 )
+from psalab import sweeps
 from psalab.serialize import sweep_csv_bytes, sweep_json_bytes
 from psalab.sweeps import run_power_sweep
 
@@ -69,6 +72,16 @@ class TestScanSpecValidation:
                 input_ratio=1.78,
                 pipeline="full_beatnote",
             )
+
+    def test_full_beatnote_spectrum_rejects_zero_detuning_at_build(self):
+        with pytest.raises(DomainError, match="detuning grid.*undefined at delta = 0") as err:
+            ScanSpec(
+                kind="detuning_spectrum",
+                grid=(0.0, 100.0, 200.0),
+                amplifier=AmplifierParams(pump_power=30.0, detuning=2.0),
+                pipeline="full_beatnote",
+            )
+        assert any(entry.name == "_validate_kind" for entry in err.traceback)
 
     def test_kind_runner_mismatch(self):
         with pytest.raises(DomainError, match="run_power_sweep"):
@@ -229,6 +242,66 @@ class TestTransferCurve:
         )
 
 
+class TestBeatnoteExtremumSearch:
+    """The coarse-plus-Brent search against a dense scan of the same gain.
+
+    Real seeds put every extremum at pump phase 0 or pi/2, both on the
+    coarse grid; a rotated signal seed moves them off it, so only the
+    refinement can find them.
+    """
+
+    POWERS = (0.0, 25.0, 63.0)
+    DENSE_PHASES = np.linspace(0.0, math.pi, 2048, endpoint=False)
+
+    @pytest.mark.parametrize("signal_phase", [0.0, 0.37], ids=["real_seeds", "rotated_signal"])
+    @pytest.mark.parametrize(
+        "overrides",
+        [{}, {"input_ratio": 1.78}, {"detection": DetectionConfig(noise_sigma=0.2, rng_seed=7)}],
+        ids=["equal_seeds", "mixed_seeds", "noisy"],
+    )
+    def test_matches_dense_grid_with_bounded_work(self, overrides, signal_phase, monkeypatch):
+        spec = ScanSpec(
+            kind="power_sweep", grid=self.POWERS, pipeline="full_beatnote", **overrides
+        )
+        idler = FieldAmplitude(1.0 / math.sqrt(spec.input_ratio))
+        signal = FieldAmplitude.from_polar(1.0, signal_phase)
+        monkeypatch.setattr(ScanSpec, "input_fields", lambda self: (signal, idler))
+        counts = Counter()
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapped
+
+        monkeypatch.setattr(sweeps, "cell_off_record", counting("off", sweeps.cell_off_record))
+        monkeypatch.setattr(sweeps, "extract_gain", counting("gain", sweeps.extract_gain))
+        search = sweeps._BeatnotePipeline.gain_extrema
+        per_point = []
+
+        def recorded(pipe, *args, **kwargs):
+            before = Counter(counts)
+            result = search(pipe, *args, **kwargs)
+            per_point.append({name: counts[name] - before[name] for name in ("off", "gain")})
+            return result
+
+        monkeypatch.setattr(sweeps._BeatnotePipeline, "gain_extrema", recorded)
+        res = run_scan(spec)
+        assert len(per_point) == len(self.POWERS)
+        for work in per_point:
+            assert work["off"] == 1
+            assert work["gain"] <= 40
+
+        pipe = sweeps._BeatnotePipeline(spec)
+        for idx, power in enumerate(self.POWERS):
+            r, loss = effective_r(power, spec.amplifier.detuning, spec.calibration)
+            dense = [pipe.measured_gain(r, loss, p, idx) for p in self.DENSE_PHASES]
+            g_max, g_min = res.columns["g_max"][idx], res.columns["g_min"][idx]
+            assert g_max >= max(dense) - 1e-12 * g_max
+            assert g_min <= min(dense) + 1e-12
+
+
 class TestPipelineEquivalence:
     """model_exact and noiseless full_beatnote agree on every series."""
 
@@ -260,6 +333,23 @@ class TestPipelineEquivalence:
             a, b = model.columns[name], beat.columns[name]
             scale = max(np.max(np.abs(a)), 1e-30)
             assert np.max(np.abs(a - b)) <= 1e-8 * scale, name
+
+
+class TestNoisyTransfer:
+    def test_noisy_pure_transfer_stays_on_the_unit_circle(self):
+        # Hundreds of plateau points sit at |cos| ~ 1, so the clamp must
+        # allow for the propagated bin noise on every seed.
+        grid = tuple(np.linspace(-math.pi, math.pi, 512, endpoint=False))
+        for seed in range(12):
+            spec = ScanSpec(
+                kind="transfer_curve",
+                grid=grid,
+                amplifier=AmplifierParams(r=R_53, detuning=2.0),
+                detection=DetectionConfig(noise_sigma=0.05, rng_seed=seed),
+                pipeline="full_beatnote",
+            )
+            cosines = run_scan(spec).columns["cos_phi_out"]
+            assert np.all(np.abs(cosines) <= 1.0), seed
 
 
 class TestReproducibility:
