@@ -26,7 +26,7 @@ from psalab import (
     r_for_max_gain,
     run_scan,
 )
-from psalab.serialize import fmt17, write_sweep
+from psalab.serialize import histogram_to_csv, write_sweep
 
 
 def campaign_specs(seed: int, pipeline: str) -> dict[str, ScanSpec]:
@@ -83,12 +83,7 @@ def campaign_specs(seed: int, pipeline: str) -> dict[str, ScanSpec]:
 
 def write_histogram(result, outdir: Path, name: str, bins: int = 64) -> Path:
     edges, counts = phase_histogram(result.columns["phi_out_wrapped"], bins)
-    lines = ["bin_left,bin_right,count"]
-    for left, right, count in zip(edges[:-1], edges[1:], counts):
-        lines.append(f"{fmt17(left)},{fmt17(right)},{int(count)}")
-    path = outdir / f"{name}_hist.csv"
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return path
+    return histogram_to_csv(edges, counts, outdir / f"{name}_hist.csv")
 
 
 def main() -> None:

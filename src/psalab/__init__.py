@@ -11,7 +11,6 @@ standard figure-shaped datasets.
 __version__ = "0.1.0"
 
 from .errors import ConfigError, DomainError, PsalabError
-from .fields import FieldAmplitude
 from .squeezer import (
     AmplifierParams,
     GainPair,
@@ -40,7 +39,6 @@ from .beatnote import (
 )
 from .analyzer import (
     SpectrumPeaks,
-    TransferPoint,
     extract_cos_phase,
     extract_gain,
     phase_histogram,
@@ -69,14 +67,12 @@ __all__ = [
     "ConfigError",
     "DetectionConfig",
     "DomainError",
-    "FieldAmplitude",
     "GainPair",
     "PsalabError",
     "RunConfig",
     "ScanSpec",
     "SpectrumPeaks",
     "SweepResult",
-    "TransferPoint",
     "cell_off_record",
     "default_calibration",
     "effective_r",

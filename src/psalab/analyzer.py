@@ -46,20 +46,6 @@ class SpectrumPeaks:
     bin_resolution: float
 
 
-@dataclass(frozen=True)
-class TransferPoint:
-    """One point of a phase-to-phase transfer scan."""
-
-    phi_in: float
-    gain: float
-    phi_out: float
-    cos_phi_out: float
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.gain) or self.gain <= 0.0:
-            raise DomainError(f"transfer-point gain must be finite and > 0, got {self.gain}")
-
-
 def _bin_index(frequency: float, bin_resolution: float, n: int) -> int:
     k = frequency / bin_resolution
     if abs(k - round(k)) > 1e-9 * max(1.0, abs(k)):
@@ -210,21 +196,16 @@ def unwrap_cos_scan(cos_values: np.ndarray) -> np.ndarray:
     return out
 
 
-def phase_histogram(
-    points: list[TransferPoint] | np.ndarray, n_bins: int
-) -> tuple[np.ndarray, np.ndarray]:
+def phase_histogram(phases, n_bins: int) -> tuple[np.ndarray, np.ndarray]:
     """Histogram of wrapped output phases over [-pi, pi).
 
-    Accepts TransferPoints or raw phases; total count equals the number of
-    points.  Returns (bin_edges, counts).
+    ``phases`` is any array-like of angles; the total count equals its
+    length.  Returns (bin_edges, counts).
     """
     if int(n_bins) != n_bins or n_bins < 2:
         raise DomainError(f"n_bins must be an integer >= 2, got {n_bins}")
     edges = np.linspace(-math.pi, math.pi, int(n_bins) + 1)
-    if isinstance(points, np.ndarray) or (points and isinstance(points[0], (int, float))):
-        phases = np.asarray(points, dtype=np.float64)
-    else:
-        phases = np.array([p.phi_out for p in points], dtype=np.float64)
+    phases = np.asarray(phases, dtype=np.float64)
     if phases.size == 0:
         return edges, np.zeros(int(n_bins), dtype=np.int64)
     counts, _ = np.histogram(wrap_phase(phases), bins=edges)

@@ -21,6 +21,7 @@ cosine whose signed amplitude carries cos(dphi_out).
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass, field
@@ -28,7 +29,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .fields import FieldAmplitude
 
 # Nyquist margin: the 2*delta beat must sit at or below sample_rate / 10.
 NYQUIST_MARGIN = 10.0
@@ -147,17 +147,20 @@ def _carrier(n_samples: int, sample_rate: float, delta: float) -> np.ndarray:
 
 
 def _synthesize(
-    s_out: FieldAmplitude,
-    i_out: FieldAmplitude,
+    s_out: complex,
+    i_out: complex,
     pump_phase: float,
     delta: float,
     cfg: DetectionConfig,
     stream: int,
 ) -> BeatnoteRecord:
+    s_out, i_out = complex(s_out), complex(i_out)
+    if not (cmath.isfinite(s_out) and cmath.isfinite(i_out)):
+        raise DomainError(f"field amplitudes must be finite, got ({s_out}, {i_out})")
     cfg.validate_for_delta(delta)
     carrier = _carrier(cfg.n_samples, cfg.sample_rate, delta)
     lo = math.sqrt(cfg.residual_pump_intensity) * np.exp(1j * pump_phase)
-    field_total = lo + s_out.as_complex * carrier + i_out.as_complex * carrier.conj()
+    field_total = lo + s_out * carrier + i_out * carrier.conj()
     trace = np.abs(field_total) ** 2
     if cfg.noise_sigma > 0.0:
         trace = trace + _rng_for(cfg.rng_seed, stream).normal(0.0, cfg.noise_sigma, cfg.n_samples)
@@ -165,8 +168,8 @@ def _synthesize(
 
 
 def synthesize_beatnote(
-    s_out: FieldAmplitude,
-    i_out: FieldAmplitude,
+    s_out: complex,
+    i_out: complex,
     pump_phase: float,
     delta: float,
     cfg: DetectionConfig,
@@ -178,8 +181,8 @@ def synthesize_beatnote(
 
 
 def cell_off_record(
-    s_in: FieldAmplitude,
-    i_in: FieldAmplitude,
+    s_in: complex,
+    i_in: complex,
     pump_phase: float,
     delta: float,
     cfg: DetectionConfig,

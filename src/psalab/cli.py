@@ -22,10 +22,9 @@ from .beatnote import cell_off_record, synthesize_beatnote
 from .calibration import resolve_amplifier
 from .config import ENV_OUTPUT_DIR, RunConfig, parse_config_document, to_document
 from .errors import ConfigError, DomainError, PsalabError
-from .fields import FieldAmplitude
 from .serialize import (
     default_basename,
-    fmt17,
+    histogram_to_csv,
     read_record,
     read_sweep_csv,
     record_to_binary,
@@ -143,11 +142,7 @@ def _cmd_histogram(args: argparse.Namespace) -> int:
     edges, counts = phase_histogram(phases, args.bins)
     out = Path(args.out) if args.out else Path(args.input).parent
     out.mkdir(parents=True, exist_ok=True)
-    target = out / (Path(args.input).stem + "_hist.csv")
-    lines = ["bin_left,bin_right,count"]
-    for left, right, count in zip(edges[:-1], edges[1:], counts):
-        lines.append(f"{fmt17(left)},{fmt17(right)},{int(count)}")
-    target.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    target = histogram_to_csv(edges, counts, out / (Path(args.input).stem + "_hist.csv"))
     if not args.quiet:
         print(f"histogram: n={int(counts.sum())} bins={args.bins} wrote {target}")
     return EXIT_OK
@@ -165,12 +160,9 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     else:
         s_out, i_out = evolve_two_mode(s_in, i_in, replace(spec.amplifier, r=r, pump_power=None))
         scale = math.sqrt(loss)
+        amp = spec.amplifier
         record = synthesize_beatnote(
-            FieldAmplitude(s_out.re * scale, s_out.im * scale),
-            FieldAmplitude(i_out.re * scale, i_out.im * scale),
-            spec.amplifier.pump_phase,
-            spec.amplifier.detuning,
-            spec.detection,
+            s_out * scale, i_out * scale, amp.pump_phase, amp.detuning, spec.detection
         )
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     base = args.name or default_basename("record", spec.detection.rng_seed)
@@ -190,24 +182,20 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 def _cmd_analyze(args: argparse.Namespace) -> int:
     record = read_record(args.record)
     peaks = spectrum_peaks(record)
+
+    def tone(z: complex) -> dict:
+        return {"re": z.real, "im": z.imag, "abs": abs(z)}
+
     summary = {
         "dc": float(peaks.dc),
-        "at_delta": {
-            "re": peaks.at_delta.real,
-            "im": peaks.at_delta.imag,
-            "abs": abs(peaks.at_delta),
-        },
-        "at_two_delta": {
-            "re": peaks.at_two_delta.real,
-            "im": peaks.at_two_delta.imag,
-            "abs": abs(peaks.at_two_delta),
-        },
+        "at_delta": tone(peaks.at_delta),
+        "at_two_delta": tone(peaks.at_two_delta),
         "bin_resolution_khz": peaks.bin_resolution,
         "delta_khz": record.delta,
         "sample_rate_khz": record.sample_rate,
         "n_samples": record.n_samples,
     }
-    print(json.dumps(summary, indent=2, sort_keys=True))
+    print(json.dumps(summary, indent=2, sort_keys=True, allow_nan=False))
     return EXIT_OK
 
 

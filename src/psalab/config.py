@@ -31,7 +31,7 @@ import json
 import math
 import os
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -39,35 +39,11 @@ import numpy as np
 from .beatnote import DetectionConfig
 from .calibration import CalibrationMap, fitted_calibration
 from .errors import ConfigError, DomainError
-from .serialize import EMIT_FORMATS
+from .serialize import EMIT_FORMATS, scan_spec_to_dict
 from .squeezer import AmplifierParams
 from .sweeps import PIPELINES, SCAN_KINDS, ScanSpec
 
 ENV_OUTPUT_DIR = "PSALAB_OUT"
-
-_KNOWN_KEYS = {
-    "": ("scan", "output_dir", "emit", "verbosity"),
-    "scan": ("kind", "grid", "amplifier", "calibration", "detection", "input_ratio", "pipeline"),
-    "scan.grid": ("values", "start", "stop", "num", "step"),
-    "scan.amplifier": ("r", "pump_phase", "pump_power", "detuning"),
-    "scan.calibration": (
-        "mode",
-        "slope",
-        "r_sat",
-        "p_sat",
-        "bandwidth_hwhm",
-        "loss_exponent_scale",
-        "anchor",
-    ),
-    "scan.calibration.anchor": ("power", "detuning", "max_gain"),
-    "scan.detection": (
-        "sample_rate",
-        "n_samples",
-        "noise_sigma",
-        "rng_seed",
-        "residual_pump_intensity",
-    ),
-}
 
 DEFAULT_GRIDS: dict[str, tuple[float, ...]] = {
     "phase_scan": tuple(np.linspace(-math.pi, math.pi, 257)),
@@ -101,6 +77,22 @@ class RunConfig:
         if int(self.verbosity) != self.verbosity or not 0 <= self.verbosity <= 2:
             raise ConfigError(f"verbosity: expected integer in [0, 2], got {self.verbosity!r}")
         object.__setattr__(self, "verbosity", int(self.verbosity))
+
+
+def _names(cls, *extra: str) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(cls)) + extra
+
+
+# Document keys mirror the dataclass fields they fill.
+_KNOWN_KEYS = {
+    "": _names(RunConfig),
+    "scan": _names(ScanSpec),
+    "scan.grid": ("values", "start", "stop", "num", "step"),
+    "scan.amplifier": _names(AmplifierParams),
+    "scan.calibration": _names(CalibrationMap, "anchor"),
+    "scan.calibration.anchor": ("power", "detuning", "max_gain"),
+    "scan.detection": _names(DetectionConfig),
+}
 
 
 def _check_keys(section: dict, path: str, strict: bool) -> None:
@@ -145,6 +137,8 @@ def _number(
         raise ConfigError(f"{path}.{key}: null is not allowed here")
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}.{key}: expected a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ConfigError(f"{path}.{key}: expected a finite number, got {value!r}")
     if integer and int(value) != value:
         raise ConfigError(f"{path}.{key}: expected an integer, got {value!r}")
     if positive and not value > 0:
@@ -298,35 +292,10 @@ def parse_config(text: str, *, strict: bool = True, default_kind: str | None = N
 
 def to_document(cfg: RunConfig) -> dict:
     """Full explicit document that parses back to an equal RunConfig."""
-    spec = cfg.scan
+    scan = scan_spec_to_dict(cfg.scan)
+    scan["grid"] = {"values": list(cfg.scan.grid)}
     return {
-        "scan": {
-            "kind": spec.kind,
-            "grid": {"values": list(spec.grid)},
-            "amplifier": {
-                "r": spec.amplifier.r,
-                "pump_phase": spec.amplifier.pump_phase,
-                "pump_power": spec.amplifier.pump_power,
-                "detuning": spec.amplifier.detuning,
-            },
-            "calibration": {
-                "mode": spec.calibration.mode,
-                "slope": spec.calibration.slope,
-                "r_sat": spec.calibration.r_sat,
-                "p_sat": spec.calibration.p_sat,
-                "bandwidth_hwhm": spec.calibration.bandwidth_hwhm,
-                "loss_exponent_scale": spec.calibration.loss_exponent_scale,
-            },
-            "detection": {
-                "sample_rate": spec.detection.sample_rate,
-                "n_samples": spec.detection.n_samples,
-                "noise_sigma": spec.detection.noise_sigma,
-                "rng_seed": spec.detection.rng_seed,
-                "residual_pump_intensity": spec.detection.residual_pump_intensity,
-            },
-            "input_ratio": spec.input_ratio,
-            "pipeline": spec.pipeline,
-        },
+        "scan": scan,
         "output_dir": str(cfg.output_dir),
         "emit": list(cfg.emit),
         "verbosity": cfg.verbosity,

@@ -70,7 +70,7 @@ def sweep_json_bytes(result) -> bytes:
     sidecar = dict(result.metadata)
     sidecar["columns"] = [result.metadata.get("x_name", "x"), *result.columns.keys()]
     sidecar["n_points"] = int(result.x.size)
-    return (json.dumps(sidecar, indent=2, sort_keys=True) + "\n").encode("utf-8")
+    return (json.dumps(sidecar, indent=2, sort_keys=True, allow_nan=False) + "\n").encode("utf-8")
 
 
 def sweep_binary_bytes(result) -> bytes:
@@ -89,19 +89,42 @@ def sweep_binary_bytes(result) -> bytes:
     return bytes(out)
 
 
+def _require_finite(path, what: str, values) -> np.ndarray:
+    """Values parsed from a file as float64, rejecting NaN and infinities."""
+    arr = np.asarray(values, dtype=np.float64)
+    bad = np.flatnonzero(~np.isfinite(arr))
+    if bad.size:
+        raise ConfigError(
+            f"{path}: {what} must be finite, got {arr.flat[bad[0]]} at entry {bad[0]}"
+        )
+    return arr
+
+
 def read_sweep_csv(path: str | Path) -> tuple[list[str], np.ndarray]:
     """Parse a sweep CSV back into (column names, 2-D value array)."""
     text = Path(path).read_text(encoding="utf-8")
     lines = [line for line in text.splitlines() if line.strip()]
-    if not lines:
-        raise ConfigError(f"{path}: empty sweep CSV")
+    if len(lines) < 2:
+        raise ConfigError(f"{path}: sweep CSV has no data rows")
     names = lines[0].split(",")
-    data = np.array(
-        [[float(cell) for cell in line.split(",")] for line in lines[1:]], dtype=np.float64
-    )
-    if data.ndim != 2 or data.shape[1] != len(names):
-        raise ConfigError(f"{path}: malformed sweep CSV")
-    return names, data
+    rows = [line.split(",") for line in lines[1:]]
+    if any(len(cells) != len(names) for cells in rows):
+        raise ConfigError(f"{path}: malformed sweep CSV: every row needs {len(names)} cells")
+    try:
+        data = [[float(cell) for cell in cells] for cells in rows]
+    except ValueError as err:
+        raise ConfigError(f"{path}: malformed sweep CSV: {err}") from None
+    return names, _require_finite(path, "sweep values", data)
+
+
+def histogram_to_csv(edges, counts, path: str | Path) -> Path:
+    """Write histogram bins as ``bin_left,bin_right,count`` CSV rows."""
+    lines = ["bin_left,bin_right,count"]
+    for left, right, count in zip(edges[:-1], edges[1:], counts):
+        lines.append(f"{fmt17(left)},{fmt17(right)},{int(count)}")
+    path = Path(path)
+    path.write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+    return path
 
 
 def default_basename(kind: str, seed: int) -> str:
@@ -184,20 +207,27 @@ def record_from_csv(path: str | Path) -> BeatnoteRecord:
         cells = line.split(",")
         if len(cells) != 2:
             raise ConfigError(f"{path}: malformed record CSV line {line!r}")
-        samples.append(float(cells[1]))
+        samples.append(cells[1])
     try:
         sample_rate = float(header["sample_rate_khz"])
         delta = float(header["delta_khz"])
+        noise_sigma = float(header.get("noise_sigma", 0.0))
+        rng_seed = int(header.get("rng_seed", 0))
+        residual_pump = float(header.get("residual_pump_intensity", 0.0))
+        samples = [float(value) for value in samples]
     except KeyError as missing:
         raise ConfigError(f"{path}: record CSV header lacks {missing}") from None
+    except ValueError as err:
+        raise ConfigError(f"{path}: malformed record CSV: {err}") from None
+    _require_finite(path, "sample_rate_khz and delta_khz", [sample_rate, delta])
     cfg = DetectionConfig(
         sample_rate=sample_rate,
         n_samples=len(samples),
-        noise_sigma=float(header.get("noise_sigma", 0.0)),
-        rng_seed=int(header.get("rng_seed", 0)),
-        residual_pump_intensity=float(header.get("residual_pump_intensity", 0.0)),
+        noise_sigma=noise_sigma,
+        rng_seed=rng_seed,
+        residual_pump_intensity=residual_pump,
     )
-    return BeatnoteRecord(np.asarray(samples), sample_rate, delta, cfg)
+    return BeatnoteRecord(_require_finite(path, "record samples", samples), sample_rate, delta, cfg)
 
 
 def record_binary_bytes(rec: BeatnoteRecord) -> bytes:
@@ -231,7 +261,8 @@ def record_from_binary(path: str | Path) -> BeatnoteRecord:
         raise ConfigError(
             f"{path}: truncated record payload ({len(payload)} bytes for {count} samples)"
         )
-    samples = np.frombuffer(payload, dtype="<f8").astype(np.float64)
+    _require_finite(path, "sample_rate and delta", [sample_rate, delta])
+    samples = _require_finite(path, "record samples", np.frombuffer(payload, dtype="<f8"))
     cfg = DetectionConfig(
         sample_rate=sample_rate, n_samples=int(count), residual_pump_intensity=0.0
     )

@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .fields import FieldAmplitude
 
 TWO_PI = 2.0 * math.pi
 
@@ -93,22 +92,23 @@ class GainPair:
 
 
 def evolve_two_mode(
-    s_in: FieldAmplitude, i_in: FieldAmplitude, params: AmplifierParams
-) -> tuple[FieldAmplitude, FieldAmplitude]:
-    """Propagate signal and idler amplitudes through the amplifier.
+    s_in: complex, i_in: complex, params: AmplifierParams
+) -> tuple[complex, complex]:
+    """Propagate complex signal and idler amplitudes through the amplifier.
 
-    Requires ``params.r`` to be set.  Conserves |s|^2 - |i|^2.
+    Amplitudes are dimensionless: intensities are in units of the input
+    signal intensity, so a unit amplitude carries intensity 1.  Requires
+    ``params.r`` to be set.  Conserves |s|^2 - |i|^2.
     """
     if params.r is None:
         raise DomainError("amplifier evolution needs an explicit squeezing parameter r")
+    a, b = complex(s_in), complex(i_in)
+    if not (cmath.isfinite(a) and cmath.isfinite(b)):
+        raise DomainError(f"field amplitudes must be finite, got ({a}, {b})")
     c = math.cosh(params.r)
     s = math.sinh(params.r)
     pump = cmath.exp(2j * params.pump_phase)
-    a = s_in.as_complex
-    b = i_in.as_complex
-    s_out = c * a + pump * s * b.conjugate()
-    i_out = c * b + pump * s * a.conjugate()
-    return FieldAmplitude.from_complex(s_out), FieldAmplitude.from_complex(i_out)
+    return c * a + pump * s * b.conjugate(), c * b + pump * s * a.conjugate()
 
 
 def psa_gain(g: float, phi: float) -> float:
@@ -164,18 +164,16 @@ def psa_max_from_pia(g_pia: float) -> float:
     return a * a
 
 
-def output_relative_phase(
-    s_in: FieldAmplitude, i_in: FieldAmplitude, params: AmplifierParams
-) -> float:
+def output_relative_phase(s_in: complex, i_in: complex, params: AmplifierParams) -> float:
     """Phase of the amplified signal relative to the pump, in [-pi, pi).
 
     For equal input magnitudes and large r this approaches 0 where
     cos(pump-signal input phase) > 0 and pi where it is negative: the
     square-wave transfer characteristic of a strong squeezer.
     """
-    if s_in.intensity == 0.0:
+    if s_in == 0:
         raise DomainError("zero signal input carries no defined phase")
     s_out, _ = evolve_two_mode(s_in, i_in, params)
-    if s_out.intensity == 0.0:
+    if s_out == 0:
         raise DomainError("amplified signal vanished; output phase undefined")
-    return float(wrap_phase(s_out.phase - params.pump_phase))
+    return float(wrap_phase(cmath.phase(s_out) - params.pump_phase))

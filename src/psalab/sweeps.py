@@ -35,7 +35,6 @@ from .analyzer import extract_cos_phase, extract_gain, spectrum_peaks, unwrap_co
 from .beatnote import BeatnoteRecord, DetectionConfig, cell_off_record, synthesize_beatnote
 from .calibration import CalibrationMap, default_calibration, effective_r, resolve_amplifier
 from .errors import DomainError
-from .fields import FieldAmplitude
 from .squeezer import AmplifierParams, evolve_two_mode, psa_max_from_pia, wrap_phase
 
 SCAN_KINDS = (
@@ -173,9 +172,9 @@ class ScanSpec:
     def master_seed(self) -> int:
         return self.detection.rng_seed
 
-    def input_fields(self) -> tuple[FieldAmplitude, FieldAmplitude]:
+    def input_fields(self) -> tuple[complex, complex]:
         """Unit signal seed plus idler seed at 1/sqrt(input_ratio)."""
-        return FieldAmplitude(1.0), FieldAmplitude(1.0 / math.sqrt(self.input_ratio))
+        return complex(1.0), complex(1.0 / math.sqrt(self.input_ratio))
 
 
 @dataclass
@@ -257,30 +256,27 @@ def _brent_min(fun, bracket: tuple, values: tuple, tol: float) -> float:
                 v, fv = u, fu
 
 
-def _attenuated(amp: FieldAmplitude, loss: float) -> FieldAmplitude:
-    scale = math.sqrt(loss)
-    return FieldAmplitude(amp.re * scale, amp.im * scale)
-
-
-class _ModelPipeline:
-    """Closed-form evaluation of the noiseless measurement chain."""
-
+class _Pipeline:
     def __init__(self, spec: ScanSpec):
         self.spec = spec
         self.a_s, self.a_i = spec.input_fields()
+
+
+class _ModelPipeline(_Pipeline):
+    """Closed-form evaluation of the noiseless measurement chain."""
 
     def _outputs(self, r: float, loss: float, pump_phase: float) -> tuple[complex, complex]:
         params = AmplifierParams(r=r, pump_phase=pump_phase, detuning=self.spec.amplifier.detuning)
         s_out, i_out = evolve_two_mode(self.a_s, self.a_i, params)
         scale = math.sqrt(loss)
-        return s_out.as_complex * scale, i_out.as_complex * scale
+        return s_out * scale, i_out * scale
 
     def measured_gain(
         self, r: float, loss: float, pump_phase: float, index: int = 0, delta: float | None = None
     ) -> float:
         """2*delta peak ratio, equal to loss * sqrt(G_s * G_i)."""
         s_out, i_out = self._outputs(r, loss, pump_phase)
-        return abs(s_out) * abs(i_out) / (self.a_s.magnitude * self.a_i.magnitude)
+        return abs(s_out) * abs(i_out) / (abs(self.a_s) * abs(self.a_i))
 
     def gain_extrema(
         self, r: float, loss: float, index: int = 0, delta: float | None = None
@@ -288,7 +284,7 @@ class _ModelPipeline:
         if self.spec.input_ratio == 1.0:
             return loss * math.exp(2.0 * r), loss * math.exp(-2.0 * r)
         c, s = math.cosh(r), math.sinh(r)
-        kappa = self.a_i.magnitude / self.a_s.magnitude
+        kappa = abs(self.a_i) / abs(self.a_s)
         top = (c + s * kappa) * (c + s / kappa)
         bottom = abs(c - s * kappa) * abs(c - s / kappa)
         return loss * top, loss * bottom
@@ -298,8 +294,8 @@ class _ModelPipeline:
     ) -> tuple[float, float, float]:
         s_out, i_out = self._outputs(r, loss, pump_phase)
         phi_out = float(wrap_phase(np.angle(s_out) - pump_phase))
-        gain = abs(s_out) ** 2 / self.a_s.intensity
-        gain_idler = abs(i_out) ** 2 / self.a_i.intensity
+        gain = abs(s_out) ** 2 / abs(self.a_s) ** 2
+        gain_idler = abs(i_out) ** 2 / abs(self.a_i) ** 2
         return gain, gain_idler, math.cos(phi_out)
 
     def pia_rho(self, r: float, loss: float, index: int = 0, delta: float | None = None) -> float:
@@ -307,12 +303,8 @@ class _ModelPipeline:
         return math.sqrt(loss) * (math.cosh(r) + math.sinh(r))
 
 
-class _BeatnotePipeline:
+class _BeatnotePipeline(_Pipeline):
     """Record synthesis plus peak extraction, seeded per grid point."""
-
-    def __init__(self, spec: ScanSpec):
-        self.spec = spec
-        self.a_s, self.a_i = spec.input_fields()
 
     def _config(self, index: int, delta: float) -> DetectionConfig:
         return replace(
@@ -324,9 +316,8 @@ class _BeatnotePipeline:
     ) -> BeatnoteRecord:
         params = AmplifierParams(r=r, pump_phase=pump_phase, detuning=delta)
         s_out, i_out = evolve_two_mode(self.a_s, self.a_i, params)
-        return synthesize_beatnote(
-            _attenuated(s_out, loss), _attenuated(i_out, loss), pump_phase, delta, cfg
-        )
+        scale = math.sqrt(loss)
+        return synthesize_beatnote(s_out * scale, i_out * scale, pump_phase, delta, cfg)
 
     def _records(
         self, r: float, loss: float, pump_phase: float, index: int, delta: float | None
@@ -391,11 +382,11 @@ class _BeatnotePipeline:
         clamp_tol = 1e-6
         if cfg.noise_sigma > 0.0:
             # Propagated bin-amplitude noise on the cosine readout.
-            scale = 4.0 * math.sqrt(cfg.residual_pump_intensity * gain * self.a_s.intensity)
+            scale = 4.0 * math.sqrt(cfg.residual_pump_intensity * gain * abs(self.a_s) ** 2)
             sigma = cfg.noise_sigma * math.sqrt(2.0 / cfg.n_samples) / scale
             clamp_tol = max(clamp_tol, COS_CLAMP_SIGMAS * sigma)
         cos_out = extract_cos_phase(
-            on, cfg.residual_pump_intensity, gain, self.a_s.intensity, clamp_tol=clamp_tol
+            on, cfg.residual_pump_intensity, gain, abs(self.a_s) ** 2, clamp_tol=clamp_tol
         )
         return gain, gain, cos_out
 
@@ -403,12 +394,10 @@ class _BeatnotePipeline:
         delta = self.spec.amplifier.detuning if delta is None else delta
         cfg = self._config(index, delta)
         params = AmplifierParams(r=r, pump_phase=0.0, detuning=delta)
-        idler_vacuum = FieldAmplitude(0.0)
-        s_out, i_out = evolve_two_mode(self.a_s, idler_vacuum, params)
-        on = synthesize_beatnote(
-            _attenuated(s_out, loss), _attenuated(i_out, loss), 0.0, delta, cfg
-        )
-        off = cell_off_record(self.a_s, idler_vacuum, 0.0, delta, cfg)
+        s_out, i_out = evolve_two_mode(self.a_s, 0j, params)
+        scale = math.sqrt(loss)
+        on = synthesize_beatnote(s_out * scale, i_out * scale, 0.0, delta, cfg)
+        off = cell_off_record(self.a_s, 0j, 0.0, delta, cfg)
         reference = abs(spectrum_peaks(off).at_delta)
         if reference <= 0.0:
             raise DomainError("no pump-signal reference beat in the cell-off record")

@@ -1,6 +1,7 @@
 """Beatnote synthesis: expansion into DC / delta / 2*delta tones, noise
 model, determinism and the serialisation round trips."""
 
+import cmath
 import math
 
 import numpy as np
@@ -11,7 +12,6 @@ from psalab import (
     BeatnoteRecord,
     DetectionConfig,
     DomainError,
-    FieldAmplitude,
     cell_off_record,
     evolve_two_mode,
     spectrum_peaks,
@@ -47,13 +47,13 @@ def reduced_form_trace(gain, i_s_in, i_p, dphi_out, delta, cfg):
 class TestSynthesis:
     def test_pump_only_gives_constant_trace(self):
         cfg = quiet_config(residual_pump_intensity=1.0)
-        rec = synthesize_beatnote(FieldAmplitude(0.0), FieldAmplitude(0.0), 0.3, DELTA, cfg)
+        rec = synthesize_beatnote(complex(0.0), complex(0.0), 0.3, DELTA, cfg)
         assert np.allclose(rec.samples, 1.0, atol=1e-15)
 
     def test_equal_unit_fields_no_pump(self):
         # I(t) = 2 + 2 cos(2 w t): DC 2, 2*delta amplitude 2, no delta tone
         cfg = quiet_config(residual_pump_intensity=0.0)
-        rec = synthesize_beatnote(FieldAmplitude(1.0), FieldAmplitude(1.0), 0.0, DELTA, cfg)
+        rec = synthesize_beatnote(complex(1.0), complex(1.0), 0.0, DELTA, cfg)
         t = np.arange(cfg.n_samples) / cfg.sample_rate
         expected = 2.0 + 2.0 * np.cos(2.0 * 2.0 * math.pi * DELTA * t)
         assert np.max(np.abs(rec.samples - expected)) <= 1e-12
@@ -66,7 +66,7 @@ class TestSynthesis:
         # amplified fields 2+0j with pump leakage 0.25: delta amplitude
         # 4*sqrt(0.25*4*1) = 4 and 2*delta amplitude 2*4*1 = 8
         cfg = quiet_config()
-        rec = synthesize_beatnote(FieldAmplitude(2.0), FieldAmplitude(2.0), 0.0, DELTA, cfg)
+        rec = synthesize_beatnote(complex(2.0), complex(2.0), 0.0, DELTA, cfg)
         peaks = spectrum_peaks(rec)
         assert abs(peaks.at_delta) == pytest.approx(4.0, rel=1e-12)
         assert abs(peaks.at_two_delta) == pytest.approx(8.0, rel=1e-12)
@@ -74,7 +74,7 @@ class TestSynthesis:
     def test_reduces_to_closed_form_sample_by_sample(self):
         cfg = quiet_config()
         gain, dphi = 4.0, 0.0
-        rec = synthesize_beatnote(FieldAmplitude(2.0), FieldAmplitude(2.0), 0.0, DELTA, cfg)
+        rec = synthesize_beatnote(complex(2.0), complex(2.0), 0.0, DELTA, cfg)
         expected = reduced_form_trace(gain, 1.0, cfg.residual_pump_intensity, dphi, DELTA, cfg)
         assert np.max(np.abs(rec.samples - expected)) <= 1e-12
 
@@ -82,23 +82,23 @@ class TestSynthesis:
         # place the common output phase at pi/3 relative to the pump
         cfg = quiet_config()
         gain, dphi = 5.0, math.pi / 3
-        amp = FieldAmplitude.from_polar(math.sqrt(gain), dphi)
+        amp = cmath.rect(math.sqrt(gain), dphi)
         rec = synthesize_beatnote(amp, amp, 0.0, DELTA, cfg)
         expected = reduced_form_trace(gain, 1.0, cfg.residual_pump_intensity, dphi, DELTA, cfg)
         assert np.max(np.abs(rec.samples - expected)) <= 1e-12
 
     def test_noiseless_trace_nonnegative_and_bounded(self):
         cfg = quiet_config()
-        s = FieldAmplitude.from_polar(1.7, 0.4)
-        i = FieldAmplitude.from_polar(0.6, -1.0)
+        s = cmath.rect(1.7, 0.4)
+        i = cmath.rect(0.6, -1.0)
         rec = synthesize_beatnote(s, i, 0.9, DELTA, cfg)
-        bound = (math.sqrt(cfg.residual_pump_intensity) + s.magnitude + i.magnitude) ** 2
+        bound = (math.sqrt(cfg.residual_pump_intensity) + abs(s) + abs(i)) ** 2
         assert np.all(rec.samples >= 0.0)
         assert np.all(rec.samples <= bound + 1e-12)
 
     def test_parseval(self):
         cfg = quiet_config(noise_sigma=0.05, rng_seed=7)
-        rec = synthesize_beatnote(FieldAmplitude(1.2), FieldAmplitude(0.8), 0.3, DELTA, cfg)
+        rec = synthesize_beatnote(complex(1.2), complex(0.8), 0.3, DELTA, cfg)
         spectrum = np.fft.fft(rec.samples)
         lhs = np.sum(np.abs(spectrum) ** 2) / rec.n_samples
         rhs = np.sum(rec.samples**2)
@@ -108,7 +108,7 @@ class TestSynthesis:
 class TestCellOff:
     def test_matches_zero_squeezing_synthesis(self):
         cfg = quiet_config()
-        s, i = FieldAmplitude(1.0, 0.2), FieldAmplitude(0.5, -0.1)
+        s, i = complex(1.0, 0.2), complex(0.5, -0.1)
         off = cell_off_record(s, i, 0.7, DELTA, cfg)
         s0, i0 = evolve_two_mode(s, i, AmplifierParams(r=0.0, pump_phase=0.7))
         on_at_zero = synthesize_beatnote(s0, i0, 0.7, DELTA, cfg)
@@ -116,19 +116,19 @@ class TestCellOff:
 
     def test_reference_two_delta_amplitude(self):
         cfg = quiet_config(residual_pump_intensity=0.0)
-        off = cell_off_record(FieldAmplitude(1.0), FieldAmplitude(1.0), 0.0, DELTA, cfg)
+        off = cell_off_record(complex(1.0), complex(1.0), 0.0, DELTA, cfg)
         assert abs(spectrum_peaks(off).at_two_delta) == pytest.approx(2.0, rel=1e-12)
 
     def test_round_trip_gain_ratio_of_four(self):
         cfg = quiet_config()
-        on = synthesize_beatnote(FieldAmplitude(2.0), FieldAmplitude(2.0), 0.0, DELTA, cfg)
-        off = cell_off_record(FieldAmplitude(1.0), FieldAmplitude(1.0), 0.0, DELTA, cfg)
+        on = synthesize_beatnote(complex(2.0), complex(2.0), 0.0, DELTA, cfg)
+        off = cell_off_record(complex(1.0), complex(1.0), 0.0, DELTA, cfg)
         ratio = abs(spectrum_peaks(on).at_two_delta) / abs(spectrum_peaks(off).at_two_delta)
         assert ratio == pytest.approx(4.0, rel=1e-12)
 
     def test_noise_streams_differ_between_on_and_off(self):
         cfg = quiet_config(noise_sigma=0.1, rng_seed=123)
-        s, i = FieldAmplitude(1.0), FieldAmplitude(1.0)
+        s, i = complex(1.0), complex(1.0)
         on = synthesize_beatnote(s, i, 0.0, DELTA, cfg)
         off = cell_off_record(s, i, 0.0, DELTA, cfg)
         assert not np.array_equal(on.samples, off.samples)
@@ -137,7 +137,7 @@ class TestCellOff:
 class TestDeterminism:
     def test_identical_seed_identical_bits(self):
         cfg = quiet_config(noise_sigma=0.2, rng_seed=42)
-        args = (FieldAmplitude(1.5, 0.1), FieldAmplitude(0.9, -0.3), 0.4, DELTA, cfg)
+        args = (complex(1.5, 0.1), complex(0.9, -0.3), 0.4, DELTA, cfg)
         first = synthesize_beatnote(*args)
         second = synthesize_beatnote(*args)
         assert np.array_equal(first.samples, second.samples)
@@ -145,7 +145,7 @@ class TestDeterminism:
     def test_different_seeds_differ(self):
         base = quiet_config(noise_sigma=0.2, rng_seed=1)
         other = quiet_config(noise_sigma=0.2, rng_seed=2)
-        s, i = FieldAmplitude(1.0), FieldAmplitude(1.0)
+        s, i = complex(1.0), complex(1.0)
         assert not np.array_equal(
             synthesize_beatnote(s, i, 0.0, DELTA, base).samples,
             synthesize_beatnote(s, i, 0.0, DELTA, other).samples,
@@ -156,21 +156,31 @@ class TestConfigInvariants:
     def test_nyquist_margin_violation_is_named(self):
         cfg = quiet_config(sample_rate=30.0, n_samples=2000)
         with pytest.raises(DomainError, match="Nyquist margin"):
-            synthesize_beatnote(FieldAmplitude(1.0), FieldAmplitude(1.0), 0.0, DELTA, cfg)
+            synthesize_beatnote(complex(1.0), complex(1.0), 0.0, DELTA, cfg)
 
     def test_non_integer_periods_rejected(self):
         cfg = quiet_config(sample_rate=100.0, n_samples=1999)
         with pytest.raises(DomainError, match="integer number of delta periods"):
-            synthesize_beatnote(FieldAmplitude(1.0), FieldAmplitude(1.0), 0.0, DELTA, cfg)
+            synthesize_beatnote(complex(1.0), complex(1.0), 0.0, DELTA, cfg)
 
     def test_too_few_periods_rejected(self):
         cfg = quiet_config(sample_rate=100.0, n_samples=100)
         with pytest.raises(DomainError, match="at least 4 delta periods"):
-            synthesize_beatnote(FieldAmplitude(1.0), FieldAmplitude(1.0), 0.0, DELTA, cfg)
+            synthesize_beatnote(complex(1.0), complex(1.0), 0.0, DELTA, cfg)
 
     def test_zero_delta_rejected(self):
         with pytest.raises(DomainError, match="detuning > 0"):
-            synthesize_beatnote(FieldAmplitude(1.0), FieldAmplitude(1.0), 0.0, 0.0, quiet_config())
+            synthesize_beatnote(complex(1.0), complex(1.0), 0.0, 0.0, quiet_config())
+
+    @pytest.mark.parametrize(
+        "s_out, i_out",
+        [(complex(float("nan"), 0.0), 1.0), (1.0, complex(0.0, float("-inf")))],
+    )
+    def test_non_finite_amplitude_rejected(self, s_out, i_out):
+        with pytest.raises(DomainError, match="finite"):
+            synthesize_beatnote(s_out, i_out, 0.0, DELTA, quiet_config())
+        with pytest.raises(DomainError, match="finite"):
+            cell_off_record(s_out, i_out, 0.0, DELTA, quiet_config())
 
     def test_negative_noise_rejected(self):
         with pytest.raises(DomainError):
@@ -184,7 +194,7 @@ class TestConfigInvariants:
 class TestRecordSerialisation:
     def test_csv_round_trip_bit_exact(self, tmp_path):
         cfg = quiet_config(noise_sigma=0.03, rng_seed=9)
-        rec = synthesize_beatnote(FieldAmplitude(1.3, 0.2), FieldAmplitude(0.7), 0.5, DELTA, cfg)
+        rec = synthesize_beatnote(complex(1.3, 0.2), complex(0.7), 0.5, DELTA, cfg)
         path = record_to_csv(rec, tmp_path / "trace.csv")
         back = record_from_csv(path)
         assert np.array_equal(back.samples, rec.samples)
@@ -193,7 +203,7 @@ class TestRecordSerialisation:
 
     def test_binary_round_trip_bit_exact(self, tmp_path):
         cfg = quiet_config(noise_sigma=0.03, rng_seed=9)
-        rec = synthesize_beatnote(FieldAmplitude(1.3, 0.2), FieldAmplitude(0.7), 0.5, DELTA, cfg)
+        rec = synthesize_beatnote(complex(1.3, 0.2), complex(0.7), 0.5, DELTA, cfg)
         path = record_to_binary(rec, tmp_path / "trace.bin")
         back = record_from_binary(path)
         assert np.array_equal(back.samples, rec.samples)

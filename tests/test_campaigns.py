@@ -1,0 +1,31 @@
+"""The campaign script, run as a separate process the way a user runs it."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from psalab.cli import EXIT_OK, main
+
+ROOT = Path(__file__).resolve().parents[1]
+CAMPAIGNS = ("gain_vs_phase", "gain_vs_power", "psa_vs_pia", "gain_spectrum",
+             "transfer_pure", "transfer_mixed")
+
+
+def test_campaign_histogram_matches_cli_histogram(tmp_path):
+    out = tmp_path / "campaigns"
+    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "run_campaigns.py"),
+         "--pipeline", "model_exact", "--out", str(out)],
+        check=True, env=env, capture_output=True,
+    )
+    for name in CAMPAIGNS:
+        assert (out / f"{name}.csv").is_file() and (out / f"{name}.json").is_file()
+
+    cli_out = tmp_path / "cli"
+    argv = ["histogram", str(out / "transfer_pure.csv"), "--bins", "64", "--out", str(cli_out)]
+    assert main([*argv, "--quiet"]) == EXIT_OK
+    expected = (cli_out / "transfer_pure_hist.csv").read_bytes()
+    assert (out / "transfer_pure_hist.csv").read_bytes() == expected

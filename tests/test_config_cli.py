@@ -2,6 +2,7 @@
 
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -48,6 +49,17 @@ class TestParseConfig:
         with pytest.warns(UserWarning, match="unknown key"):
             cfg = parse_config(doc, strict=False)
         assert cfg.scan.kind == "phase_scan"
+
+    @pytest.mark.parametrize(
+        "scan, key",
+        [
+            ('"grid": {"start": -4, "stop": 4, "num": Infinity}', "scan.grid.num"),
+            ('"detection": {"n_samples": NaN}', "scan.detection.n_samples"),
+        ],
+    )
+    def test_non_finite_numbers_rejected(self, scan, key):
+        with pytest.raises(ConfigError, match=rf"{key}: expected a finite number"):
+            parse_config('{"scan": {"kind": "phase_scan", %s}}' % scan)
 
     def test_grid_forms(self):
         by_values = parse_config('{"scan": {"kind": "power_sweep", "grid": [0, 40, 80]}}')
@@ -275,6 +287,22 @@ class TestCliTransferAndHistogram:
         bad.write_text("a,b\n1,2\n")
         assert main(["histogram", str(bad)]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("phi_out_wrapped,gain\n0.5,1\nabc,2\n", "abc"),
+            ("phi_out_wrapped,gain\n0.5,1\n0.25\n", "every row needs 2 cells"),
+            ("phi_out_wrapped,gain\n0.5,1\nnan,2\n", "must be finite"),
+        ],
+        ids=["non_numeric", "ragged", "nan"],
+    )
+    def test_histogram_rejects_malformed_sweep(self, tmp_path, capsys, body, message):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(body)
+        assert main(["histogram", str(bad)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert str(bad) in err and message in err
+
 
 class TestCliSynthAnalyze:
     def test_synth_then_analyze_round_trip(self, tmp_path, capsys):
@@ -315,3 +343,29 @@ class TestCliSynthAnalyze:
 
     def test_analyze_missing_file(self, tmp_path):
         assert main(["analyze", str(tmp_path / "nope.bin")]) == EXIT_DOMAIN
+
+    @pytest.mark.parametrize("sample, message", [("abc", "abc"), ("nan", "must be finite")])
+    def test_analyze_rejects_malformed_csv_record(self, tmp_path, capsys, sample, message):
+        main(["synth", "--out", str(tmp_path), "--name", "rec", "--emit", "csv", "--quiet"])
+        path = tmp_path / "rec.csv"
+        lines = path.read_text().splitlines()
+        t_ms, _ = lines[-5].split(",")
+        lines[-5] = f"{t_ms},{sample}"
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["analyze", str(path)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert str(path) in captured.err and message in captured.err
+
+    def test_analyze_rejects_nan_in_binary_record(self, tmp_path, capsys):
+        main(["synth", "--out", str(tmp_path), "--name", "rec", "--emit", "binary", "--quiet"])
+        path = tmp_path / "rec.bin"
+        blob = bytearray(path.read_bytes())
+        blob[-8:] = struct.pack("<d", float("nan"))
+        path.write_bytes(bytes(blob))
+        capsys.readouterr()
+        assert main(["analyze", str(path)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert str(path) in captured.err and "must be finite" in captured.err

@@ -1,6 +1,7 @@
 """Campaign runners: figure-shaped datasets, pipeline equivalence and
 reproducibility."""
 
+import cmath
 import math
 from collections import Counter
 from dataclasses import replace
@@ -12,7 +13,6 @@ from psalab import (
     AmplifierParams,
     DetectionConfig,
     DomainError,
-    FieldAmplitude,
     ScanSpec,
     default_calibration,
     effective_r,
@@ -263,8 +263,8 @@ class TestBeatnoteExtremumSearch:
         spec = ScanSpec(
             kind="power_sweep", grid=self.POWERS, pipeline="full_beatnote", **overrides
         )
-        idler = FieldAmplitude(1.0 / math.sqrt(spec.input_ratio))
-        signal = FieldAmplitude.from_polar(1.0, signal_phase)
+        idler = complex(1.0 / math.sqrt(spec.input_ratio))
+        signal = cmath.rect(1.0, signal_phase)
         monkeypatch.setattr(ScanSpec, "input_fields", lambda self: (signal, idler))
         counts = Counter()
 
