@@ -12,8 +12,9 @@ readout is therefore taken from the signed real part of the delta bin
 rather than from arg(), which would jitter by pi at near-zero amplitudes.
 
 Only those two bins are read, so each is a single-bin DFT (Goertzel's
-observation): a projection of the trace onto one cached basis row, with
-no full FFT.
+observation): a projection onto cached cos/sin rows, with no full FFT.
+A (P, N) block of records is read with one matrix product; a single
+record is the one-row case.
 """
 
 from __future__ import annotations
@@ -59,32 +60,62 @@ def _bin_index(frequency: float, bin_resolution: float, n: int) -> int:
 
 
 @functools.lru_cache(maxsize=16)
-def _bin_basis(n: int, k1: int, k2: int) -> np.ndarray:
-    """Rows exp(-2j*pi*((k*m) mod n)/n) for k = k1, k2, scaled to single-sided amplitudes."""
-    m = np.arange(n)
-    turns = (np.array([[k1], [k2]]) * m) % n
-    basis = (2.0 / n) * np.exp(-2j * math.pi * turns / n)
-    basis.setflags(write=False)
-    return basis
+def _bin_rows(n: int, sample_rate: float, delta: float) -> np.ndarray:
+    """(5, n) rows: 1/n for DC, then cos and -sin of the delta and 2*delta bins.
+
+    The bin rows are scaled to single-sided amplitudes, and their angle is
+    reduced as (k*m) mod n first, so it stays exact for long records.
+    """
+    resolution = sample_rate / n
+    k = np.array([[_bin_index(delta, resolution, n)], [_bin_index(2.0 * delta, resolution, n)]])
+    angle = (2.0 * math.pi / n) * ((k * np.arange(n)) % n)
+    cos, sin = (2.0 / n) * np.cos(angle), (2.0 / n) * np.sin(angle)
+    rows = np.stack([np.full(n, 1.0 / n), cos[0], -sin[0], cos[1], -sin[1]])
+    rows.setflags(write=False)
+    return rows
+
+
+def block_peaks(
+    block: np.ndarray, sample_rate: float, delta: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """DC, delta and 2*delta coherent amplitudes of each row of a (P, N) block.
+
+    For an on-bin tone A*cos(w t + theta) the complex amplitude is
+    A*exp(j*theta); DC is the mean of the row.
+    """
+    # Against the transpose of C-ordered rows: with this layout the BLAS
+    # kernel sums the N terms an order of magnitude more accurately than
+    # against C-ordered (N, 5) columns (gain ratios: 1e-15 vs 1.6e-14).
+    bins = block @ _bin_rows(block.shape[1], sample_rate, delta).T
+    return bins[:, 0], bins[:, 1] + 1j * bins[:, 2], bins[:, 3] + 1j * bins[:, 4]
 
 
 def spectrum_peaks(rec: BeatnoteRecord) -> SpectrumPeaks:
-    """Read DC and the delta / 2*delta coherent amplitudes of a record.
-
-    For an on-bin tone A*cos(w t + theta) the returned complex amplitude is
-    A*exp(j*theta); DC returns the mean of the trace.
-    """
-    n = rec.n_samples
-    resolution = rec.sample_rate / n
-    k1 = _bin_index(rec.delta, resolution, n)
-    k2 = _bin_index(2.0 * rec.delta, resolution, n)
-    at_delta, at_two_delta = _bin_basis(n, k1, k2) @ rec.samples
+    """Read DC and the delta / 2*delta coherent amplitudes of a record."""
+    dc, at_delta, at_two_delta = block_peaks(rec.samples[np.newaxis], rec.sample_rate, rec.delta)
     return SpectrumPeaks(
-        dc=float(np.mean(rec.samples)),
-        at_delta=complex(at_delta),
-        at_two_delta=complex(at_two_delta),
-        bin_resolution=resolution,
+        dc=float(dc[0]),
+        at_delta=complex(at_delta[0]),
+        at_two_delta=complex(at_two_delta[0]),
+        bin_resolution=rec.sample_rate / rec.n_samples,
     )
+
+
+def gain_ratio(
+    on_two_delta, off_two_delta, off_dc, reference_floor: float = DEFAULT_REFERENCE_FLOOR
+) -> np.ndarray:
+    """Cell-on / cell-off ratios of 2*delta peak amplitudes, elementwise.
+
+    An off reference at or below ``reference_floor`` of its DC level, or
+    a non-finite one, means no reference beat and raises.
+    """
+    reference = np.abs(off_two_delta)
+    if not np.all(reference > reference_floor * np.abs(off_dc)):
+        raise DomainError(
+            f"no reference beat: off-record 2*delta amplitude {reference} is below "
+            f"{reference_floor} of its DC level {off_dc}"
+        )
+    return np.abs(on_two_delta) / reference
 
 
 def extract_gain(
@@ -100,15 +131,32 @@ def extract_gain(
             f"got ({on.delta}, {on.sample_rate}, {on.n_samples}) vs "
             f"({off.delta}, {off.sample_rate}, {off.n_samples})"
         )
-    peaks_on = spectrum_peaks(on)
-    peaks_off = spectrum_peaks(off)
-    reference = abs(peaks_off.at_two_delta)
-    if reference <= reference_floor * abs(peaks_off.dc):
+    dc, _, at_two_delta = block_peaks(np.stack([on.samples, off.samples]), on.sample_rate, on.delta)
+    return float(gain_ratio(at_two_delta[0], at_two_delta[1], dc[1], reference_floor))
+
+
+def cos_readout(
+    at_delta, i_p: float, gain, i_s_in: float, clamp_tol=DEFAULT_CLAMP_TOL
+) -> np.ndarray:
+    """cos(dphi_out) from signed delta-peak amplitudes, elementwise.
+
+    Valid in the equal-input regime where the delta tone reads
+    4*sqrt(i_p*gain*i_s_in)*cos(w t)*cos(dphi_out).  Values inside
+    [-1-clamp_tol, 1+clamp_tol] are clamped to [-1, 1]; anything further
+    out (or non-finite) indicates inconsistent inputs and raises.
+    """
+    if not math.isfinite(i_p) or i_p <= 0.0:
+        raise DomainError(f"no local oscillator: residual pump intensity must be > 0, got {i_p}")
+    if not np.all((gain > 0.0) & np.isfinite(gain)):
+        raise DomainError(f"gain must be finite and > 0, got {gain}")
+    if not math.isfinite(i_s_in) or i_s_in <= 0.0:
+        raise DomainError(f"input signal intensity must be > 0, got {i_s_in}")
+    value = np.real(at_delta) / (4.0 * np.sqrt(i_p * gain * i_s_in))
+    if not np.all(np.abs(value) <= 1.0 + clamp_tol):
         raise DomainError(
-            f"no reference beat: off-record 2*delta amplitude {reference} is below "
-            f"{reference_floor} of its DC level {peaks_off.dc}"
+            f"extracted cos amplitude {value} exceeds the unit circle by more than {clamp_tol}"
         )
-    return abs(peaks_on.at_two_delta) / reference
+    return np.clip(value, -1.0, 1.0)
 
 
 def extract_cos_phase(
@@ -119,26 +167,9 @@ def extract_cos_phase(
     *,
     clamp_tol: float = DEFAULT_CLAMP_TOL,
 ) -> float:
-    """cos(dphi_out) from the signed delta-peak amplitude.
-
-    Valid in the equal-input regime where the delta tone reads
-    4*sqrt(i_p*gain*i_s_in)*cos(w t)*cos(dphi_out).  Values inside
-    [-1-clamp_tol, 1+clamp_tol] are clamped to [-1, 1]; anything further
-    out indicates inconsistent inputs and raises.
-    """
-    if not math.isfinite(i_p) or i_p <= 0.0:
-        raise DomainError(f"no local oscillator: residual pump intensity must be > 0, got {i_p}")
-    if not math.isfinite(gain) or gain <= 0.0:
-        raise DomainError(f"gain must be finite and > 0, got {gain}")
-    if not math.isfinite(i_s_in) or i_s_in <= 0.0:
-        raise DomainError(f"input signal intensity must be > 0, got {i_s_in}")
+    """cos(dphi_out) of one record; see ``cos_readout``."""
     signed = spectrum_peaks(rec).at_delta.real
-    value = signed / (4.0 * math.sqrt(i_p * gain * i_s_in))
-    if abs(value) > 1.0 + clamp_tol:
-        raise DomainError(
-            f"extracted cos amplitude {value} exceeds the unit circle by more than {clamp_tol}"
-        )
-    return float(np.clip(value, -1.0, 1.0))
+    return float(cos_readout(signed, i_p, gain, i_s_in, clamp_tol))
 
 
 def reconstruct_phase(

@@ -21,7 +21,6 @@ cosine whose signed amplitude carries cos(dphi_out).
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 from dataclasses import dataclass, field
@@ -36,8 +35,8 @@ MIN_PERIODS = 4
 
 # Seed streams so cell-on and cell-off records of one acquisition draw
 # independent noise from the same configured seed.
-_STREAM_CELL_ON = 0
-_STREAM_CELL_OFF = 1
+CELL_ON = 0
+CELL_OFF = 1
 
 
 @dataclass(frozen=True)
@@ -118,6 +117,8 @@ class BeatnoteRecord:
                 f"record length {arr.size} does not match configured n_samples "
                 f"{self.config_echo.n_samples}"
             )
+        if not np.isfinite(arr).all():
+            raise DomainError("record samples must be finite")
         arr.setflags(write=False)
         object.__setattr__(self, "samples", arr)
         object.__setattr__(self, "sample_rate", float(self.sample_rate))
@@ -138,33 +139,48 @@ def _rng_for(seed: int, stream: int) -> np.random.Generator:
 
 
 @functools.lru_cache(maxsize=16)
-def _carrier(n_samples: int, sample_rate: float, delta: float) -> np.ndarray:
-    """exp(2j*pi*delta*t) at the sample times; its conjugate is the -delta carrier."""
-    t = np.arange(n_samples) / sample_rate
-    carrier = np.exp(1j * (2.0 * math.pi * delta * t))
-    carrier.setflags(write=False)
-    return carrier
+def _trig_rows(n_samples: int, sample_rate: float, delta: float) -> np.ndarray:
+    """Rows [1, cos(w t), sin(w t)], w = 2*pi*delta, at the sample times."""
+    phase = 2.0 * math.pi * delta * (np.arange(n_samples) / sample_rate)
+    rows = np.stack([np.ones(n_samples), np.cos(phase), np.sin(phase)])
+    rows.setflags(write=False)
+    return rows
 
 
-def _synthesize(
-    s_out: complex,
-    i_out: complex,
-    pump_phase: float,
-    delta: float,
-    cfg: DetectionConfig,
-    stream: int,
-) -> BeatnoteRecord:
-    s_out, i_out = complex(s_out), complex(i_out)
-    if not (cmath.isfinite(s_out) and cmath.isfinite(i_out)):
+def synthesize_block(
+    s_out, i_out, pump_phase, delta: float, cfg: DetectionConfig, stream: int, seeds=None
+) -> np.ndarray:
+    """Detected intensity traces of P records as a (P, n_samples) block.
+
+    One row per ``pump_phase`` entry; ``s_out`` and ``i_out`` are scalars
+    or one value per row.  Each row forms E(t) sample by sample and
+    records |E|^2.  With noise, a row adds the draws of ``stream`` under
+    its seed in ``seeds``, or under ``cfg.rng_seed`` for every row.
+    """
+    phase = np.atleast_1d(np.asarray(pump_phase, dtype=np.float64))
+    if not (np.isfinite(s_out).all() and np.isfinite(i_out).all()):
         raise DomainError(f"field amplitudes must be finite, got ({s_out}, {i_out})")
+    if not np.isfinite(phase).all():
+        raise DomainError(f"pump_phase must be finite, got {pump_phase}")
     cfg.validate_for_delta(delta)
-    carrier = _carrier(cfg.n_samples, cfg.sample_rate, delta)
-    lo = math.sqrt(cfg.residual_pump_intensity) * np.exp(1j * pump_phase)
-    field_total = lo + s_out * carrier + i_out * carrier.conj()
-    trace = np.abs(field_total) ** 2
+    # E(t) = lo + (s + i)*cos(wt) + j*(s - i)*sin(wt).
+    coef = np.empty((3, phase.size), dtype=np.complex128)
+    coef[0] = math.sqrt(cfg.residual_pump_intensity) * np.exp(1j * phase)
+    coef[1] = np.add(s_out, i_out)
+    coef[2] = 1j * np.subtract(s_out, i_out)
+    rows = _trig_rows(cfg.n_samples, cfg.sample_rate, delta)
+    re = coef.real.T @ rows
+    im = coef.imag.T @ rows
+    # In place: fresh (P, N) temporaries cost more than the arithmetic.
+    re *= re
+    im *= im
+    trace = np.add(re, im, out=re)
     if cfg.noise_sigma > 0.0:
-        trace = trace + _rng_for(cfg.rng_seed, stream).normal(0.0, cfg.noise_sigma, cfg.n_samples)
-    return BeatnoteRecord(trace, cfg.sample_rate, delta, cfg)
+        trace += np.stack([
+            _rng_for(seed, stream).normal(0.0, cfg.noise_sigma, cfg.n_samples)
+            for seed in ((cfg.rng_seed,) if seeds is None else seeds)
+        ])
+    return trace
 
 
 def synthesize_beatnote(
@@ -175,9 +191,8 @@ def synthesize_beatnote(
     cfg: DetectionConfig,
 ) -> BeatnoteRecord:
     """Detected intensity trace for given amplified output amplitudes."""
-    if not math.isfinite(pump_phase):
-        raise DomainError(f"pump_phase must be finite, got {pump_phase}")
-    return _synthesize(s_out, i_out, pump_phase, delta, cfg, _STREAM_CELL_ON)
+    trace = synthesize_block(s_out, i_out, pump_phase, delta, cfg, CELL_ON)[0]
+    return BeatnoteRecord(trace, cfg.sample_rate, delta, cfg)
 
 
 def cell_off_record(
@@ -192,7 +207,5 @@ def cell_off_record(
     Uses the same noise model as ``synthesize_beatnote`` but a distinct
     seed stream, so on/off pairs of one acquisition have independent noise.
     """
-    if not math.isfinite(pump_phase):
-        raise DomainError(f"pump_phase must be finite, got {pump_phase}")
-    return _synthesize(s_in, i_in, pump_phase, delta, cfg, _STREAM_CELL_OFF)
-
+    trace = synthesize_block(s_in, i_in, pump_phase, delta, cfg, CELL_OFF)[0]
+    return BeatnoteRecord(trace, cfg.sample_rate, delta, cfg)

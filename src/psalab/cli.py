@@ -133,6 +133,8 @@ def _cmd_sweep(args: argparse.Namespace, kind: str) -> int:
 
 
 def _cmd_histogram(args: argparse.Namespace) -> int:
+    if args.bins < 2:
+        raise ConfigError(f"--bins must be an integer >= 2, got {args.bins}")
     names, data = read_sweep_csv(args.input)
     if args.column not in names:
         raise ConfigError(

@@ -31,8 +31,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import __version__
-from .analyzer import extract_cos_phase, extract_gain, spectrum_peaks, unwrap_cos_scan
-from .beatnote import BeatnoteRecord, DetectionConfig, cell_off_record, synthesize_beatnote
+from .analyzer import DEFAULT_CLAMP_TOL, block_peaks, cos_readout, gain_ratio, unwrap_cos_scan
+from .beatnote import CELL_OFF, CELL_ON, DetectionConfig, synthesize_block
 from .calibration import CalibrationMap, default_calibration, effective_r, resolve_amplifier
 from .errors import DomainError
 from .squeezer import AmplifierParams, evolve_two_mode, psa_max_from_pia, wrap_phase
@@ -63,6 +63,11 @@ EXTREMA_FLAT_RTOL = 1e-13
 # A sweep point counts as "pure PSA" while |g_min - 1/g_max| stays within
 # this fraction of 1/g_max; the largest such detuning is the bandwidth.
 BANDWIDTH_TOLERANCE = 0.05
+
+# full_beatnote synthesizes and reads at most this many records per block.
+# At 2,000 samples an 8-row array is 125 kB; larger temporaries, mapped and
+# page-faulted afresh on each allocation, measured slower and cost memory.
+RECORD_BLOCK = 8
 
 # Noisy cosine readouts may overshoot the unit circle by this many standard
 # deviations of the propagated delta-bin noise before extraction errors out.
@@ -265,19 +270,6 @@ class _Pipeline:
 class _ModelPipeline(_Pipeline):
     """Closed-form evaluation of the noiseless measurement chain."""
 
-    def _outputs(self, r: float, loss: float, pump_phase: float) -> tuple[complex, complex]:
-        params = AmplifierParams(r=r, pump_phase=pump_phase, detuning=self.spec.amplifier.detuning)
-        s_out, i_out = evolve_two_mode(self.a_s, self.a_i, params)
-        scale = math.sqrt(loss)
-        return s_out * scale, i_out * scale
-
-    def measured_gain(
-        self, r: float, loss: float, pump_phase: float, index: int = 0, delta: float | None = None
-    ) -> float:
-        """2*delta peak ratio, equal to loss * sqrt(G_s * G_i)."""
-        s_out, i_out = self._outputs(r, loss, pump_phase)
-        return abs(s_out) * abs(i_out) / (abs(self.a_s) * abs(self.a_i))
-
     def gain_extrema(
         self, r: float, loss: float, index: int = 0, delta: float | None = None
     ) -> tuple[float, float]:
@@ -289,14 +281,21 @@ class _ModelPipeline(_Pipeline):
         bottom = abs(c - s * kappa) * abs(c - s / kappa)
         return loss * top, loss * bottom
 
-    def transfer_point(
-        self, r: float, loss: float, pump_phase: float, index: int = 0
-    ) -> tuple[float, float, float]:
-        s_out, i_out = self._outputs(r, loss, pump_phase)
-        phi_out = float(wrap_phase(np.angle(s_out) - pump_phase))
-        gain = abs(s_out) ** 2 / abs(self.a_s) ** 2
-        gain_idler = abs(i_out) ** 2 / abs(self.a_i) ** 2
-        return gain, gain_idler, math.cos(phi_out)
+    def scan_grid(self, r: float, loss: float, phases, transfer: bool) -> tuple[np.ndarray, ...]:
+        """Columns (gain,) or, for a transfer curve, (gain, gain_idler, cos_out) over the grid."""
+        rows = []
+        scale = math.sqrt(loss)
+        for p in phases:
+            params = AmplifierParams(r=r, pump_phase=p, detuning=self.spec.amplifier.detuning)
+            s_out, i_out = evolve_two_mode(self.a_s, self.a_i, params)
+            s_out, i_out = s_out * scale, i_out * scale
+            if not transfer:  # the 2*delta peak ratio, loss * sqrt(G_s * G_i)
+                rows.append((abs(s_out) * abs(i_out) / (abs(self.a_s) * abs(self.a_i)),))
+                continue
+            phi_out = float(wrap_phase(np.angle(s_out) - p))
+            gain = abs(s_out) ** 2 / abs(self.a_s) ** 2
+            rows.append((gain, abs(i_out) ** 2 / abs(self.a_i) ** 2, math.cos(phi_out)))
+        return tuple(np.asarray(column) for column in zip(*rows))
 
     def pia_rho(self, r: float, loss: float, index: int = 0, delta: float | None = None) -> float:
         """delta-peak on/off amplitude ratio with an unseeded idler."""
@@ -304,35 +303,28 @@ class _ModelPipeline(_Pipeline):
 
 
 class _BeatnotePipeline(_Pipeline):
-    """Record synthesis plus peak extraction, seeded per grid point."""
+    """Record synthesis plus peak extraction, seeded per grid point.
 
-    def _config(self, index: int, delta: float) -> DetectionConfig:
-        return replace(
-            self.spec.detection_for(delta), rng_seed=point_seed(self.spec.master_seed, index)
-        )
+    Records are synthesized and read as (P, N) blocks: P pump phases of
+    one grid point, or up to RECORD_BLOCK grid points of a scan.
+    """
 
-    def _on_record(
-        self, r: float, loss: float, pump_phase: float, delta: float, cfg: DetectionConfig
-    ) -> BeatnoteRecord:
-        params = AmplifierParams(r=r, pump_phase=pump_phase, detuning=delta)
-        s_out, i_out = evolve_two_mode(self.a_s, self.a_i, params)
-        scale = math.sqrt(loss)
-        return synthesize_beatnote(s_out * scale, i_out * scale, pump_phase, delta, cfg)
+    def _seeds(self, indices) -> list[int] | None:
+        """Noise seeds of the grid points; noiseless records draw none."""
+        noisy = self.spec.detection.noise_sigma > 0.0
+        return [point_seed(self.spec.master_seed, k) for k in indices] if noisy else None
 
-    def _records(
-        self, r: float, loss: float, pump_phase: float, index: int, delta: float | None
-    ) -> tuple[BeatnoteRecord, BeatnoteRecord]:
-        delta = self.spec.amplifier.detuning if delta is None else delta
-        cfg = self._config(index, delta)
-        on = self._on_record(r, loss, pump_phase, delta, cfg)
-        off = cell_off_record(self.a_s, self.a_i, pump_phase, delta, cfg)
-        return on, off
+    def _peaks(self, s_out, i_out, phases, delta, stream, seeds):
+        cfg = self.spec.detection_for(delta)
+        block = synthesize_block(s_out, i_out, phases, delta, cfg, stream, seeds)
+        return block_peaks(block, cfg.sample_rate, delta)
 
-    def measured_gain(
-        self, r: float, loss: float, pump_phase: float, index: int = 0, delta: float | None = None
-    ) -> float:
-        on, off = self._records(r, loss, pump_phase, index, delta)
-        return extract_gain(on, off)
+    def _on_peaks(self, r, loss, phases, delta, seeds, idler):
+        outputs = math.sqrt(loss) * np.array([
+            evolve_two_mode(self.a_s, idler, AmplifierParams(r=r, pump_phase=p, detuning=delta))
+            for p in phases
+        ])
+        return self._peaks(outputs[:, 0], outputs[:, 1], phases, delta, CELL_ON, seeds)
 
     def gain_extrema(
         self, r: float, loss: float, index: int = 0, delta: float | None = None
@@ -340,23 +332,26 @@ class _BeatnotePipeline(_Pipeline):
         """Locate the extremal measured gains by scanning the pump phase.
 
         The gain is smooth and pi-periodic in the pump phase, so a coarse
-        scan of [0, pi) plus Brent refinement within one coarse step of
-        the best coarse points pins both extrema.  Only the 2*delta peak
-        of the cell-off record is read, and it does not depend on the pump
-        phase, so one cell-off record (one noise realization) serves the
-        whole search.
+        scan of [0, pi), in RECORD_BLOCK-row blocks, plus Brent refinement
+        (one-row blocks) within one coarse step of the best coarse points
+        pins both extrema.  Only the 2*delta peak of the cell-off record
+        is read, and it does not depend on the pump phase, so one cell-off
+        row (one noise realization) serves the whole search.
         """
         delta = self.spec.amplifier.detuning if delta is None else delta
-        cfg = self._config(index, delta)
-        off = cell_off_record(self.a_s, self.a_i, 0.0, delta, cfg)
+        seeds = self._seeds((index,))
+        off_dc, _, reference = self._peaks(self.a_s, self.a_i, 0.0, delta, CELL_OFF, seeds)
 
-        def gain(pump_phase: float) -> float:
-            return extract_gain(self._on_record(r, loss, pump_phase, delta, cfg), off)
+        def gain(phases) -> np.ndarray:
+            blocks = [phases[k : k + RECORD_BLOCK] for k in range(0, len(phases), RECORD_BLOCK)]
+            on = [self._on_peaks(r, loss, p, delta, seeds, self.a_i)[2] for p in blocks]
+            return gain_ratio(np.concatenate(on), reference, off_dc)
 
         phases = np.linspace(0.0, math.pi, EXTREMA_COARSE_POINTS, endpoint=False)
-        gains = [gain(p) for p in phases]
-        if max(gains) - min(gains) <= EXTREMA_FLAT_RTOL * max(gains):
-            return max(gains), min(gains)
+        gains = gain(phases)
+        top, bottom = float(gains.max()), float(gains.min())
+        if top - bottom <= EXTREMA_FLAT_RTOL * top:
+            return top, bottom
         step = math.pi / EXTREMA_COARSE_POINTS
 
         def refine(best: int, sign: float) -> float:
@@ -365,43 +360,50 @@ class _BeatnotePipeline(_Pipeline):
             center = float(phases[best])
             neighbours = (gains[best - 1], gains[best], gains[(best + 1) % len(gains)])
             return sign * _brent_min(
-                lambda p: sign * gain(p),
+                lambda p: sign * float(gain((p,))[0]),
                 (center - step, center, center + step),
-                tuple(sign * g for g in neighbours),
+                tuple(sign * float(g) for g in neighbours),
                 EXTREMA_PHASE_TOL,
             )
 
         return refine(int(np.argmax(gains)), -1.0), refine(int(np.argmin(gains)), 1.0)
 
-    def transfer_point(
-        self, r: float, loss: float, pump_phase: float, index: int = 0
-    ) -> tuple[float, float, float]:
-        on, off = self._records(r, loss, pump_phase, index, None)
-        gain = extract_gain(on, off)
-        cfg = on.config_echo
-        clamp_tol = 1e-6
+    def scan_grid(self, r: float, loss: float, phases, transfer: bool) -> tuple[np.ndarray, ...]:
+        """Columns (gain,) or (gain, gain, cos_out) over the grid, RECORD_BLOCK points at a time.
+
+        Each grid point keeps its own on/off record pair and noise seed.
+        """
+        delta = self.spec.amplifier.detuning
+        blocks = []
+        for start in range(0, len(phases), RECORD_BLOCK):
+            block = phases[start : start + RECORD_BLOCK]
+            seeds = self._seeds(range(start, start + len(block)))
+            _, on_delta, on_two_delta = self._on_peaks(r, loss, block, delta, seeds, self.a_i)
+            off_dc, _, reference = self._peaks(self.a_s, self.a_i, block, delta, CELL_OFF, seeds)
+            gain = gain_ratio(on_two_delta, reference, off_dc)
+            blocks.append((gain, gain, self._cos_out(on_delta, gain)) if transfer else (gain,))
+        return tuple(np.concatenate(column) for column in zip(*blocks))
+
+    def _cos_out(self, on_delta: np.ndarray, gain: np.ndarray) -> np.ndarray:
+        cfg = self.spec.detection
+        i_s = abs(self.a_s) ** 2
+        clamp_tol = DEFAULT_CLAMP_TOL
         if cfg.noise_sigma > 0.0:
             # Propagated bin-amplitude noise on the cosine readout.
-            scale = 4.0 * math.sqrt(cfg.residual_pump_intensity * gain * abs(self.a_s) ** 2)
+            scale = 4.0 * np.sqrt(cfg.residual_pump_intensity * gain * i_s)
             sigma = cfg.noise_sigma * math.sqrt(2.0 / cfg.n_samples) / scale
-            clamp_tol = max(clamp_tol, COS_CLAMP_SIGMAS * sigma)
-        cos_out = extract_cos_phase(
-            on, cfg.residual_pump_intensity, gain, abs(self.a_s) ** 2, clamp_tol=clamp_tol
-        )
-        return gain, gain, cos_out
+            clamp_tol = np.maximum(clamp_tol, COS_CLAMP_SIGMAS * sigma)
+        return cos_readout(on_delta, cfg.residual_pump_intensity, gain, i_s, clamp_tol)
 
     def pia_rho(self, r: float, loss: float, index: int = 0, delta: float | None = None) -> float:
         delta = self.spec.amplifier.detuning if delta is None else delta
-        cfg = self._config(index, delta)
-        params = AmplifierParams(r=r, pump_phase=0.0, detuning=delta)
-        s_out, i_out = evolve_two_mode(self.a_s, 0j, params)
-        scale = math.sqrt(loss)
-        on = synthesize_beatnote(s_out * scale, i_out * scale, 0.0, delta, cfg)
-        off = cell_off_record(self.a_s, 0j, 0.0, delta, cfg)
-        reference = abs(spectrum_peaks(off).at_delta)
+        seeds = self._seeds((index,))
+        _, on, _ = self._on_peaks(r, loss, (0.0,), delta, seeds, 0j)
+        _, off, _ = self._peaks(self.a_s, 0j, 0.0, delta, CELL_OFF, seeds)
+        reference = abs(off[0])
         if reference <= 0.0:
             raise DomainError("no pump-signal reference beat in the cell-off record")
-        return abs(spectrum_peaks(on).at_delta) / reference
+        return abs(on[0]) / reference
 
 
 def _pipeline(spec: ScanSpec):
@@ -431,11 +433,8 @@ def run_phase_scan(spec: ScanSpec) -> SweepResult:
     if spec.kind != "phase_scan":
         raise DomainError(f"run_phase_scan needs kind='phase_scan', got {spec.kind!r}")
     r, loss = resolve_amplifier(spec.amplifier, spec.calibration)
-    pipe = _pipeline(spec)
-    gains = [pipe.measured_gain(r, loss, phi_in, idx) for idx, phi_in in enumerate(spec.grid)]
-    return SweepResult(
-        np.asarray(spec.grid), {"gain": np.asarray(gains)}, _base_metadata(spec, "phi_in")
-    )
+    (gains,) = _pipeline(spec).scan_grid(r, loss, spec.grid, transfer=False)
+    return SweepResult(np.asarray(spec.grid), {"gain": gains}, _base_metadata(spec, "phi_in"))
 
 
 def run_power_sweep(spec: ScanSpec) -> SweepResult:
@@ -519,18 +518,11 @@ def run_transfer_curve(spec: ScanSpec) -> SweepResult:
     if spec.kind != "transfer_curve":
         raise DomainError(f"run_transfer_curve needs kind='transfer_curve', got {spec.kind!r}")
     r, loss = resolve_amplifier(spec.amplifier, spec.calibration)
-    pipe = _pipeline(spec)
-    gains, gains_idler, cosines = [], [], []
-    for idx, phi_in in enumerate(spec.grid):
-        gain, gain_idler, cos_out = pipe.transfer_point(r, loss, phi_in, idx)
-        gains.append(gain)
-        gains_idler.append(gain_idler)
-        cosines.append(cos_out)
-    cosines = np.asarray(cosines)
+    gains, gains_idler, cosines = _pipeline(spec).scan_grid(r, loss, spec.grid, transfer=True)
     unwrapped = unwrap_cos_scan(cosines)
     columns = {
-        "gain": np.asarray(gains),
-        "gain_idler": np.asarray(gains_idler),
+        "gain": gains,
+        "gain_idler": gains_idler,
         "cos_phi_out": cosines,
         "phi_out_wrapped": wrap_phase(unwrapped),
         "phi_out_unwrapped": unwrapped,

@@ -21,6 +21,8 @@ from psalab import (
     wrap_phase,
 )
 
+from psalab.analyzer import block_peaks, cos_readout, gain_ratio
+
 from conftest import dist_to_half_turns, signal_phase_direct
 
 DELTA = 2.0
@@ -92,6 +94,20 @@ class TestSpectrumPeaks:
         assert abs(peaks.at_delta - 2.0 * spectrum[k1] / n) <= tol
         assert abs(peaks.at_two_delta - 2.0 * spectrum[k2] / n) <= tol
 
+    def test_block_rows_match_single_record_reads(self):
+        rng = np.random.default_rng(3)
+        block = np.stack([
+            tone_record(*rng.uniform(-2.0, 2.0, 5)).samples + rng.normal(0.0, 0.1, CFG.n_samples)
+            for _ in range(5)
+        ])
+        dc, at_delta, at_two_delta = block_peaks(block, CFG.sample_rate, DELTA)
+        tol = 1e-12 * math.sqrt(np.mean(block**2))
+        for k, row in enumerate(block):
+            peaks = spectrum_peaks(BeatnoteRecord(row, CFG.sample_rate, DELTA, CFG))
+            assert abs(dc[k] - peaks.dc) <= tol
+            assert abs(at_delta[k] - peaks.at_delta) <= tol
+            assert abs(at_two_delta[k] - peaks.at_two_delta) <= tol
+
     def test_off_bin_delta_rejected(self):
         cfg = DetectionConfig(sample_rate=100.0, n_samples=2000)
         t = np.arange(cfg.n_samples) / cfg.sample_rate
@@ -137,6 +153,20 @@ class TestExtractGain:
         with pytest.raises(DomainError, match="no reference beat"):
             extract_gain(on, off)
 
+    @pytest.mark.parametrize("nan_first", [True, False], ids=["nan_on", "nan_off"])
+    def test_nan_record_raises_instead_of_nan_gain(self, nan_first):
+        good = synthesize_beatnote(1.0, 1.0, 0.0, DELTA, CFG)
+        with pytest.raises(DomainError, match="finite"):
+            bad = BeatnoteRecord(np.full(CFG.n_samples, np.nan), CFG.sample_rate, DELTA, CFG)
+            extract_gain(*((bad, good) if nan_first else (good, bad)))
+
+    @pytest.mark.parametrize(
+        "reference, dc", [(np.nan + 0j, 1.0), (1.0 + 0j, np.nan)], ids=["reference", "dc"]
+    )
+    def test_ratio_floor_is_nan_safe(self, reference, dc):
+        with pytest.raises(DomainError, match="no reference beat"):
+            gain_ratio(np.array([2.0 + 0j]), np.array([reference]), np.array([dc]))
+
     def test_mismatched_records_rejected(self):
         on, _ = equal_seed_pair(2.0, 0.0)
         other_cfg = DetectionConfig(sample_rate=200.0, n_samples=4000)
@@ -172,6 +202,11 @@ class TestExtractCosPhase:
         on, _ = equal_seed_pair(3.0, 0.0)
         with pytest.raises(DomainError, match="exceeds the unit circle"):
             extract_cos_phase(on, 0.25, 0.5, 1.0)  # gain understated by 6x
+
+
+    def test_nan_readout_rejected(self):
+        with pytest.raises(DomainError, match="exceeds the unit circle"):
+            cos_readout(np.array([0.5, np.nan]), 0.25, np.array([1.0, 1.0]), 1.0)
 
 
 class TestReconstructPhase:

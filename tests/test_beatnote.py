@@ -3,6 +3,7 @@ model, determinism and the serialisation round trips."""
 
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,9 +15,11 @@ from psalab import (
     DomainError,
     cell_off_record,
     evolve_two_mode,
+    point_seed,
     spectrum_peaks,
     synthesize_beatnote,
 )
+from psalab.beatnote import CELL_OFF, CELL_ON, _rng_for, synthesize_block
 from psalab.serialize import (
     record_from_binary,
     record_from_csv,
@@ -134,6 +137,54 @@ class TestCellOff:
         assert not np.array_equal(on.samples, off.samples)
 
 
+class TestBlockSynthesis:
+    """A (P, N) block holds, row by row, the records of the single-record API."""
+
+    S = np.array([1.0, 2.0 + 0.5j, 0.3 - 1.1j])
+    I = np.array([1.0, 1.5 - 0.2j, 0.0])
+    PHASES = np.array([0.0, 0.7, -2.9])
+
+    @staticmethod
+    def assert_rows_close(block_row, single_row):
+        assert np.max(np.abs(block_row - single_row)) <= 1e-12 * np.max(np.abs(single_row))
+
+    def test_rows_match_single_records(self):
+        cfg = quiet_config()
+        on = synthesize_block(self.S, self.I, self.PHASES, DELTA, cfg, CELL_ON)
+        off = synthesize_block(1.0, 0.5j, self.PHASES, DELTA, cfg, CELL_OFF)
+        assert on.shape == off.shape == (3, cfg.n_samples)
+        for k, phase in enumerate(self.PHASES):
+            on_k = synthesize_beatnote(self.S[k], self.I[k], phase, DELTA, cfg)
+            self.assert_rows_close(on[k], on_k.samples)
+            self.assert_rows_close(off[k], cell_off_record(1.0, 0.5j, phase, DELTA, cfg).samples)
+
+    def test_noisy_rows_carry_their_point_seed_draws(self):
+        cfg = quiet_config(noise_sigma=0.3, rng_seed=5)
+        seeds = [point_seed(11, k) for k in range(len(self.PHASES))]
+        for stream, single in ((CELL_ON, synthesize_beatnote), (CELL_OFF, cell_off_record)):
+            quiet = synthesize_block(self.S, self.I, self.PHASES, DELTA, quiet_config(), stream)
+            noisy = synthesize_block(self.S, self.I, self.PHASES, DELTA, cfg, stream, seeds)
+            for k, seed in enumerate(seeds):
+                draws = _rng_for(seed, stream).normal(0.0, 0.3, cfg.n_samples)
+                assert np.array_equal(noisy[k], quiet[k] + draws)
+                seeded = replace(cfg, rng_seed=seed)
+                record = single(self.S[k], self.I[k], self.PHASES[k], DELTA, seeded)
+                self.assert_rows_close(noisy[k], record.samples)
+
+    def test_rows_without_seeds_share_the_config_seed(self):
+        cfg = quiet_config(noise_sigma=0.3, rng_seed=5)
+        quiet = synthesize_block(1.0, 1.0, self.PHASES, DELTA, quiet_config(), CELL_OFF)
+        noisy = synthesize_block(1.0, 1.0, self.PHASES, DELTA, cfg, CELL_OFF)
+        draws = _rng_for(5, CELL_OFF).normal(0.0, 0.3, cfg.n_samples)
+        assert np.array_equal(noisy, quiet + draws)
+
+    def test_non_finite_row_rejected(self):
+        with pytest.raises(DomainError, match="finite"):
+            synthesize_block(self.S, self.I, [0.0, math.nan, 1.0], DELTA, quiet_config(), CELL_ON)
+        with pytest.raises(DomainError, match="finite"):
+            synthesize_block([1.0, math.inf], 1.0, [0.0, 1.0], DELTA, quiet_config(), CELL_ON)
+
+
 class TestDeterminism:
     def test_identical_seed_identical_bits(self):
         cfg = quiet_config(noise_sigma=0.2, rng_seed=42)
@@ -185,6 +236,13 @@ class TestConfigInvariants:
     def test_negative_noise_rejected(self):
         with pytest.raises(DomainError):
             quiet_config(noise_sigma=-0.1)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_samples_rejected(self, bad):
+        samples = np.ones(quiet_config().n_samples)
+        samples[17] = bad
+        with pytest.raises(DomainError, match="finite"):
+            BeatnoteRecord(samples, 100.0, DELTA, quiet_config())
 
     def test_record_length_mismatch_rejected(self):
         with pytest.raises(DomainError):

@@ -287,6 +287,14 @@ class TestCliTransferAndHistogram:
         bad.write_text("a,b\n1,2\n")
         assert main(["histogram", str(bad)]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("bins", ["1", "0", "-3"])
+    def test_histogram_rejects_too_few_bins(self, tmp_path, capsys, bins):
+        sweep = tmp_path / "one.csv"
+        sweep.write_text("phi_out_wrapped,gain\n0.5,1\n")
+        assert main(["histogram", str(sweep), "--bins", bins]) == EXIT_CONFIG
+        assert "--bins" in capsys.readouterr().err
+        assert not (tmp_path / "one_hist.csv").exists()
+
     @pytest.mark.parametrize(
         "body, message",
         [

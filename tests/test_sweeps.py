@@ -8,22 +8,30 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from psalab import (
     AmplifierParams,
     DetectionConfig,
     DomainError,
     ScanSpec,
+    cell_off_record,
     default_calibration,
     effective_r,
+    evolve_two_mode,
+    extract_cos_phase,
+    extract_gain,
     point_seed,
     run_scan,
+    synthesize_beatnote,
 )
 from psalab import sweeps
+from psalab.beatnote import CELL_OFF
 from psalab.serialize import sweep_csv_bytes, sweep_json_bytes
 from psalab.sweeps import run_power_sweep
 
-from conftest import signal_phase_direct
+from conftest import dist_to_half_turns, signal_phase_direct
 
 R_53 = math.log(5.3) / 2.0
 PHASE_GRID = tuple(np.linspace(-math.pi, math.pi, 65))
@@ -247,7 +255,8 @@ class TestBeatnoteExtremumSearch:
 
     Real seeds put every extremum at pump phase 0 or pi/2, both on the
     coarse grid; a rotated signal seed moves them off it, so only the
-    refinement can find them.
+    refinement can find them.  Work is counted in records (block rows)
+    synthesized per seed stream at each grid point.
     """
 
     POWERS = (0.0, 25.0, 63.0)
@@ -267,16 +276,14 @@ class TestBeatnoteExtremumSearch:
         signal = cmath.rect(1.0, signal_phase)
         monkeypatch.setattr(ScanSpec, "input_fields", lambda self: (signal, idler))
         counts = Counter()
+        synthesize = sweeps.synthesize_block
 
-        def counting(name, fn):
-            def wrapped(*args, **kwargs):
-                counts[name] += 1
-                return fn(*args, **kwargs)
+        def counting(s_out, i_out, phases, delta, cfg, stream, seeds=None):
+            block = synthesize(s_out, i_out, phases, delta, cfg, stream, seeds)
+            counts["off" if stream == CELL_OFF else "gain"] += len(block)
+            return block
 
-            return wrapped
-
-        monkeypatch.setattr(sweeps, "cell_off_record", counting("off", sweeps.cell_off_record))
-        monkeypatch.setattr(sweeps, "extract_gain", counting("gain", sweeps.extract_gain))
+        monkeypatch.setattr(sweeps, "synthesize_block", counting)
         search = sweeps._BeatnotePipeline.gain_extrema
         per_point = []
 
@@ -293,10 +300,18 @@ class TestBeatnoteExtremumSearch:
             assert work["off"] == 1
             assert work["gain"] <= 40
 
-        pipe = sweeps._BeatnotePipeline(spec)
+        delta = spec.amplifier.detuning
         for idx, power in enumerate(self.POWERS):
-            r, loss = effective_r(power, spec.amplifier.detuning, spec.calibration)
-            dense = [pipe.measured_gain(r, loss, p, idx) for p in self.DENSE_PHASES]
+            r, loss = effective_r(power, delta, spec.calibration)
+            # The single-record path, with the search's per-point seed.
+            cfg = replace(spec.detection, rng_seed=point_seed(spec.master_seed, idx))
+            off = cell_off_record(signal, idler, 0.0, delta, cfg)
+            dense = []
+            for p in self.DENSE_PHASES:
+                amp = AmplifierParams(r=r, pump_phase=p, detuning=delta)
+                s_out, i_out = (z * math.sqrt(loss) for z in evolve_two_mode(signal, idler, amp))
+                on = synthesize_beatnote(s_out, i_out, p, delta, cfg)
+                dense.append(extract_gain(on, off))
             g_max, g_min = res.columns["g_max"][idx], res.columns["g_min"][idx]
             assert g_max >= max(dense) - 1e-12 * g_max
             assert g_min <= min(dense) + 1e-12
@@ -333,6 +348,95 @@ class TestPipelineEquivalence:
             a, b = model.columns[name], beat.columns[name]
             scale = max(np.max(np.abs(a)), 1e-30)
             assert np.max(np.abs(a - b)) <= 1e-8 * scale, name
+
+
+class TestBlockedScans:
+    """Scans run RECORD_BLOCK points at a time; each point keeps its own records."""
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.1], ids=["noiseless", "noisy"])
+    def test_transfer_rows_match_single_records(self, sigma):
+        grid = tuple(np.linspace(-math.pi, math.pi, 2 * sweeps.RECORD_BLOCK + 3, endpoint=False))
+        spec = ScanSpec(
+            kind="transfer_curve",
+            grid=grid,
+            amplifier=AmplifierParams(r=R_53),
+            detection=DetectionConfig(noise_sigma=sigma, rng_seed=19),
+            pipeline="full_beatnote",
+        )
+        res = run_scan(spec)
+        for idx, phase in enumerate(grid):
+            cfg = replace(spec.detection, rng_seed=point_seed(19, idx))
+            amp = AmplifierParams(r=R_53, pump_phase=phase, detuning=2.0)
+            on = synthesize_beatnote(*evolve_two_mode(1.0, 1.0, amp), phase, 2.0, cfg)
+            gain = extract_gain(on, cell_off_record(1.0, 1.0, phase, 2.0, cfg))
+            cos_out = extract_cos_phase(on, 0.25, gain, 1.0, clamp_tol=1.0)
+            assert res.columns["gain"][idx] == pytest.approx(gain, rel=1e-12)
+            assert res.columns["cos_phi_out"][idx] == pytest.approx(cos_out, rel=1e-12, abs=1e-12)
+
+
+@st.composite
+def agreement_cases(draw):
+    """Equal-seed operating points whose records meet the Nyquist and integer-period rules."""
+    delta = draw(st.floats(0.5, 50.0))
+    per_period = draw(st.integers(20, 48))
+    periods = draw(st.integers(4, 12))
+    block = sweeps.RECORD_BLOCK
+    low_power = draw(st.floats(0.0, 40.0))
+    return {
+        "delta": delta,
+        "detection": DetectionConfig(
+            sample_rate=per_period * delta,
+            n_samples=per_period * periods,
+            residual_pump_intensity=draw(st.floats(0.05, 2.0)),
+        ),
+        "r": draw(st.floats(0.0, 1.2)),
+        "n_grid": draw(
+            st.one_of(
+                st.sampled_from([1, block, block + 1]),
+                st.integers(2, 3 * block).filter(lambda n: n % block),
+            )
+        ),
+        "offset": draw(st.floats(0.0, 1.0)),
+        "powers": (low_power, draw(st.floats(low_power + 1.0, 80.0))),
+    }
+
+
+def assert_pipelines_agree(spec):
+    model = run_scan(spec)
+    beat = run_scan(replace(spec, pipeline="full_beatnote"))
+    for name, expected in model.columns.items():
+        difference = beat.columns[name] - expected
+        if name == "phi_out_wrapped":
+            difference = (difference + math.pi) % (2.0 * math.pi) - math.pi
+        assert np.max(np.abs(difference) / np.maximum(np.abs(expected), 1.0)) <= 1e-9, name
+
+
+class TestPipelineAgreementProperty:
+    """Noiseless model_exact and full_beatnote agree over random valid specs."""
+
+    @settings(max_examples=60)
+    @given(agreement_cases())
+    def test_scans_and_power_sweep_agree(self, case):
+        n_grid, detection = case["n_grid"], case["detection"]
+        amplifier = AmplifierParams(r=case["r"], detuning=case["delta"])
+        # Keep transfer points off the plateau centres (multiples of pi),
+        # where acos turns last-bit cosine differences into ~1e-8 rad.
+        transfer_grid = np.linspace(-math.pi, math.pi, n_grid, endpoint=False)
+        transfer_grid += case["offset"] * 2.0 * math.pi / n_grid
+        assume(np.min(dist_to_half_turns(transfer_grid)) >= 0.01)
+        assert_pipelines_agree(ScanSpec(
+            kind="transfer_curve", grid=tuple(transfer_grid), amplifier=amplifier,
+            detection=detection,
+        ))
+        if n_grid > 1:  # a phase scan must span 2*pi
+            assert_pipelines_agree(ScanSpec(
+                kind="phase_scan", grid=tuple(np.linspace(-math.pi, math.pi, n_grid)),
+                amplifier=amplifier, detection=detection,
+            ))
+        assert_pipelines_agree(ScanSpec(
+            kind="power_sweep", grid=case["powers"],
+            amplifier=AmplifierParams(detuning=case["delta"]), detection=detection,
+        ))
 
 
 class TestNoisyTransfer:
