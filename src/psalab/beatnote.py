@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_number
 
 # Nyquist margin: the 2*delta beat must sit at or below sample_rate / 10.
 NYQUIST_MARGIN = 10.0
@@ -56,27 +56,15 @@ class DetectionConfig:
     residual_pump_intensity: float = 0.25
 
     def __post_init__(self) -> None:
-        sr = float(self.sample_rate)
-        if not math.isfinite(sr) or sr <= 0.0:
-            raise DomainError(f"sample_rate must be finite and > 0 kHz, got {self.sample_rate}")
-        object.__setattr__(self, "sample_rate", sr)
-        n = int(self.n_samples)
-        if n != self.n_samples or n < 2:
-            raise DomainError(f"n_samples must be an integer >= 2, got {self.n_samples}")
+        rate = check_number("sample_rate", self.sample_rate, 0.0, strict=True)
+        object.__setattr__(self, "sample_rate", rate)
+        n = check_number("n_samples", self.n_samples, 2, integer=True)
         object.__setattr__(self, "n_samples", n)
-        sig = float(self.noise_sigma)
-        if not math.isfinite(sig) or sig < 0.0:
-            raise DomainError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
-        object.__setattr__(self, "noise_sigma", sig)
-        if int(self.rng_seed) != self.rng_seed or self.rng_seed < 0:
-            raise DomainError(f"rng_seed must be a non-negative integer, got {self.rng_seed}")
-        object.__setattr__(self, "rng_seed", int(self.rng_seed))
-        ip = float(self.residual_pump_intensity)
-        if not math.isfinite(ip) or ip < 0.0:
-            raise DomainError(
-                f"residual_pump_intensity must be finite and >= 0, got {self.residual_pump_intensity}"
-            )
-        object.__setattr__(self, "residual_pump_intensity", ip)
+        object.__setattr__(self, "noise_sigma", check_number("noise_sigma", self.noise_sigma, 0.0))
+        seed = check_number("rng_seed", self.rng_seed, 0, integer=True)
+        object.__setattr__(self, "rng_seed", seed)
+        pump = check_number("residual_pump_intensity", self.residual_pump_intensity, 0.0)
+        object.__setattr__(self, "residual_pump_intensity", pump)
 
     def validate_for_delta(self, delta: float) -> None:
         """Check the sampling invariants against a concrete beat frequency."""

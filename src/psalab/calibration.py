@@ -12,9 +12,9 @@ of 7 after the loss factor is applied.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .errors import DomainError
+from .errors import DomainError, check_number
 from .squeezer import AmplifierParams
 
 CALIBRATION_MODES = ("linear", "saturating")
@@ -45,17 +45,11 @@ class CalibrationMap:
 
     def __post_init__(self) -> None:
         if self.mode not in CALIBRATION_MODES:
-            raise DomainError(
-                f"calibration mode must be one of {CALIBRATION_MODES}, got {self.mode!r}"
-            )
+            raise DomainError(f"mode: expected one of {CALIBRATION_MODES}, got {self.mode!r}")
         for name in ("slope", "r_sat", "p_sat", "bandwidth_hwhm"):
-            value = float(getattr(self, name))
-            if not math.isfinite(value) or value <= 0.0:
-                raise DomainError(f"calibration {name} must be finite and > 0, got {value}")
+            value = check_number(name, getattr(self, name), 0.0, strict=True)
             object.__setattr__(self, name, value)
-        k = float(self.loss_exponent_scale)
-        if not math.isfinite(k) or k < 0.0:
-            raise DomainError(f"loss_exponent_scale must be finite and >= 0, got {k}")
+        k = check_number("loss_exponent_scale", self.loss_exponent_scale, 0.0)
         object.__setattr__(self, "loss_exponent_scale", k)
 
 
@@ -84,34 +78,37 @@ def fitted_calibration(
     max_gain: float = ANCHOR_MAX_GAIN,
     power: float = ANCHOR_POWER_MW,
     detuning: float = ANCHOR_DETUNING_KHZ,
-    mode: str = "saturating",
-    p_sat: float = 10.0,
-    bandwidth_hwhm: float = 200.0,
-    loss_exponent_scale: float = 2e-3,
+    **shape,
 ) -> CalibrationMap:
     """Build a map whose measured maximum gain hits ``max_gain`` exactly at
     the anchor (power, detuning), loss included.
 
+    ``shape`` holds the other CalibrationMap fields (mode, p_sat,
+    bandwidth_hwhm, loss_exponent_scale), with the dataclass defaults.
     Solves loss(detuning) * exp(2 * r_eff(power, detuning)) = max_gain for
     the free strength parameter; both ``slope`` and ``r_sat`` are fitted so
     switching modes preserves the anchor.
     """
-    if not math.isfinite(max_gain) or max_gain < 1.0:
-        raise DomainError(f"anchor max_gain must be >= 1, got {max_gain}")
-    if power <= 0.0:
-        raise DomainError(f"anchor power must be > 0 mW, got {power}")
-    x = (detuning / bandwidth_hwhm) ** 2
-    ln_loss = -loss_exponent_scale * x
-    r_needed = 0.5 * (math.log(max_gain) - ln_loss)
-    window = 1.0 / (1.0 + x)
-    return CalibrationMap(
-        mode=mode,
-        slope=r_needed / (power * window),
-        r_sat=r_needed / (power / (power + p_sat) * window),
-        p_sat=p_sat,
-        bandwidth_hwhm=bandwidth_hwhm,
-        loss_exponent_scale=loss_exponent_scale,
-    )
+    if "slope" in shape or "r_sat" in shape:
+        raise TypeError("fitted_calibration fits slope and r_sat; it takes neither")
+    max_gain = check_number("anchor.max_gain", max_gain, 1.0)
+    power = check_number("anchor.power", power, 0.0, strict=True)
+    detuning = check_number("anchor.detuning", detuning, 0.0)
+    cal = CalibrationMap(**shape)
+    try:
+        x = (detuning / cal.bandwidth_hwhm) ** 2
+        ln_loss = -cal.loss_exponent_scale * x
+        r_needed = 0.5 * (math.log(max_gain) - ln_loss)
+        window = 1.0 / (1.0 + x)
+        slope = r_needed / (power * window)
+        r_sat = r_needed / (power / (power + cal.p_sat) * window)
+    except (OverflowError, ZeroDivisionError):
+        # The Lorentzian window underflows to 0 at the anchor detuning.
+        raise DomainError(
+            f"bandwidth_hwhm: expected a window > 0 at the {detuning:g} kHz anchor, "
+            f"got {cal.bandwidth_hwhm}"
+        ) from None
+    return replace(cal, slope=slope, r_sat=r_sat)
 
 
 def default_calibration() -> CalibrationMap:

@@ -73,26 +73,36 @@ def _load_document(path: str | None) -> dict:
         raise ConfigError(f"{path} is not valid JSON: {err}") from None
 
 
-def _build_config(args: argparse.Namespace, kind: str | None) -> RunConfig:
-    doc = _load_document(args.config)
-    if kind is not None:
-        declared = doc.get("scan", {}).get("kind")
-        if declared is not None and declared != kind:
-            raise ConfigError(
-                f"config declares scan.kind {declared!r} but the subcommand runs {kind!r}"
-            )
-    cfg = parse_config_document(doc, strict=args.strict, default_kind=kind)
-    scan = cfg.scan
+def _overlay(doc, flags: dict):
+    """``doc`` with ``flags`` written over it, object by object.  A
+    non-object stays as it is, for the parse to reject."""
+    if not isinstance(doc, dict):
+        return doc
+    merged = dict(doc)
+    for key, value in flags.items():
+        merged[key] = _overlay(doc.get(key, {}), value) if isinstance(value, dict) else value
+    return merged
+
+
+def _build_config(args: argparse.Namespace, kind: str) -> RunConfig:
+    """Parse the --config document with the run flags written into it, so
+    a bad flag fails like the document key it sets."""
+    flags: dict = {}
     if args.seed is not None:
-        scan = replace(scan, detection=replace(scan.detection, rng_seed=args.seed))
-    updates: dict = {"scan": scan}
+        flags["scan"] = {"detection": {"rng_seed": args.seed}}
     if args.out is not None:
-        updates["output_dir"] = Path(args.out)
+        flags["output_dir"] = args.out
     if args.emit is not None:
-        updates["emit"] = tuple(args.emit.split(","))
+        flags["emit"] = args.emit.split(",")
     if args.quiet:
-        updates["verbosity"] = 0
-    return replace(cfg, **updates)
+        flags["verbosity"] = 0
+    doc = _overlay(_load_document(args.config), flags)
+    cfg = parse_config_document(doc, strict=args.strict, default_kind=kind)
+    if cfg.scan.kind != kind:
+        raise ConfigError(
+            f"config declares scan.kind {cfg.scan.kind!r} but the subcommand runs {kind!r}"
+        )
+    return cfg
 
 
 def _summary(result: SweepResult) -> str:

@@ -17,12 +17,17 @@ A run document looks like
       "verbosity": 1
     }
 
-Every key is optional except scan.kind; omitted keys take the documented
-defaults (a minimal pure-PSA phase scan needs nothing but the kind, with r
-resolved from the anchored calibration map).  Unknown keys are errors in
-strict mode and warnings otherwise.  Grids are given either as explicit
-``values`` or as ``start``/``stop`` plus ``num`` (inclusive linspace) or
-``step``.
+Every key is optional except scan.kind.  Each section fills one library
+dataclass (the calibration section goes through ``fitted_calibration``),
+whose defaults fill omitted keys and whose checks bound the values given;
+a field's DomainError comes back as a ConfigError that names the key path.
+This module checks only what a dataclass cannot: JSON types, unknown keys
+(errors in strict mode, warnings otherwise) and grid forms.  It supplies
+the two defaults that belong to the document, the kind's grid
+(DEFAULT_GRIDS) and DEFAULT_PUMP_POWER_MW while ``r`` is unset, so a
+minimal pure-PSA phase scan needs nothing but the kind.  Grids are given
+either as explicit ``values`` or as ``start``/``stop`` plus ``num``
+(inclusive linspace) or ``step``.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ import json
 import math
 import os
 import warnings
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -39,16 +44,16 @@ import numpy as np
 from .beatnote import DetectionConfig
 from .calibration import CalibrationMap, fitted_calibration
 from .errors import ConfigError, DomainError
-from .serialize import EMIT_FORMATS, scan_spec_to_dict
+from .serialize import EMIT_FORMATS
 from .squeezer import AmplifierParams
-from .sweeps import PIPELINES, SCAN_KINDS, ScanSpec
+from .sweeps import POWER_RANGE_MW, SCAN_KINDS, ScanSpec
 
 ENV_OUTPUT_DIR = "PSALAB_OUT"
 
 DEFAULT_GRIDS: dict[str, tuple[float, ...]] = {
     "phase_scan": tuple(np.linspace(-math.pi, math.pi, 257)),
-    "power_sweep": tuple(np.linspace(0.0, 80.0, 33)),
-    "pia_compare": tuple(np.linspace(0.0, 80.0, 33)),
+    "power_sweep": tuple(np.linspace(*POWER_RANGE_MW, 33)),
+    "pia_compare": tuple(np.linspace(*POWER_RANGE_MW, 33)),
     "detuning_spectrum": tuple(np.linspace(0.0, 1000.0, 101)),
     "transfer_curve": tuple(np.linspace(-math.pi, math.pi, 512, endpoint=False)),
 }
@@ -95,12 +100,15 @@ _KNOWN_KEYS = {
 }
 
 
+def _join(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
+
+
 def _check_keys(section: dict, path: str, strict: bool) -> None:
     known = _KNOWN_KEYS[path]
     for key in section:
         if key not in known:
-            label = f"{path}.{key}" if path else key
-            message = f"unknown key {label!r} (known keys here: {', '.join(known)})"
+            message = f"unknown key {_join(path, key)!r} (known keys here: {', '.join(known)})"
             if strict:
                 raise ConfigError(message)
             warnings.warn(f"config: {message}", stacklevel=3)
@@ -110,51 +118,29 @@ def _section(doc: dict, path: str, key: str, strict: bool) -> dict:
     value = doc.get(key, {})
     if not isinstance(value, dict):
         raise ConfigError(f"{path or 'config'}.{key}: expected an object, got {value!r}")
-    child = f"{path}.{key}" if path else key
+    child = _join(path, key)
     if child in _KNOWN_KEYS:
         _check_keys(value, child, strict)
     return value
 
 
-def _number(
-    section: dict,
-    path: str,
-    key: str,
-    default,
-    *,
-    minimum: float | None = None,
-    maximum: float | None = None,
-    positive: bool = False,
-    integer: bool = False,
-    allow_none: bool = False,
-):
-    if key not in section:
-        return default
-    value = section[key]
-    if value is None:
-        if allow_none:
-            return None
-        raise ConfigError(f"{path}.{key}: null is not allowed here")
+def _number(value, label: str, nullable: bool = False):
+    """A JSON number, checked for type and finiteness; bounds are the dataclasses'."""
+    if value is None and nullable:
+        return None
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}.{key}: expected a number, got {value!r}")
-    if not math.isfinite(value):
-        raise ConfigError(f"{path}.{key}: expected a finite number, got {value!r}")
-    if integer and int(value) != value:
-        raise ConfigError(f"{path}.{key}: expected an integer, got {value!r}")
-    if positive and not value > 0:
-        raise ConfigError(f"{path}.{key}: expected > 0, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{path}.{key}: expected >= {minimum}, got {value!r}")
-    if maximum is not None and value > maximum:
-        raise ConfigError(f"{path}.{key}: expected <= {maximum}, got {value!r}")
-    return int(value) if integer else float(value)
-
-
-def _choice(section: dict, path: str, key: str, default: str, options: tuple[str, ...]) -> str:
-    value = section.get(key, default)
-    if value not in options:
-        raise ConfigError(f"{path}.{key}: expected one of {options}, got {value!r}")
+        raise ConfigError(f"{label}: expected a number, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{label}: expected a finite number, got {value!r}")
     return value
+
+
+def _expand(key: str, make, *args) -> tuple[float, ...]:
+    """The grid ``make(*args)``; a count numpy refuses is named on its key."""
+    try:
+        return tuple(float(x) for x in make(*args))
+    except ValueError as err:
+        raise ConfigError(f"scan.grid.{key}: {args[-1]!r} does not expand: {err}") from None
 
 
 def _parse_grid(scan: dict, kind: str, strict: bool) -> tuple[float, ...]:
@@ -168,18 +154,20 @@ def _parse_grid(scan: dict, kind: str, strict: bool) -> tuple[float, ...]:
         if "values" in raw:
             values = raw["values"]
         else:
-            start = _number(raw, "scan.grid", "start", None)
-            stop = _number(raw, "scan.grid", "stop", None)
-            if start is None or stop is None:
+            if "start" not in raw or "stop" not in raw:
                 raise ConfigError("scan.grid: needs 'values' or both 'start' and 'stop'")
+            start = _number(raw["start"], "scan.grid.start")
+            stop = _number(raw["stop"], "scan.grid.stop")
             if "num" in raw:
-                num = _number(raw, "scan.grid", "num", None, minimum=1, integer=True)
-                return tuple(float(x) for x in np.linspace(start, stop, num))
+                num = _number(raw["num"], "scan.grid.num")
+                if int(num) != num or num < 1:
+                    raise ConfigError(f"scan.grid.num: expected an integer >= 1, got {num!r}")
+                return _expand("num", np.linspace, start, stop, int(num))
             if "step" in raw:
-                step = _number(raw, "scan.grid", "step", None)
-                if step is None or step <= 0:
-                    raise ConfigError(f"scan.grid.step: expected > 0, got {raw.get('step')!r}")
-                return tuple(float(x) for x in np.arange(start, stop + 0.5 * step, step))
+                step = _number(raw["step"], "scan.grid.step")
+                if not step > 0:
+                    raise ConfigError(f"scan.grid.step: expected > 0, got {step!r}")
+                return _expand("step", np.arange, start, stop + 0.5 * step, step)
             raise ConfigError("scan.grid: start/stop need either 'num' or 'step'")
     else:
         raise ConfigError(f"scan.grid: expected a list or an object, got {raw!r}")
@@ -191,55 +179,65 @@ def _parse_grid(scan: dict, kind: str, strict: bool) -> tuple[float, ...]:
     return tuple(float(x) for x in values)
 
 
-def _parse_amplifier(scan: dict, strict: bool) -> AmplifierParams:
+def _values(cls, section: dict, path: str, **given) -> dict:
+    """Keyword arguments for ``cls``: ``given``, plus each other field the
+    section holds, with its JSON type checked against the field's default.
+
+    A string field goes to the dataclass as is (it checks its choices), a
+    tuple field needs a list, and any other field needs a number; null is
+    a value only where the default is None.
+    """
+    for f in fields(cls):
+        if f.name not in section or f.name in given:
+            continue
+        value, label = section[f.name], _join(path, f.name)
+        if isinstance(f.default, tuple) and not isinstance(value, list):
+            raise ConfigError(f"{label}: expected a list, got {value!r}")
+        if not isinstance(f.default, (str, tuple)):
+            value = _number(value, label, nullable=f.default is None)
+        given[f.name] = value
+    return given
+
+
+def _named(path: str, err: DomainError) -> ConfigError:
+    """A DomainError as a ConfigError on the key path of the field it
+    names (``<field>: ...``), or on the section if it names none."""
+    field = str(err).partition(":")[0].partition(".")[0]
+    sep = "." if field in _KNOWN_KEYS[path] else ": "
+    return ConfigError(f"{path}{sep}{err}")
+
+
+def _build(cls, section: dict, path: str, **given):
+    try:
+        return cls(**_values(cls, section, path, **given))
+    except DomainError as err:
+        raise _named(path, err) from None
+
+
+def _amplifier(scan: dict, strict: bool) -> AmplifierParams:
     section = _section(scan, "scan", "amplifier", strict)
-    r = _number(section, "scan.amplifier", "r", None, minimum=0.0, allow_none=True)
-    power_default = None if r is not None else DEFAULT_PUMP_POWER_MW
-    return AmplifierParams(
-        r=r,
-        pump_phase=_number(section, "scan.amplifier", "pump_phase", 0.0),
-        pump_power=_number(
-            section, "scan.amplifier", "pump_power", power_default, minimum=0.0, allow_none=True
-        ),
-        detuning=_number(section, "scan.amplifier", "detuning", 2.0, minimum=0.0),
-    )
+    if section.get("r") is None:
+        section = {"pump_power": DEFAULT_PUMP_POWER_MW, **section}
+    return _build(AmplifierParams, section, "scan.amplifier")
 
 
-def _parse_calibration(scan: dict, strict: bool) -> CalibrationMap:
+def _calibration(scan: dict, strict: bool) -> CalibrationMap:
+    """The anchored fit of the section's map shape; ``slope`` and ``r_sat``,
+    when given, replace their fitted values."""
+    path = "scan.calibration"
     section = _section(scan, "scan", "calibration", strict)
-    anchor = _section(section, "scan.calibration", "anchor", strict)
-    base = fitted_calibration(
-        max_gain=_number(anchor, "scan.calibration.anchor", "max_gain", 7.0, minimum=1.0),
-        power=_number(anchor, "scan.calibration.anchor", "power", 40.0, positive=True),
-        detuning=_number(anchor, "scan.calibration.anchor", "detuning", 2.0, minimum=0.0),
-        mode=_choice(section, "scan.calibration", "mode", "saturating", ("linear", "saturating")),
-        p_sat=_number(section, "scan.calibration", "p_sat", 10.0, positive=True),
-        bandwidth_hwhm=_number(
-            section, "scan.calibration", "bandwidth_hwhm", 200.0, positive=True
-        ),
-        loss_exponent_scale=_number(
-            section, "scan.calibration", "loss_exponent_scale", 2e-3, minimum=0.0
-        ),
-    )
-    overrides = {}
-    if "slope" in section:
-        overrides["slope"] = _number(section, "scan.calibration", "slope", None, positive=True)
-    if "r_sat" in section:
-        overrides["r_sat"] = _number(section, "scan.calibration", "r_sat", None, positive=True)
-    return replace(base, **overrides) if overrides else base
-
-
-def _parse_detection(scan: dict, strict: bool) -> DetectionConfig:
-    section = _section(scan, "scan", "detection", strict)
-    return DetectionConfig(
-        sample_rate=_number(section, "scan.detection", "sample_rate", 100.0, positive=True),
-        n_samples=_number(section, "scan.detection", "n_samples", 2000, minimum=2, integer=True),
-        noise_sigma=_number(section, "scan.detection", "noise_sigma", 0.0, minimum=0.0),
-        rng_seed=_number(section, "scan.detection", "rng_seed", 0, minimum=0, integer=True),
-        residual_pump_intensity=_number(
-            section, "scan.detection", "residual_pump_intensity", 0.25, minimum=0.0
-        ),
-    )
+    anchor = _section(section, path, "anchor", strict)
+    shape = _values(CalibrationMap, section, path)
+    overrides = {key: shape.pop(key) for key in ("slope", "r_sat") if key in shape}
+    anchor = {
+        key: _number(value, f"{path}.anchor.{key}")
+        for key, value in anchor.items()
+        if key in _KNOWN_KEYS[f"{path}.anchor"]
+    }
+    try:
+        return replace(fitted_calibration(**anchor, **shape), **overrides)
+    except DomainError as err:
+        raise _named(path, err) from None
 
 
 def parse_config_document(
@@ -255,30 +253,22 @@ def parse_config_document(
         raise ConfigError("scan.kind: required (one of %s)" % (SCAN_KINDS,))
     if kind not in SCAN_KINDS:
         raise ConfigError(f"scan.kind: expected one of {SCAN_KINDS}, got {kind!r}")
-    try:
-        spec = ScanSpec(
-            kind=kind,
-            grid=_parse_grid(scan, kind, strict),
-            amplifier=_parse_amplifier(scan, strict),
-            calibration=_parse_calibration(scan, strict),
-            detection=_parse_detection(scan, strict),
-            input_ratio=_number(scan, "scan", "input_ratio", 1.0, positive=True),
-            pipeline=_choice(scan, "scan", "pipeline", "model_exact", PIPELINES),
-        )
-    except DomainError as err:
-        # Constraint violations surfaced while assembling the scan are
-        # configuration errors from the caller's point of view.
-        raise ConfigError(f"scan: {err}") from None
-    emit = doc.get("emit", ["csv", "json"])
-    if not isinstance(emit, list):
-        raise ConfigError(f"emit: expected a list, got {emit!r}")
+    spec = _build(
+        ScanSpec,
+        scan,
+        "scan",
+        kind=kind,
+        grid=_parse_grid(scan, kind, strict),
+        amplifier=_amplifier(scan, strict),
+        calibration=_calibration(scan, strict),
+        detection=_build(
+            DetectionConfig, _section(scan, "scan", "detection", strict), "scan.detection"
+        ),
+    )
     output_dir = doc.get("output_dir", os.environ.get(ENV_OUTPUT_DIR, "."))
     if not isinstance(output_dir, str):
         raise ConfigError(f"output_dir: expected a string path, got {output_dir!r}")
-    verbosity = _number(doc, "config", "verbosity", 1, minimum=0, maximum=2, integer=True)
-    return RunConfig(
-        scan=spec, output_dir=Path(output_dir), emit=tuple(emit), verbosity=verbosity
-    )
+    return _build(RunConfig, doc, "", scan=spec, output_dir=Path(output_dir))
 
 
 def parse_config(text: str, *, strict: bool = True, default_kind: str | None = None) -> RunConfig:
@@ -292,7 +282,7 @@ def parse_config(text: str, *, strict: bool = True, default_kind: str | None = N
 
 def to_document(cfg: RunConfig) -> dict:
     """Full explicit document that parses back to an equal RunConfig."""
-    scan = scan_spec_to_dict(cfg.scan)
+    scan = asdict(cfg.scan)
     scan["grid"] = {"values": list(cfg.scan.grid)}
     return {
         "scan": scan,

@@ -25,7 +25,6 @@ Sweep binary layout (little-endian):
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import struct
@@ -46,11 +45,6 @@ EMIT_FORMATS = ("csv", "json", "binary")
 def fmt17(value: float) -> str:
     """Render a float with 17 significant digits (lossless round trip)."""
     return format(float(value), ".17g")
-
-
-def scan_spec_to_dict(spec) -> dict:
-    """Plain-dict form of a ScanSpec, suitable for JSON."""
-    return dataclasses.asdict(spec)
 
 
 # ---------------------------------------------------------------------------

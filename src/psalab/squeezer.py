@@ -25,7 +25,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, check_number
 
 TWO_PI = 2.0 * math.pi
 
@@ -59,22 +59,12 @@ class AmplifierParams:
 
     def __post_init__(self) -> None:
         if self.r is not None:
-            r = float(self.r)
-            if not math.isfinite(r) or r < 0.0:
-                raise DomainError(f"squeezing parameter r must be finite and >= 0, got {self.r}")
-            object.__setattr__(self, "r", r)
-        if not math.isfinite(self.pump_phase):
-            raise DomainError(f"pump_phase must be finite, got {self.pump_phase}")
-        object.__setattr__(self, "pump_phase", float(wrap_phase(float(self.pump_phase))))
+            object.__setattr__(self, "r", check_number("r", self.r, 0.0))
+        phase = check_number("pump_phase", self.pump_phase)
+        object.__setattr__(self, "pump_phase", float(wrap_phase(phase)))
         if self.pump_power is not None:
-            p = float(self.pump_power)
-            if not math.isfinite(p) or p < 0.0:
-                raise DomainError(f"pump_power must be finite and >= 0 mW, got {self.pump_power}")
-            object.__setattr__(self, "pump_power", p)
-        d = float(self.detuning)
-        if not math.isfinite(d) or d < 0.0:
-            raise DomainError(f"detuning must be finite and >= 0 kHz, got {self.detuning}")
-        object.__setattr__(self, "detuning", d)
+            object.__setattr__(self, "pump_power", check_number("pump_power", self.pump_power, 0.0))
+        object.__setattr__(self, "detuning", check_number("detuning", self.detuning, 0.0))
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ the implied maximum gain rho**2 agree exactly with the seeded measurement.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from . import __version__
 from .analyzer import DEFAULT_CLAMP_TOL, block_peaks, cos_readout, gain_ratio, unwrap_cos_scan
 from .beatnote import CELL_OFF, CELL_ON, DetectionConfig, synthesize_block
 from .calibration import CalibrationMap, default_calibration, effective_r, resolve_amplifier
-from .errors import DomainError
+from .errors import DomainError, check_number
 from .squeezer import AmplifierParams, evolve_two_mode, psa_max_from_pia, wrap_phase
 
 SCAN_KINDS = (
@@ -91,21 +91,19 @@ class ScanSpec:
 
     def __post_init__(self) -> None:
         if self.kind not in SCAN_KINDS:
-            raise DomainError(f"scan kind must be one of {SCAN_KINDS}, got {self.kind!r}")
+            raise DomainError(f"kind: expected one of {SCAN_KINDS}, got {self.kind!r}")
         if self.pipeline not in PIPELINES:
-            raise DomainError(f"pipeline must be one of {PIPELINES}, got {self.pipeline!r}")
+            raise DomainError(f"pipeline: expected one of {PIPELINES}, got {self.pipeline!r}")
         grid = tuple(float(x) for x in self.grid)
         if not grid:
-            raise DomainError("scan grid must be non-empty")
+            raise DomainError("grid: expected a non-empty sequence")
         if any(not math.isfinite(x) for x in grid):
-            raise DomainError("scan grid values must be finite")
+            raise DomainError("grid: expected finite values")
         steps = np.diff(grid)
         if len(grid) > 1 and not (np.all(steps > 0.0) or np.all(steps < 0.0)):
-            raise DomainError("scan grid must be strictly monotone")
+            raise DomainError("grid: expected strictly monotone values")
         object.__setattr__(self, "grid", grid)
-        ratio = float(self.input_ratio)
-        if not math.isfinite(ratio) or ratio <= 0.0:
-            raise DomainError(f"input_ratio must be finite and > 0, got {self.input_ratio}")
+        ratio = check_number("input_ratio", self.input_ratio, 0.0, strict=True)
         object.__setattr__(self, "input_ratio", ratio)
         self._validate_kind()
 
@@ -270,9 +268,7 @@ class _Pipeline:
 class _ModelPipeline(_Pipeline):
     """Closed-form evaluation of the noiseless measurement chain."""
 
-    def gain_extrema(
-        self, r: float, loss: float, index: int = 0, delta: float | None = None
-    ) -> tuple[float, float]:
+    def gain_extrema(self, r: float, loss: float, index: int, delta: float) -> tuple[float, float]:
         if self.spec.input_ratio == 1.0:
             return loss * math.exp(2.0 * r), loss * math.exp(-2.0 * r)
         c, s = math.cosh(r), math.sinh(r)
@@ -297,7 +293,7 @@ class _ModelPipeline(_Pipeline):
             rows.append((gain, abs(i_out) ** 2 / abs(self.a_i) ** 2, math.cos(phi_out)))
         return tuple(np.asarray(column) for column in zip(*rows))
 
-    def pia_rho(self, r: float, loss: float, index: int = 0, delta: float | None = None) -> float:
+    def pia_rho(self, r: float, loss: float, index: int, delta: float) -> float:
         """delta-peak on/off amplitude ratio with an unseeded idler."""
         return math.sqrt(loss) * (math.cosh(r) + math.sinh(r))
 
@@ -326,9 +322,7 @@ class _BeatnotePipeline(_Pipeline):
         ])
         return self._peaks(outputs[:, 0], outputs[:, 1], phases, delta, CELL_ON, seeds)
 
-    def gain_extrema(
-        self, r: float, loss: float, index: int = 0, delta: float | None = None
-    ) -> tuple[float, float]:
+    def gain_extrema(self, r: float, loss: float, index: int, delta: float) -> tuple[float, float]:
         """Locate the extremal measured gains by scanning the pump phase.
 
         The gain is smooth and pi-periodic in the pump phase, so a coarse
@@ -338,7 +332,6 @@ class _BeatnotePipeline(_Pipeline):
         is read, and it does not depend on the pump phase, so one cell-off
         row (one noise realization) serves the whole search.
         """
-        delta = self.spec.amplifier.detuning if delta is None else delta
         seeds = self._seeds((index,))
         off_dc, _, reference = self._peaks(self.a_s, self.a_i, 0.0, delta, CELL_OFF, seeds)
 
@@ -395,8 +388,7 @@ class _BeatnotePipeline(_Pipeline):
             clamp_tol = np.maximum(clamp_tol, COS_CLAMP_SIGMAS * sigma)
         return cos_readout(on_delta, cfg.residual_pump_intensity, gain, i_s, clamp_tol)
 
-    def pia_rho(self, r: float, loss: float, index: int = 0, delta: float | None = None) -> float:
-        delta = self.spec.amplifier.detuning if delta is None else delta
+    def pia_rho(self, r: float, loss: float, index: int, delta: float) -> float:
         seeds = self._seeds((index,))
         _, on, _ = self._on_peaks(r, loss, (0.0,), delta, seeds, 0j)
         _, off, _ = self._peaks(self.a_s, 0j, 0.0, delta, CELL_OFF, seeds)
@@ -411,12 +403,10 @@ def _pipeline(spec: ScanSpec):
 
 
 def _base_metadata(spec: ScanSpec, x_name: str) -> dict:
-    from .serialize import scan_spec_to_dict
-
     return {
         "kind": spec.kind,
         "x_name": x_name,
-        "scan_spec": scan_spec_to_dict(spec),
+        "scan_spec": asdict(spec),
         "master_seed": spec.master_seed,
         "version": __version__,
     }
@@ -437,19 +427,21 @@ def run_phase_scan(spec: ScanSpec) -> SweepResult:
     return SweepResult(np.asarray(spec.grid), {"gain": gains}, _base_metadata(spec, "phi_in"))
 
 
+def _operating_points(spec: ScanSpec, points, measure) -> tuple[np.ndarray, ...]:
+    """Columns of ``measure(r, loss, index, delta)`` over (power, delta) grid points."""
+    rows = []
+    for idx, (power, delta) in enumerate(points):
+        r, loss = effective_r(power, delta, spec.calibration)
+        rows.append(measure(r, loss, idx, delta))
+    return tuple(np.asarray(column) for column in zip(*rows))
+
+
 def run_power_sweep(spec: ScanSpec) -> SweepResult:
     """Extremal gains versus pump power through the calibration map."""
     if spec.kind != "power_sweep":
         raise DomainError(f"run_power_sweep needs kind='power_sweep', got {spec.kind!r}")
-    pipe = _pipeline(spec)
-    g_max, g_min = [], []
-    for idx, power in enumerate(spec.grid):
-        r, loss = effective_r(power, spec.amplifier.detuning, spec.calibration)
-        top, bottom = pipe.gain_extrema(r, loss, idx)
-        g_max.append(top)
-        g_min.append(bottom)
-    g_max = np.asarray(g_max)
-    g_min = np.asarray(g_min)
+    points = ((power, spec.amplifier.detuning) for power in spec.grid)
+    g_max, g_min = _operating_points(spec, points, _pipeline(spec).gain_extrema)
     columns = {"g_max": g_max, "g_min": g_min, "inv_g_max": 1.0 / g_max}
     return SweepResult(np.asarray(spec.grid), columns, _base_metadata(spec, "power_mw"))
 
@@ -459,19 +451,15 @@ def run_pia_compare(spec: ScanSpec) -> SweepResult:
     if spec.kind != "pia_compare":
         raise DomainError(f"run_pia_compare needs kind='pia_compare', got {spec.kind!r}")
     pipe = _pipeline(spec)
-    g_max, g_pia, g_from_pia = [], [], []
-    for idx, power in enumerate(spec.grid):
-        r, loss = effective_r(power, spec.amplifier.detuning, spec.calibration)
-        top, _ = pipe.gain_extrema(r, loss, idx)
-        pia = _pia_gain_from_rho(pipe.pia_rho(r, loss, idx))
-        g_max.append(top)
-        g_pia.append(pia)
-        g_from_pia.append(psa_max_from_pia(pia))
-    columns = {
-        "g_max": np.asarray(g_max),
-        "g_pia": np.asarray(g_pia),
-        "g_max_from_pia": np.asarray(g_from_pia),
-    }
+
+    def measure(*point) -> tuple[float, float, float]:
+        top, _ = pipe.gain_extrema(*point)
+        pia = _pia_gain_from_rho(pipe.pia_rho(*point))
+        return top, pia, psa_max_from_pia(pia)
+
+    points = ((power, spec.amplifier.detuning) for power in spec.grid)
+    g_max, g_pia, g_from_pia = _operating_points(spec, points, measure)
+    columns = {"g_max": g_max, "g_pia": g_pia, "g_max_from_pia": g_from_pia}
     return SweepResult(np.asarray(spec.grid), columns, _base_metadata(spec, "power_mw"))
 
 
@@ -487,16 +475,8 @@ def run_detuning_spectrum(spec: ScanSpec) -> SweepResult:
         raise DomainError(
             f"run_detuning_spectrum needs kind='detuning_spectrum', got {spec.kind!r}"
         )
-    pipe = _pipeline(spec)
-    power = spec.amplifier.pump_power
-    g_max, g_min = [], []
-    for idx, delta in enumerate(spec.grid):
-        r, loss = effective_r(power, delta, spec.calibration)
-        top, bottom = pipe.gain_extrema(r, loss, idx, delta)
-        g_max.append(top)
-        g_min.append(bottom)
-    g_max = np.asarray(g_max)
-    g_min = np.asarray(g_min)
+    points = ((spec.amplifier.pump_power, delta) for delta in spec.grid)
+    g_max, g_min = _operating_points(spec, points, _pipeline(spec).gain_extrema)
     ideal = 1.0 / g_max
     pure = np.abs(g_min - ideal) <= BANDWIDTH_TOLERANCE * ideal
     deltas = np.asarray(spec.grid)

@@ -62,6 +62,12 @@ def test_both_modes_honour_the_anchor():
         assert loss * math.exp(2.0 * r_eff) == pytest.approx(7.0, rel=1e-13)
 
 
+def test_fit_rejects_the_strengths_it_fits():
+    for strength in ("slope", "r_sat"):
+        with pytest.raises(TypeError, match=strength):
+            fitted_calibration(**{strength: 0.1})
+
+
 def test_invalid_map_rejected():
     with pytest.raises(DomainError):
         CalibrationMap(mode="quadratic")

@@ -3,14 +3,27 @@
 import json
 import math
 import struct
+from dataclasses import MISSING, asdict, fields
 
 import numpy as np
 import pytest
 
-from psalab import ConfigError, parse_config, to_document
-from psalab.calibration import effective_r
+from psalab import (
+    AmplifierParams,
+    CalibrationMap,
+    ConfigError,
+    DetectionConfig,
+    DomainError,
+    RunConfig,
+    ScanSpec,
+    parse_config,
+    to_document,
+)
+from psalab.calibration import effective_r, fitted_calibration
 from psalab.cli import EXIT_CONFIG, EXIT_DOMAIN, EXIT_IO, EXIT_OK, main
+from psalab.config import DEFAULT_GRIDS, DEFAULT_PUMP_POWER_MW
 from psalab.serialize import read_sweep_csv
+from psalab.sweeps import SCAN_KINDS
 
 
 class TestParseConfig:
@@ -122,6 +135,128 @@ class TestParseConfig:
         assert loss * math.exp(2 * r_eff) == pytest.approx(7.0, rel=1e-12)
         assert cal.p_sat == 20.0
 
+    @pytest.mark.parametrize("bandwidth", [1e-320, 1e-160])
+    def test_calibration_window_underflow_named(self, bandwidth):
+        doc = {"scan": {"kind": "power_sweep", "calibration": {"bandwidth_hwhm": bandwidth}}}
+        with pytest.raises(ConfigError, match=r"^scan\.calibration\.bandwidth_hwhm: "):
+            parse_config(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "shape, field", [({"bandwidth_hwhm": 0.0}, "bandwidth_hwhm"), ({"p_sat": -40.0}, "p_sat")]
+    )
+    def test_fitted_calibration_names_bad_field(self, shape, field):
+        with pytest.raises(DomainError, match=rf"^{field}: expected > 0"):
+            fitted_calibration(**shape)
+
+    @pytest.mark.parametrize("emit", ['"csv"', '{"csv": 1}'])
+    def test_emit_must_be_a_list(self, emit):
+        with pytest.raises(ConfigError, match="^emit: expected a list"):
+            parse_config('{"scan": {"kind": "phase_scan"}, "emit": %s}' % emit)
+
+    @pytest.mark.parametrize("key, value", [("step", 1e-300), ("num", 1e300)])
+    def test_grid_numpy_cannot_expand(self, key, value):
+        # numpy rejects these counts before it allocates anything
+        grid = {"start": 0, "stop": 80, key: value}
+        with pytest.raises(ConfigError, match=rf"^scan\.grid\.{key}: "):
+            parse_config(json.dumps({"scan": {"kind": "power_sweep", "grid": grid}}))
+
+
+def numeric_fields(cls):
+    """(name, default) of each field whose default is a number or None."""
+    return [
+        (f.name, f.default)
+        for f in fields(cls)
+        if f.default is None
+        or (isinstance(f.default, (int, float)) and not isinstance(f.default, bool))
+    ]
+
+
+# Every numeric document key with its default: scan sections from their
+# dataclasses, the anchor from fitted_calibration's keyword defaults.
+NUMERIC_KEYS = (
+    [(("scan", "amplifier", name), default) for name, default in numeric_fields(AmplifierParams)]
+    + [(("scan", "detection", name), default) for name, default in numeric_fields(DetectionConfig)]
+    + [(("scan", "calibration", name), default) for name, default in numeric_fields(CalibrationMap)]
+    + [
+        (("scan", "calibration", "anchor", name), default)
+        for name, default in fitted_calibration.__kwdefaults__.items()
+    ]
+    + [(("scan", name), default) for name, default in numeric_fields(ScanSpec)]
+    + [((name,), default) for name, default in numeric_fields(RunConfig)]
+)
+NUMERIC_IDS = [".".join(path) for path, _ in NUMERIC_KEYS]
+
+
+def document_with(path, value) -> str:
+    doc = {"scan": {"kind": "phase_scan"}}
+    section = doc
+    for key in path[:-1]:
+        section = section.setdefault(key, {})
+    section[path[-1]] = value
+    return json.dumps(doc)
+
+
+class TestSchemaCoverage:
+    """Each numeric key is type-checked, bounded and defaulted by its dataclass."""
+
+    def test_every_section_covered(self):
+        sections = {".".join(path[:-1]) for path, _ in NUMERIC_KEYS}
+        assert sections == {
+            "", "scan", "scan.amplifier", "scan.detection", "scan.calibration",
+            "scan.calibration.anchor",
+        }
+
+    @pytest.mark.parametrize("path, default", NUMERIC_KEYS, ids=NUMERIC_IDS)
+    @pytest.mark.parametrize("value", ["1.0", True], ids=["string", "bool"])
+    def test_non_number_named(self, path, default, value):
+        with pytest.raises(ConfigError, match=rf"^{'.'.join(path)}: expected a number"):
+            parse_config(document_with(path, value))
+
+    def test_out_of_range_named(self):
+        # pump_phase is stored wrapped, so no finite value is out of its range.
+        unbounded = []
+        for path, _ in NUMERIC_KEYS:
+            try:
+                parse_config(document_with(path, -1))
+            except ConfigError as err:
+                assert str(err).startswith(".".join(path) + ": expected ")
+            else:
+                unbounded.append(".".join(path))
+        assert unbounded == ["scan.amplifier.pump_phase"]
+
+    @pytest.mark.parametrize("path, default", NUMERIC_KEYS, ids=NUMERIC_IDS)
+    def test_null_only_where_default_is_none(self, path, default):
+        if default is None:
+            section = parse_config(document_with(path, None)).scan
+            for key in path[1:-1]:
+                section = getattr(section, key)
+            assert getattr(section, path[-1]) is None
+        else:
+            with pytest.raises(ConfigError, match=rf"^{'.'.join(path)}: "):
+                parse_config(document_with(path, None))
+
+    @pytest.mark.parametrize("kind", SCAN_KINDS)
+    def test_defaults_are_the_dataclass_defaults(self, kind, monkeypatch):
+        monkeypatch.delenv("PSALAB_OUT", raising=False)
+
+        def scalar_defaults(cls):
+            return {f.name: f.default for f in fields(cls) if f.default is not MISSING}
+
+        expected = {
+            "scan": {
+                "kind": kind,
+                "grid": {"values": list(DEFAULT_GRIDS[kind])},
+                "amplifier": {**asdict(AmplifierParams()), "pump_power": DEFAULT_PUMP_POWER_MW},
+                "calibration": asdict(fitted_calibration()),
+                "detection": asdict(DetectionConfig()),
+                **scalar_defaults(ScanSpec),
+            },
+            "output_dir": ".",
+            **{key: list(value) if isinstance(value, tuple) else value
+               for key, value in scalar_defaults(RunConfig).items()},
+        }
+        assert to_document(parse_config(json.dumps({"scan": {"kind": kind}}))) == expected
+
 
 class TestCliSweeps:
     def test_power_sweep_emits_csv_and_sidecar(self, tmp_path, capsys):
@@ -179,6 +314,28 @@ class TestCliSweeps:
 
     def test_bad_emit_value(self, tmp_path):
         assert main(["power-sweep", "--out", str(tmp_path), "--emit", "parquet"]) == EXIT_CONFIG
+
+    def test_bad_seed_flag(self, tmp_path, capsys):
+        assert main(["power-sweep", "--out", str(tmp_path), "--seed", "-1"]) == EXIT_CONFIG
+        assert "scan.detection.rng_seed: expected an integer >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["[1]", '"power_sweep"', '{"scan": [1]}', '{"scan": "x"}'])
+    def test_non_object_config_document(self, tmp_path, capsys, text):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(text)
+        assert main(["power-sweep", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert "expected an object" in capsys.readouterr().err
+
+    def test_flags_echo_like_document_keys(self, tmp_path):
+        argv = ["power-sweep", "--out", str(tmp_path), "--name", "run", "--seed", "9",
+                "--emit", "json,csv", "--quiet"]
+        assert main(argv) == EXIT_OK
+        echo = json.loads((tmp_path / "run.json").read_text())["config_echo"]
+        doc = {"scan": {"kind": "power_sweep", "detection": {"rng_seed": 9}},
+               "output_dir": str(tmp_path), "emit": ["json", "csv"], "verbosity": 0}
+        assert echo == to_document(parse_config(json.dumps(doc)))
+        assert echo["scan"]["detection"]["rng_seed"] == 9
+        assert (echo["emit"], echo["verbosity"]) == (["json", "csv"], 0)
 
     def test_env_var_default_output_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("PSALAB_OUT", str(tmp_path / "envout"))
