@@ -14,8 +14,8 @@ from .errors import ConfigError, DomainError, PsalabError
 from .squeezer import (
     AmplifierParams,
     GainPair,
+    evolve_block,
     evolve_two_mode,
-    fold_phase,
     gain_extrema,
     output_relative_phase,
     pia_gain,
@@ -76,11 +76,11 @@ __all__ = [
     "cell_off_record",
     "default_calibration",
     "effective_r",
+    "evolve_block",
     "evolve_two_mode",
     "extract_cos_phase",
     "extract_gain",
     "fitted_calibration",
-    "fold_phase",
     "gain_extrema",
     "output_relative_phase",
     "parse_config",

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import DomainError
 from .beatnote import BeatnoteRecord
-from .squeezer import wrap_phase
+from .squeezer import TWO_PI, wrap_phase
 
 # |cos| may exceed unity by this much before extraction errors out
 # (floating-point rounding in the noiseless chain stays far below it).
@@ -194,13 +194,8 @@ def reconstruct_phase(
         raise DomainError(f"branch must be 'principal' or 'continuity', got {branch!r}")
     if previous is None:
         raise DomainError("continuity branch needs the previously reconstructed phase")
-    best = None
-    for candidate in (principal, -principal):
-        k = round((previous - candidate) / (2.0 * math.pi))
-        value = candidate + 2.0 * math.pi * k
-        if best is None or abs(value - previous) < abs(best - previous):
-            best = value
-    return float(best)
+    turns = [c + TWO_PI * round((previous - c) / TWO_PI) for c in (principal, -principal)]
+    return float(min(turns, key=lambda value: abs(value - previous)))
 
 
 def unwrap_cos_scan(cos_values: np.ndarray) -> np.ndarray:

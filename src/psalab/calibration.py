@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .errors import DomainError, check_number
-from .squeezer import AmplifierParams
+from .squeezer import R_MAX, AmplifierParams
 
 CALIBRATION_MODES = ("linear", "saturating")
 
@@ -108,6 +108,9 @@ def fitted_calibration(
             f"bandwidth_hwhm: expected a window > 0 at the {detuning:g} kHz anchor, "
             f"got {cal.bandwidth_hwhm}"
         ) from None
+    if r_needed > R_MAX:
+        name = "loss_exponent_scale" if -ln_loss > R_MAX else "anchor.max_gain"
+        raise DomainError(f"{name}: the anchor needs r = {r_needed:g}, expected <= {R_MAX:g}")
     return replace(cal, slope=slope, r_sat=r_sat)
 
 

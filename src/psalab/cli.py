@@ -13,7 +13,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
@@ -31,7 +30,7 @@ from .serialize import (
     record_to_csv,
     write_sweep,
 )
-from .squeezer import evolve_two_mode
+from .squeezer import evolve_block
 from .sweeps import SweepResult, run_scan
 
 EXIT_OK = 0
@@ -162,20 +161,14 @@ def _cmd_histogram(args: argparse.Namespace) -> int:
 
 def _cmd_synth(args: argparse.Namespace) -> int:
     cfg = _build_config(args, "phase_scan")
-    spec = cfg.scan
-    r, loss = resolve_amplifier(spec.amplifier, spec.calibration)
+    spec, amp = cfg.scan, cfg.scan.amplifier
+    r, loss = resolve_amplifier(amp, spec.calibration)
     s_in, i_in = spec.input_fields()
     if args.cell_off:
-        record = cell_off_record(
-            s_in, i_in, spec.amplifier.pump_phase, spec.amplifier.detuning, spec.detection
-        )
+        record = cell_off_record(s_in, i_in, amp.pump_phase, amp.detuning, spec.detection)
     else:
-        s_out, i_out = evolve_two_mode(s_in, i_in, replace(spec.amplifier, r=r, pump_power=None))
-        scale = math.sqrt(loss)
-        amp = spec.amplifier
-        record = synthesize_beatnote(
-            s_out * scale, i_out * scale, amp.pump_phase, amp.detuning, spec.detection
-        )
+        s_out, i_out = (z * math.sqrt(loss) for z in evolve_block(s_in, i_in, r, amp.pump_phase))
+        record = synthesize_beatnote(s_out, i_out, amp.pump_phase, amp.detuning, spec.detection)
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     base = args.name or default_basename("record", spec.detection.rng_seed)
     paths = []

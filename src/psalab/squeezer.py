@@ -25,20 +25,20 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError, check_number
 
 TWO_PI = 2.0 * math.pi
+
+# Largest squeezing parameter a spec may imply: the pipelines form gains up to
+# exp(4r) ~ 5e173, well inside the float range.  The cell reaches r ~ 1.
+R_MAX = 100.0
 
 
 def wrap_phase(phi):
     """Wrap an angle (scalar or ndarray) into [-pi, pi)."""
     return (phi + math.pi) % TWO_PI - math.pi
-
-
-def fold_phase(phi):
-    """Fold an angle into [0, pi], the presentation used for wrapped
-    transfer-curve plots (distance from zero on the circle)."""
-    return abs(wrap_phase(phi))
 
 
 @dataclass(frozen=True)
@@ -60,6 +60,8 @@ class AmplifierParams:
     def __post_init__(self) -> None:
         if self.r is not None:
             object.__setattr__(self, "r", check_number("r", self.r, 0.0))
+            if self.r > R_MAX:
+                raise DomainError(f"r: expected <= {R_MAX:g}, got {self.r}")
         phase = check_number("pump_phase", self.pump_phase)
         object.__setattr__(self, "pump_phase", float(wrap_phase(phase)))
         if self.pump_power is not None:
@@ -81,24 +83,31 @@ class GainPair:
             )
 
 
-def evolve_two_mode(
-    s_in: complex, i_in: complex, params: AmplifierParams
-) -> tuple[complex, complex]:
-    """Propagate complex signal and idler amplitudes through the amplifier.
+def evolve_block(s_in: complex, i_in: complex, r: float, pump_phase) -> tuple[np.ndarray, ...]:
+    """Propagate signal and idler amplitudes through the amplifier at each
+    pump phase; returns (s_out, i_out) shaped like ``pump_phase``.
 
-    Amplitudes are dimensionless: intensities are in units of the input
-    signal intensity, so a unit amplitude carries intensity 1.  Requires
-    ``params.r`` to be set.  Conserves |s|^2 - |i|^2.
+    Amplitudes are dimensionless (a unit amplitude carries the input signal
+    intensity), and |s|^2 - |i|^2 is conserved.  Pass the phases through
+    ``wrap_phase``, as AmplifierParams stores them, to match
+    ``evolve_two_mode`` bit for bit.
     """
-    if params.r is None:
-        raise DomainError("amplifier evolution needs an explicit squeezing parameter r")
     a, b = complex(s_in), complex(i_in)
     if not (cmath.isfinite(a) and cmath.isfinite(b)):
         raise DomainError(f"field amplitudes must be finite, got ({a}, {b})")
-    c = math.cosh(params.r)
-    s = math.sinh(params.r)
-    pump = cmath.exp(2j * params.pump_phase)
+    c, s = math.cosh(r), math.sinh(r)
+    pump = np.exp(2j * np.asarray(pump_phase, dtype=np.float64))
     return c * a + pump * s * b.conjugate(), c * b + pump * s * a.conjugate()
+
+
+def evolve_two_mode(
+    s_in: complex, i_in: complex, params: AmplifierParams
+) -> tuple[complex, complex]:
+    """``evolve_block`` at the one operating point ``params``, which must set r."""
+    if params.r is None:
+        raise DomainError("amplifier evolution needs an explicit squeezing parameter r")
+    s_out, i_out = evolve_block(s_in, i_in, params.r, (params.pump_phase,))
+    return complex(s_out[0]), complex(i_out[0])
 
 
 def psa_gain(g: float, phi: float) -> float:
@@ -148,10 +157,7 @@ def psa_max_from_pia(g_pia: float) -> float:
 
     Returns 2*g - 1 + 2*sqrt(g*(g-1)) = (sqrt(g) + sqrt(g-1))**2.
     """
-    if not math.isfinite(g_pia) or g_pia < 1.0:
-        raise DomainError(f"phase-insensitive gain must be >= 1, got {g_pia}")
-    a = math.sqrt(g_pia) + math.sqrt(g_pia - 1.0)
-    return a * a
+    return gain_extrema(g_pia).g_max
 
 
 def output_relative_phase(s_in: complex, i_in: complex, params: AmplifierParams) -> float:

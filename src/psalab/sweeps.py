@@ -35,7 +35,7 @@ from .analyzer import DEFAULT_CLAMP_TOL, block_peaks, cos_readout, gain_ratio, u
 from .beatnote import CELL_OFF, CELL_ON, DetectionConfig, synthesize_block
 from .calibration import CalibrationMap, default_calibration, effective_r, resolve_amplifier
 from .errors import DomainError, check_number
-from .squeezer import AmplifierParams, evolve_two_mode, psa_max_from_pia, wrap_phase
+from .squeezer import R_MAX, AmplifierParams, evolve_block, psa_max_from_pia, wrap_phase
 
 SCAN_KINDS = (
     "phase_scan",
@@ -49,15 +49,8 @@ PIPELINES = ("model_exact", "full_beatnote")
 # Pump-power range the amplifier cell is characterised over.
 POWER_RANGE_MW = (0.0, 80.0)
 
-# Inner search for gain extrema over the pump phase: coarse grid over
-# [0, pi) followed by Brent refinement of the phase to this absolute
-# tolerance (plus Brent's sqrt(machine epsilon) relative term).  Near an
-# extremum the gain moves as the squared phase error, so finer phases
-# than ~sqrt(eps) are not resolved by the gain values anyway.
-EXTREMA_COARSE_POINTS = 16
-EXTREMA_PHASE_TOL = 1e-8
-# A coarse scan whose gains spread less than this fraction of the largest
-# is flat to rounding (no squeezing): its extremes are final.
+# An extremum search whose sampled gains spread less than this fraction of
+# the largest is flat to rounding (no squeezing): its extremes are final.
 EXTREMA_FLAT_RTOL = 1e-13
 
 # A sweep point counts as "pure PSA" while |g_min - 1/g_max| stays within
@@ -67,14 +60,15 @@ BANDWIDTH_TOLERANCE = 0.05
 # full_beatnote synthesizes and reads at most this many records per block.
 # At 2,000 samples an 8-row array is 125 kB; larger temporaries, mapped and
 # page-faulted afresh on each allocation, measured slower and cost memory.
+# The extremum search samples gain**2, a degree-2 trig polynomial in 2*phi_p
+# (5 coefficients), at phi_p = k*pi/RECORD_BLOCK, so RECORD_BLOCK must be >= 5.
 RECORD_BLOCK = 8
+_EXTREMA_PHASES = np.arange(RECORD_BLOCK) * (math.pi / RECORD_BLOCK)
+_EXTREMA_DFT = np.exp(-2j * np.outer(np.arange(3), _EXTREMA_PHASES)) / RECORD_BLOCK
 
 # Noisy cosine readouts may overshoot the unit circle by this many standard
 # deviations of the propagated delta-bin noise before extraction errors out.
 COS_CLAMP_SIGMAS = 6.0
-
-_GOLDEN_STEP = (3.0 - math.sqrt(5.0)) / 2.0
-_SQRT_EPS = math.sqrt(np.finfo(np.float64).eps)
 
 
 @dataclass(frozen=True)
@@ -159,6 +153,31 @@ class ScanSpec:
                     self.detection_for(delta).validate_for_delta(delta)
             else:
                 self.detection.validate_for_delta(self.amplifier.detuning)
+        self._validate_operating_points()
+
+    def _validate_operating_points(self) -> None:
+        """r <= R_MAX and loss >= exp(-2*R_MAX) at the grid's ends, so nothing overflows."""
+        points = self.operating_points()
+        key = "grid" if self.kind == "detuning_spectrum" else "amplifier.detuning"
+        for power, delta in points[:1] + points[-1:]:
+            try:
+                r, loss = effective_r(power, delta, self.calibration)
+            except OverflowError:  # (delta / bandwidth_hwhm) ** 2
+                raise DomainError(f"{key}: {delta:g} kHz overflows the detuning window") from None
+            if not (r <= R_MAX and loss >= math.exp(-2.0 * R_MAX)):
+                raise DomainError(f"calibration: gives r = {r:g}, loss {loss:g} at {power:g} mW "
+                                  f"{delta:g} kHz; expect r <= {R_MAX:g}, loss >= e^-{2 * R_MAX:g}")
+
+    def operating_points(self) -> list[tuple[float, float]]:
+        """(pump power, detuning) of each grid point; one for a phase grid, or none at a set r."""
+        amp = self.amplifier
+        if self.kind == "detuning_spectrum":
+            return [(amp.pump_power, delta) for delta in self.grid]
+        if self.kind in ("power_sweep", "pia_compare"):
+            return [(power, amp.detuning) for power in self.grid]
+        if amp.r is not None or amp.pump_power is None:  # no calibrated point
+            return []
+        return [(amp.pump_power, amp.detuning)]
 
     def detection_for(self, delta: float) -> DetectionConfig:
         """The detection config at one beat frequency.
@@ -202,67 +221,16 @@ def point_seed(master_seed: int, index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _brent_min(fun, bracket: tuple, values: tuple, tol: float) -> float:
-    """Smallest value of fun on [a, b] by Brent's parabolic/golden search.
-
-    Brent, Algorithms for Minimization without Derivatives (1973), ch. 5.
-    ``bracket`` is (a, x, b) with x interior and ``values`` the known fun
-    values there, so the first step is the parabola through all three.
-    Returns the least value evaluated once x is pinned to
-    sqrt(eps)*|x| + tol/3.
-    """
-    a, x, b = bracket
-    fv, fx, fw = values
-    v, w = a, b
-    d = e = 0.5 * (b - a)
-    while True:
-        m = 0.5 * (a + b)
-        tol1 = _SQRT_EPS * abs(x) + tol / 3.0
-        tol2 = 2.0 * tol1
-        if abs(x - m) <= tol2 - 0.5 * (b - a):
-            return fx
-        p = q = 0.0
-        if abs(e) > tol1:
-            # Parabola through (v, fv), (w, fw), (x, fx).
-            r = (x - w) * (fx - fv)
-            q = (x - v) * (fx - fw)
-            p = (x - v) * q - (x - w) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            else:
-                q = -q
-            r, e = e, d
-        if q != 0.0 and abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x):
-            d = p / q
-            if (x + d) - a < tol2 or b - (x + d) < tol2:
-                d = tol1 if x < m else -tol1
-        else:
-            e = (b - x) if x < m else (a - x)
-            d = _GOLDEN_STEP * e
-        u = x + (d if abs(d) >= tol1 else math.copysign(tol1, d))
-        fu = fun(u)
-        if fu <= fx:
-            if u < x:
-                b = x
-            else:
-                a = x
-            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
-        else:
-            if u < x:
-                a = u
-            else:
-                b = u
-            if fu <= fw or w == x:
-                v, fv, w, fw = w, fw, u, fu
-            elif fu <= fv or v == x or v == w:
-                v, fv = u, fu
-
-
 class _Pipeline:
     def __init__(self, spec: ScanSpec):
         self.spec = spec
         self.a_s, self.a_i = spec.input_fields()
+
+    def _outputs(self, r: float, loss: float, phases, idler: complex):
+        """(s_out, i_out) after the loss, at phases wrapped as AmplifierParams stores them."""
+        scale = math.sqrt(loss)
+        phases = wrap_phase(np.asarray(phases, dtype=np.float64))
+        return tuple(z * scale for z in evolve_block(self.a_s, idler, r, phases))
 
 
 class _ModelPipeline(_Pipeline):
@@ -279,19 +247,14 @@ class _ModelPipeline(_Pipeline):
 
     def scan_grid(self, r: float, loss: float, phases, transfer: bool) -> tuple[np.ndarray, ...]:
         """Columns (gain,) or, for a transfer curve, (gain, gain_idler, cos_out) over the grid."""
-        rows = []
-        scale = math.sqrt(loss)
-        for p in phases:
-            params = AmplifierParams(r=r, pump_phase=p, detuning=self.spec.amplifier.detuning)
-            s_out, i_out = evolve_two_mode(self.a_s, self.a_i, params)
-            s_out, i_out = s_out * scale, i_out * scale
-            if not transfer:  # the 2*delta peak ratio, loss * sqrt(G_s * G_i)
-                rows.append((abs(s_out) * abs(i_out) / (abs(self.a_s) * abs(self.a_i)),))
-                continue
-            phi_out = float(wrap_phase(np.angle(s_out) - p))
-            gain = abs(s_out) ** 2 / abs(self.a_s) ** 2
-            rows.append((gain, abs(i_out) ** 2 / abs(self.a_i) ** 2, math.cos(phi_out)))
-        return tuple(np.asarray(column) for column in zip(*rows))
+        s_out, i_out = self._outputs(r, loss, phases, self.a_i)
+        # hypot and float_power round as Python's abs(complex) and float ** 2.
+        s_abs, i_abs = np.hypot(s_out.real, s_out.imag), np.hypot(i_out.real, i_out.imag)
+        if not transfer:  # the 2*delta peak ratio, loss * sqrt(G_s * G_i)
+            return (s_abs * i_abs / (abs(self.a_s) * abs(self.a_i)),)
+        gain = np.float_power(s_abs, 2.0) / abs(self.a_s) ** 2
+        gain_idler = np.float_power(i_abs, 2.0) / abs(self.a_i) ** 2
+        return gain, gain_idler, np.cos(wrap_phase(np.angle(s_out) - phases))
 
     def pia_rho(self, r: float, loss: float, index: int, delta: float) -> float:
         """delta-peak on/off amplitude ratio with an unseeded idler."""
@@ -316,50 +279,34 @@ class _BeatnotePipeline(_Pipeline):
         return block_peaks(block, cfg.sample_rate, delta)
 
     def _on_peaks(self, r, loss, phases, delta, seeds, idler):
-        outputs = math.sqrt(loss) * np.array([
-            evolve_two_mode(self.a_s, idler, AmplifierParams(r=r, pump_phase=p, detuning=delta))
-            for p in phases
-        ])
-        return self._peaks(outputs[:, 0], outputs[:, 1], phases, delta, CELL_ON, seeds)
+        s_out, i_out = self._outputs(r, loss, phases, idler)
+        return self._peaks(s_out, i_out, phases, delta, CELL_ON, seeds)
 
     def gain_extrema(self, r: float, loss: float, index: int, delta: float) -> tuple[float, float]:
-        """Locate the extremal measured gains by scanning the pump phase.
+        """Measured gains at the pump phases of largest and smallest gain.
 
-        The gain is smooth and pi-periodic in the pump phase, so a coarse
-        scan of [0, pi), in RECORD_BLOCK-row blocks, plus Brent refinement
-        (one-row blocks) within one coarse step of the best coarse points
-        pins both extrema.  Only the 2*delta peak of the cell-off record
-        is read, and it does not depend on the pump phase, so one cell-off
-        row (one noise realization) serves the whole search.
+        The 2*delta on-peak is linear in z = exp(2j*phi_p), noise included, so
+        gain**2 = c0 + 2*Re(c1*z + c2*z**2), fixed by one block at phi_p =
+        k*pi/RECORD_BLOCK.  Its stationary points are the roots of 2*c2*z**4
+        + c1*z**3 - conj(c1)*z - 2*conj(c2) (Boyd, J. Eng. Math. 56:203, 2006);
+        the gain is measured again at the largest and smallest.  One cell-off
+        row serves the search: its 2*delta peak ignores the pump phase.
         """
         seeds = self._seeds((index,))
         off_dc, _, reference = self._peaks(self.a_s, self.a_i, 0.0, delta, CELL_OFF, seeds)
 
         def gain(phases) -> np.ndarray:
-            blocks = [phases[k : k + RECORD_BLOCK] for k in range(0, len(phases), RECORD_BLOCK)]
-            on = [self._on_peaks(r, loss, p, delta, seeds, self.a_i)[2] for p in blocks]
-            return gain_ratio(np.concatenate(on), reference, off_dc)
+            on = self._on_peaks(r, loss, phases, delta, seeds, self.a_i)[2]
+            return gain_ratio(on, reference, off_dc)
 
-        phases = np.linspace(0.0, math.pi, EXTREMA_COARSE_POINTS, endpoint=False)
-        gains = gain(phases)
+        gains = gain(_EXTREMA_PHASES)
         top, bottom = float(gains.max()), float(gains.min())
-        if top - bottom <= EXTREMA_FLAT_RTOL * top:
+        if top - bottom <= EXTREMA_FLAT_RTOL * top:  # r = 0: c1 = c2 = 0, no roots
             return top, bottom
-        step = math.pi / EXTREMA_COARSE_POINTS
-
-        def refine(best: int, sign: float) -> float:
-            # The coarse neighbours bracket the extremum; pi-periodicity
-            # supplies the neighbour past either end of the grid.
-            center = float(phases[best])
-            neighbours = (gains[best - 1], gains[best], gains[(best + 1) % len(gains)])
-            return sign * _brent_min(
-                lambda p: sign * float(gain((p,))[0]),
-                (center - step, center, center + step),
-                tuple(sign * float(g) for g in neighbours),
-                EXTREMA_PHASE_TOL,
-            )
-
-        return refine(int(np.argmax(gains)), -1.0), refine(int(np.argmin(gains)), 1.0)
+        _, c1, c2 = _EXTREMA_DFT @ (gains * gains)
+        x = np.angle(np.roots((2.0 * c2, c1, 0.0, -c1.conjugate(), -2.0 * c2.conjugate())))
+        shape = (c1 * np.exp(1j * x) + c2 * np.exp(2j * x)).real
+        return tuple(gain(0.5 * x[[np.argmax(shape), np.argmin(shape)]] % math.pi))
 
     def scan_grid(self, r: float, loss: float, phases, transfer: bool) -> tuple[np.ndarray, ...]:
         """Columns (gain,) or (gain, gain, cos_out) over the grid, RECORD_BLOCK points at a time.
@@ -412,6 +359,11 @@ def _base_metadata(spec: ScanSpec, x_name: str) -> dict:
     }
 
 
+def _require_kind(spec: ScanSpec, kind: str) -> None:
+    if spec.kind != kind:
+        raise DomainError(f"{_RUNNERS[kind].__name__} needs kind={kind!r}, got {spec.kind!r}")
+
+
 def _pia_gain_from_rho(rho: float) -> float:
     """Invert the delta-peak ratio through cosh^2 - sinh^2 = 1."""
     c = 0.5 * (rho + 1.0 / rho)
@@ -420,17 +372,16 @@ def _pia_gain_from_rho(rho: float) -> float:
 
 def run_phase_scan(spec: ScanSpec) -> SweepResult:
     """Gain versus the scanned pump-signal input phase (piezo emulation)."""
-    if spec.kind != "phase_scan":
-        raise DomainError(f"run_phase_scan needs kind='phase_scan', got {spec.kind!r}")
+    _require_kind(spec, "phase_scan")
     r, loss = resolve_amplifier(spec.amplifier, spec.calibration)
     (gains,) = _pipeline(spec).scan_grid(r, loss, spec.grid, transfer=False)
     return SweepResult(np.asarray(spec.grid), {"gain": gains}, _base_metadata(spec, "phi_in"))
 
 
-def _operating_points(spec: ScanSpec, points, measure) -> tuple[np.ndarray, ...]:
-    """Columns of ``measure(r, loss, index, delta)`` over (power, delta) grid points."""
+def _operating_points(spec: ScanSpec, measure) -> tuple[np.ndarray, ...]:
+    """Columns of ``measure(r, loss, index, delta)`` over the spec's operating points."""
     rows = []
-    for idx, (power, delta) in enumerate(points):
+    for idx, (power, delta) in enumerate(spec.operating_points()):
         r, loss = effective_r(power, delta, spec.calibration)
         rows.append(measure(r, loss, idx, delta))
     return tuple(np.asarray(column) for column in zip(*rows))
@@ -438,18 +389,15 @@ def _operating_points(spec: ScanSpec, points, measure) -> tuple[np.ndarray, ...]
 
 def run_power_sweep(spec: ScanSpec) -> SweepResult:
     """Extremal gains versus pump power through the calibration map."""
-    if spec.kind != "power_sweep":
-        raise DomainError(f"run_power_sweep needs kind='power_sweep', got {spec.kind!r}")
-    points = ((power, spec.amplifier.detuning) for power in spec.grid)
-    g_max, g_min = _operating_points(spec, points, _pipeline(spec).gain_extrema)
+    _require_kind(spec, "power_sweep")
+    g_max, g_min = _operating_points(spec, _pipeline(spec).gain_extrema)
     columns = {"g_max": g_max, "g_min": g_min, "inv_g_max": 1.0 / g_max}
     return SweepResult(np.asarray(spec.grid), columns, _base_metadata(spec, "power_mw"))
 
 
 def run_pia_compare(spec: ScanSpec) -> SweepResult:
     """Seeded-idler maximum gain versus unseeded (phase-insensitive) gain."""
-    if spec.kind != "pia_compare":
-        raise DomainError(f"run_pia_compare needs kind='pia_compare', got {spec.kind!r}")
+    _require_kind(spec, "pia_compare")
     pipe = _pipeline(spec)
 
     def measure(*point) -> tuple[float, float, float]:
@@ -457,8 +405,7 @@ def run_pia_compare(spec: ScanSpec) -> SweepResult:
         pia = _pia_gain_from_rho(pipe.pia_rho(*point))
         return top, pia, psa_max_from_pia(pia)
 
-    points = ((power, spec.amplifier.detuning) for power in spec.grid)
-    g_max, g_pia, g_from_pia = _operating_points(spec, points, measure)
+    g_max, g_pia, g_from_pia = _operating_points(spec, measure)
     columns = {"g_max": g_max, "g_pia": g_pia, "g_max_from_pia": g_from_pia}
     return SweepResult(np.asarray(spec.grid), columns, _base_metadata(spec, "power_mw"))
 
@@ -471,12 +418,8 @@ def run_detuning_spectrum(spec: ScanSpec) -> SweepResult:
     the metadata.  The detuning response is a calibrated, phenomenological
     reproduction and the metadata flags it as such.
     """
-    if spec.kind != "detuning_spectrum":
-        raise DomainError(
-            f"run_detuning_spectrum needs kind='detuning_spectrum', got {spec.kind!r}"
-        )
-    points = ((spec.amplifier.pump_power, delta) for delta in spec.grid)
-    g_max, g_min = _operating_points(spec, points, _pipeline(spec).gain_extrema)
+    _require_kind(spec, "detuning_spectrum")
+    g_max, g_min = _operating_points(spec, _pipeline(spec).gain_extrema)
     ideal = 1.0 / g_max
     pure = np.abs(g_min - ideal) <= BANDWIDTH_TOLERANCE * ideal
     deltas = np.asarray(spec.grid)
@@ -495,8 +438,7 @@ def run_transfer_curve(spec: ScanSpec) -> SweepResult:
     continuity along the scan (anchored on the principal branch at the
     first point) and reported both unwrapped and wrapped to [-pi, pi).
     """
-    if spec.kind != "transfer_curve":
-        raise DomainError(f"run_transfer_curve needs kind='transfer_curve', got {spec.kind!r}")
+    _require_kind(spec, "transfer_curve")
     r, loss = resolve_amplifier(spec.amplifier, spec.calibration)
     gains, gains_idler, cosines = _pipeline(spec).scan_grid(r, loss, spec.grid, transfer=True)
     unwrapped = unwrap_cos_scan(cosines)

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from psalab.cli import EXIT_OK, main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -12,13 +14,14 @@ CAMPAIGNS = ("gain_vs_phase", "gain_vs_power", "psa_vs_pia", "gain_spectrum",
              "transfer_pure", "transfer_mixed")
 
 
-def test_campaign_histogram_matches_cli_histogram(tmp_path):
+@pytest.mark.parametrize("pipeline", ["model_exact", "full_beatnote"])
+def test_campaign_histogram_matches_cli_histogram(tmp_path, pipeline):
     out = tmp_path / "campaigns"
     paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
     subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "run_campaigns.py"),
-         "--pipeline", "model_exact", "--out", str(out)],
+         "--pipeline", pipeline, "--out", str(out)],
         check=True, env=env, capture_output=True,
     )
     for name in CAMPAIGNS:

@@ -306,6 +306,28 @@ class TestCliSweeps:
         cfg.write_text('{"scan": {"kind": "phase_scan", "amplifier": {"pump_power": null}}}')
         assert main(["phase-scan", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_DOMAIN
 
+    @pytest.mark.parametrize(
+        "command, scan, key",
+        [
+            ("phase-scan", {"kind": "phase_scan", "amplifier": {"r": 1000}}, "scan.amplifier.r"),
+            (
+                "phase-scan",
+                {"kind": "phase_scan", "calibration": {"loss_exponent_scale": 1e300}},
+                "scan.calibration.loss_exponent_scale",
+            ),
+            ("spectrum", {"kind": "detuning_spectrum", "grid": [0, 1e200]}, "scan.grid"),
+        ],
+        ids=["huge_r", "huge_loss_exponent", "huge_detuning"],
+    )
+    def test_overflowing_operating_point_exits_config(self, tmp_path, capsys, command, scan, key):
+        # Each field is within its own bound; the amplifier they imply would
+        # overflow a float, so the spec is refused when it is built.
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"scan": scan}))
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"psalab: config error: {key}: ")
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_io_failure_exit_code(self, tmp_path):
         blocker = tmp_path / "file"
         blocker.write_text("x")

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from psalab import (
     AmplifierParams,
     DomainError,
+    evolve_block,
     evolve_two_mode,
     gain_extrema,
     output_relative_phase,
@@ -111,6 +112,30 @@ class TestEvolveTwoMode:
         measured = abs(s_out) ** 2 / abs(s_in) ** 2
         expected = psa_gain(math.cosh(r) ** 2, 2.0 * phi_p - phi_s - phi_i)
         assert measured == pytest.approx(expected, rel=1e-12)
+
+
+class TestEvolveBlock:
+    """The array core against its one-row call, evolve_two_mode."""
+
+    # The wrap edges, their neighbouring ulps, and enough phases in between
+    # that numpy's vectorized loops run full chunks as well as a tail.
+    PHASES = np.concatenate([
+        [-math.pi, math.pi, 0.0, -0.0],
+        np.nextafter(-math.pi, [-4.0, 4.0]),
+        np.nextafter(math.pi, [-4.0, 4.0]),
+        np.linspace(-7.0, 7.0, 41),
+    ])
+
+    @pytest.mark.parametrize("r", [0.0, R_GMAX_7, 3.0])
+    @pytest.mark.parametrize(
+        "s_in, i_in", [(1.0, 1.0), (1.0, 0.75), (complex(0.3, -0.7), complex(-1.1, 0.2))]
+    )
+    def test_rows_match_one_row_calls_bit_for_bit(self, s_in, i_in, r):
+        s_out, i_out = evolve_block(s_in, i_in, r, wrap_phase(self.PHASES))
+        assert s_out.shape == i_out.shape == self.PHASES.shape
+        for k, phase in enumerate(self.PHASES):
+            expected = evolve_two_mode(s_in, i_in, AmplifierParams(r=r, pump_phase=phase))
+            assert (s_out[k], i_out[k]) == expected, phase
 
 
 class TestGainLaws:

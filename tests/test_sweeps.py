@@ -251,30 +251,39 @@ class TestTransferCurve:
 
 
 class TestBeatnoteExtremumSearch:
-    """The coarse-plus-Brent search against a dense scan of the same gain.
+    """The 8-phase spectral search against a dense scan of the same gain.
 
-    Real seeds put every extremum at pump phase 0 or pi/2, both on the
-    coarse grid; a rotated signal seed moves them off it, so only the
-    refinement can find them.  Work is counted in records (block rows)
-    synthesized per seed stream at each grid point.
+    Real seeds put every extremum at pump phase 0 or pi/2, both among the
+    sampled phases; a rotated signal seed moves them off those, so only
+    the roots of the fitted gain**2 can find them.  Work is counted in
+    records (block rows) synthesized per seed stream at each grid point.
     """
 
     POWERS = (0.0, 25.0, 63.0)
     DENSE_PHASES = np.linspace(0.0, math.pi, 2048, endpoint=False)
-
-    @pytest.mark.parametrize("signal_phase", [0.0, 0.37], ids=["real_seeds", "rotated_signal"])
-    @pytest.mark.parametrize(
+    OVERRIDES = pytest.mark.parametrize(
         "overrides",
         [{}, {"input_ratio": 1.78}, {"detection": DetectionConfig(noise_sigma=0.2, rng_seed=7)}],
         ids=["equal_seeds", "mixed_seeds", "noisy"],
     )
-    def test_matches_dense_grid_with_bounded_work(self, overrides, signal_phase, monkeypatch):
+    SIGNAL_PHASES = pytest.mark.parametrize(
+        "signal_phase", [0.0, 0.37], ids=["real_seeds", "rotated_signal"]
+    )
+
+    @staticmethod
+    def spec_with_signal(overrides, signal_phase, monkeypatch):
         spec = ScanSpec(
-            kind="power_sweep", grid=self.POWERS, pipeline="full_beatnote", **overrides
+            kind="power_sweep", grid=TestBeatnoteExtremumSearch.POWERS,
+            pipeline="full_beatnote", **overrides
         )
         idler = complex(1.0 / math.sqrt(spec.input_ratio))
         signal = cmath.rect(1.0, signal_phase)
         monkeypatch.setattr(ScanSpec, "input_fields", lambda self: (signal, idler))
+        return spec, signal, idler
+
+    @staticmethod
+    def count_rows(monkeypatch) -> list[dict]:
+        """Records synthesized per seed stream, one entry per searched grid point."""
         counts = Counter()
         synthesize = sweeps.synthesize_block
 
@@ -294,6 +303,25 @@ class TestBeatnoteExtremumSearch:
             return result
 
         monkeypatch.setattr(sweeps._BeatnotePipeline, "gain_extrema", recorded)
+        return per_point
+
+    @SIGNAL_PHASES
+    @OVERRIDES
+    def test_one_block_plus_two_rows_per_point(self, overrides, signal_phase, monkeypatch):
+        spec, _, _ = self.spec_with_signal(overrides, signal_phase, monkeypatch)
+        per_point = self.count_rows(monkeypatch)
+        run_scan(spec)
+        block = sweeps.RECORD_BLOCK
+        # At 0 mW the sampled gains are flat and no roots are sought.
+        assert per_point == [
+            {"off": 1, "gain": block}, {"off": 1, "gain": block + 2}, {"off": 1, "gain": block + 2}
+        ]
+
+    @SIGNAL_PHASES
+    @OVERRIDES
+    def test_matches_dense_grid_with_bounded_work(self, overrides, signal_phase, monkeypatch):
+        spec, signal, idler = self.spec_with_signal(overrides, signal_phase, monkeypatch)
+        per_point = self.count_rows(monkeypatch)
         res = run_scan(spec)
         assert len(per_point) == len(self.POWERS)
         for work in per_point:
@@ -382,6 +410,10 @@ def agreement_cases(draw):
     periods = draw(st.integers(4, 12))
     block = sweeps.RECORD_BLOCK
     low_power = draw(st.floats(0.0, 40.0))
+    # pia_compare stays at >= 1 mW: at 0 mW g_pia - 1 is a last-bit residue,
+    # which the sqrt(g - 1) in g_max_from_pia amplifies to ~4.4e-9.
+    low_pia = draw(st.floats(1.0, 40.0))
+    low_delta = draw(st.floats(0.5, 400.0))
     return {
         "delta": delta,
         "detection": DetectionConfig(
@@ -398,6 +430,10 @@ def agreement_cases(draw):
         ),
         "offset": draw(st.floats(0.0, 1.0)),
         "powers": (low_power, draw(st.floats(low_power + 1.0, 80.0))),
+        "pia_powers": (low_pia, draw(st.floats(low_pia + 1.0, 80.0))),
+        "input_ratio": draw(st.floats(0.2, 5.0)),
+        # detection_for keeps the samples per period, so any delta > 0 is valid.
+        "deltas": (low_delta, draw(st.floats(low_delta + 1.0, 1000.0))),
     }
 
 
@@ -436,6 +472,22 @@ class TestPipelineAgreementProperty:
         assert_pipelines_agree(ScanSpec(
             kind="power_sweep", grid=case["powers"],
             amplifier=AmplifierParams(detuning=case["delta"]), detection=detection,
+            input_ratio=case["input_ratio"],
+        ))
+
+    @settings(max_examples=40)
+    @given(agreement_cases())
+    def test_pia_compare_and_spectrum_agree(self, case):
+        detection = case["detection"]
+        assert_pipelines_agree(ScanSpec(
+            kind="pia_compare", grid=case["pia_powers"],
+            amplifier=AmplifierParams(detuning=case["delta"]), detection=detection,
+            input_ratio=case["input_ratio"],
+        ))
+        assert_pipelines_agree(ScanSpec(
+            kind="detuning_spectrum", grid=case["deltas"],
+            amplifier=AmplifierParams(pump_power=case["pia_powers"][1], detuning=case["delta"]),
+            detection=detection, input_ratio=case["input_ratio"],
         ))
 
 
