@@ -72,18 +72,19 @@ class DetectionConfig:
             raise DomainError(f"beatnote synthesis needs detuning > 0 kHz, got {delta}")
         if self.sample_rate < NYQUIST_MARGIN * 2.0 * delta:
             raise DomainError(
-                f"sample_rate {self.sample_rate} kHz violates the Nyquist margin: "
+                f"sample_rate: {self.sample_rate} kHz violates the Nyquist margin: "
                 f"need >= {NYQUIST_MARGIN * 2.0 * delta} kHz for delta = {delta} kHz"
             )
         periods = self.n_samples * delta / self.sample_rate
         if abs(periods - round(periods)) > 1e-9 * max(1.0, periods):
             raise DomainError(
-                f"record must span an integer number of delta periods: "
+                f"n_samples: record must span an integer number of delta periods: "
                 f"n_samples*delta/sample_rate = {periods} is not an integer"
             )
         if round(periods) < MIN_PERIODS:
             raise DomainError(
-                f"record must span at least {MIN_PERIODS} delta periods, got {round(periods)}"
+                f"n_samples: record must span at least {MIN_PERIODS} delta periods, "
+                f"got {round(periods)}"
             )
 
 

@@ -136,9 +136,7 @@ def run(cfg: RunConfig, basename: str | None = None) -> tuple[int, list[Path]]:
 
 
 def _cmd_sweep(args: argparse.Namespace, kind: str) -> int:
-    cfg = _build_config(args, kind)
-    status, _ = run(cfg, basename=args.name)
-    return status
+    return run(_build_config(args, kind), basename=args.name)[0]
 
 
 def _cmd_histogram(args: argparse.Namespace) -> int:

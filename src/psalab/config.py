@@ -36,7 +36,7 @@ import json
 import math
 import os
 import warnings
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -282,7 +282,7 @@ def parse_config(text: str, *, strict: bool = True, default_kind: str | None = N
 
 def to_document(cfg: RunConfig) -> dict:
     """Full explicit document that parses back to an equal RunConfig."""
-    scan = asdict(cfg.scan)
+    scan = cfg.scan.as_dict()
     scan["grid"] = {"values": list(cfg.scan.grid)}
     return {
         "scan": scan,

@@ -213,15 +213,19 @@ def record_from_csv(path: str | Path) -> BeatnoteRecord:
         raise ConfigError(f"{path}: record CSV header lacks {missing}") from None
     except ValueError as err:
         raise ConfigError(f"{path}: malformed record CSV: {err}") from None
-    _require_finite(path, "sample_rate_khz and delta_khz", [sample_rate, delta])
-    cfg = DetectionConfig(
-        sample_rate=sample_rate,
-        n_samples=len(samples),
-        noise_sigma=noise_sigma,
-        rng_seed=rng_seed,
-        residual_pump_intensity=residual_pump,
-    )
-    return BeatnoteRecord(_require_finite(path, "record samples", samples), sample_rate, delta, cfg)
+    return _record(path, samples, sample_rate, delta, noise_sigma=noise_sigma, rng_seed=rng_seed,
+                   residual_pump_intensity=residual_pump)
+
+
+def _record(path, samples, sample_rate: float, delta: float, **detection) -> BeatnoteRecord:
+    """The record a file holds; a header value out of its field's range is the file's fault."""
+    _require_finite(path, "sample_rate and delta", [sample_rate, delta])
+    samples = _require_finite(path, "record samples", samples)
+    try:
+        cfg = DetectionConfig(sample_rate=sample_rate, n_samples=samples.size, **detection)
+        return BeatnoteRecord(samples, sample_rate, delta, cfg)
+    except DomainError as err:
+        raise ConfigError(f"{path}: {err}") from None
 
 
 def record_binary_bytes(rec: BeatnoteRecord) -> bytes:
@@ -255,12 +259,8 @@ def record_from_binary(path: str | Path) -> BeatnoteRecord:
         raise ConfigError(
             f"{path}: truncated record payload ({len(payload)} bytes for {count} samples)"
         )
-    _require_finite(path, "sample_rate and delta", [sample_rate, delta])
-    samples = _require_finite(path, "record samples", np.frombuffer(payload, dtype="<f8"))
-    cfg = DetectionConfig(
-        sample_rate=sample_rate, n_samples=int(count), residual_pump_intensity=0.0
-    )
-    return BeatnoteRecord(samples, sample_rate, delta, cfg)
+    samples = np.frombuffer(payload, dtype="<f8")
+    return _record(path, samples, sample_rate, delta, residual_pump_intensity=0.0)
 
 
 def read_record(path: str | Path) -> BeatnoteRecord:

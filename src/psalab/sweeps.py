@@ -7,26 +7,24 @@ bit for bit.  Grid points are independent work items: every point derives
 its own RNG seed from (master seed, point index), so results cannot
 depend on evaluation order.
 
-Two pipelines are supported.  ``model_exact`` evaluates the measurement
-equations in closed form; ``full_beatnote`` synthesizes cell-on/cell-off
-records and pushes them through the spectral-peak analyzer.  Noiseless,
-the two agree on every reported series, which is the central cross-module
-check.
+The two pipelines differ only in how they obtain the DC, delta and 2*delta
+spectrum peaks: ``model_exact`` in closed form, ``full_beatnote`` from
+synthesized cell-on/cell-off records.  Noiseless, they agree on every
+reported series, which is the central cross-module check.
 
-The measured gain is the 2*delta peak ratio: for unequal seeds that equals
-sqrt(G_s * G_i), so the transfer-curve runner reports the signal gain G_s
-separately and restricts the beatnote pipeline to equal seeds, where the
-cosine readout of the output phase is exact.  Phase-insensitive gain is
-read from the delta-peak ratio rho = |on|/|off| (pump-signal beat, the
-only beat present without an idler seed) inverted through the two-mode
-constraint cosh^2 - sinh^2 = 1: g_pia = ((rho + 1/rho)/2)**2, which makes
-the implied maximum gain rho**2 agree exactly with the seeded measurement.
+The measured gain is the 2*delta peak ratio, sqrt(G_s * G_i): a transfer
+curve of unequal seeds reports G_s and G_i from the evolved fields, so only
+model_exact runs one.  Phase-insensitive gain is read from the delta-peak
+ratio rho = |on|/|off| (pump-signal beat, the only beat present without an
+idler seed) inverted through cosh^2 - sinh^2 = 1: g_pia = ((rho + 1/rho)/2)**2,
+which makes the implied maximum gain rho**2 agree exactly with the seeded one.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -126,33 +124,30 @@ class ScanSpec:
                     "detuning_spectrum needs a power-driven amplifier "
                     "(set amplifier.pump_power, leave amplifier.r unset)"
                 )
-        if self.pipeline == "full_beatnote":
+        beatnote = self.pipeline == "full_beatnote"
+        if self.kind == "transfer_curve" or (beatnote and self.kind == "pia_compare"):
+            # The phase readout and the PIA ratio beat the seeds against the pump.
+            pump = self.detection.residual_pump_intensity
+            check_number("detection.residual_pump_intensity", pump, 0.0, strict=True)
+        if beatnote:
             if self.kind == "transfer_curve" and self.input_ratio != 1.0:
                 raise DomainError(
                     "full_beatnote transfer curves need equal signal/idler seeds "
                     "(input_ratio = 1); the cosine phase readout assumes the reduced "
                     "beatnote form.  Run mixed seeds through model_exact."
                 )
-            if self.kind == "pia_compare" and self.detection.residual_pump_intensity <= 0.0:
+            # The records sample the beat at the detuning; a spectrum scales from it.
+            detuning = check_number("amplifier.detuning", self.amplifier.detuning, 0.0, strict=True)
+            if self.kind == "detuning_spectrum" and min(self.grid) == 0.0:
                 raise DomainError(
-                    "full_beatnote pia_compare needs residual_pump_intensity > 0 "
-                    "(the pump-signal beat is the only observable without an idler seed)"
+                    "full_beatnote detuning grid holds delta = 0 kHz: the non-degenerate "
+                    "beat is undefined at delta = 0; start the grid above 0 or run model_exact"
                 )
-            if self.kind == "detuning_spectrum":
-                if self.amplifier.detuning <= 0.0:
-                    raise DomainError(
-                        "full_beatnote detuning_spectrum scales the sampling from "
-                        "amplifier.detuning, which must be > 0"
-                    )
-                if min(self.grid) == 0.0:
-                    raise DomainError(
-                        "full_beatnote detuning grid holds delta = 0 kHz: the non-degenerate "
-                        "beat is undefined at delta = 0; start the grid above 0 or run model_exact"
-                    )
-                for delta in self.grid:
+            try:
+                for delta in self.grid if self.kind == "detuning_spectrum" else (detuning,):
                     self.detection_for(delta).validate_for_delta(delta)
-            else:
-                self.detection.validate_for_delta(self.amplifier.detuning)
+            except DomainError as err:  # it names the detection field it bounds
+                raise DomainError(f"detection.{err}") from None
         self._validate_operating_points()
 
     def _validate_operating_points(self) -> None:
@@ -180,15 +175,17 @@ class ScanSpec:
         return [(amp.pump_power, amp.detuning)]
 
     def detection_for(self, delta: float) -> DetectionConfig:
-        """The detection config at one beat frequency.
-
-        Detuning sweeps keep samples-per-period constant by scaling the
-        sample rate with the beat frequency.
-        """
+        """The detection config at one beat frequency: detuning sweeps keep the
+        samples per period constant by scaling the sample rate with it."""
         cfg = self.detection
         if delta == self.amplifier.detuning:
             return cfg
         return replace(cfg, sample_rate=cfg.sample_rate / self.amplifier.detuning * delta)
+
+    def as_dict(self) -> dict:
+        """``dataclasses.asdict`` that shares the grid tuple instead of deep-copying each float."""
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {key: asdict(v) if is_dataclass(v) else v for key, v in values.items()}
 
     @property
     def master_seed(self) -> int:
@@ -222,65 +219,23 @@ def point_seed(master_seed: int, index: int) -> int:
 
 
 class _Pipeline:
+    """The measurement chain, written once over the pipelines' one seam, ``peaks``."""
+
     def __init__(self, spec: ScanSpec):
         self.spec = spec
         self.a_s, self.a_i = spec.input_fields()
+        self._seed = functools.lru_cache(None)(point_seed)  # a seed per grid point and run
+
+    def peaks(self, s_out, i_out, phases, delta: float, stream: int, points):
+        """(dc, at_delta, at_two_delta) of the ``stream`` record at each pump phase, a row
+        each; ``points`` is one grid index for all rows (they share its noise) or one per row."""
+        raise NotImplementedError
 
     def _outputs(self, r: float, loss: float, phases, idler: complex):
         """(s_out, i_out) after the loss, at phases wrapped as AmplifierParams stores them."""
         scale = math.sqrt(loss)
         phases = wrap_phase(np.asarray(phases, dtype=np.float64))
         return tuple(z * scale for z in evolve_block(self.a_s, idler, r, phases))
-
-
-class _ModelPipeline(_Pipeline):
-    """Closed-form evaluation of the noiseless measurement chain."""
-
-    def gain_extrema(self, r: float, loss: float, index: int, delta: float) -> tuple[float, float]:
-        if self.spec.input_ratio == 1.0:
-            return loss * math.exp(2.0 * r), loss * math.exp(-2.0 * r)
-        c, s = math.cosh(r), math.sinh(r)
-        kappa = abs(self.a_i) / abs(self.a_s)
-        top = (c + s * kappa) * (c + s / kappa)
-        bottom = abs(c - s * kappa) * abs(c - s / kappa)
-        return loss * top, loss * bottom
-
-    def scan_grid(self, r: float, loss: float, phases, transfer: bool) -> tuple[np.ndarray, ...]:
-        """Columns (gain,) or, for a transfer curve, (gain, gain_idler, cos_out) over the grid."""
-        s_out, i_out = self._outputs(r, loss, phases, self.a_i)
-        # hypot and float_power round as Python's abs(complex) and float ** 2.
-        s_abs, i_abs = np.hypot(s_out.real, s_out.imag), np.hypot(i_out.real, i_out.imag)
-        if not transfer:  # the 2*delta peak ratio, loss * sqrt(G_s * G_i)
-            return (s_abs * i_abs / (abs(self.a_s) * abs(self.a_i)),)
-        gain = np.float_power(s_abs, 2.0) / abs(self.a_s) ** 2
-        gain_idler = np.float_power(i_abs, 2.0) / abs(self.a_i) ** 2
-        return gain, gain_idler, np.cos(wrap_phase(np.angle(s_out) - phases))
-
-    def pia_rho(self, r: float, loss: float, index: int, delta: float) -> float:
-        """delta-peak on/off amplitude ratio with an unseeded idler."""
-        return math.sqrt(loss) * (math.cosh(r) + math.sinh(r))
-
-
-class _BeatnotePipeline(_Pipeline):
-    """Record synthesis plus peak extraction, seeded per grid point.
-
-    Records are synthesized and read as (P, N) blocks: P pump phases of
-    one grid point, or up to RECORD_BLOCK grid points of a scan.
-    """
-
-    def _seeds(self, indices) -> list[int] | None:
-        """Noise seeds of the grid points; noiseless records draw none."""
-        noisy = self.spec.detection.noise_sigma > 0.0
-        return [point_seed(self.spec.master_seed, k) for k in indices] if noisy else None
-
-    def _peaks(self, s_out, i_out, phases, delta, stream, seeds):
-        cfg = self.spec.detection_for(delta)
-        block = synthesize_block(s_out, i_out, phases, delta, cfg, stream, seeds)
-        return block_peaks(block, cfg.sample_rate, delta)
-
-    def _on_peaks(self, r, loss, phases, delta, seeds, idler):
-        s_out, i_out = self._outputs(r, loss, phases, idler)
-        return self._peaks(s_out, i_out, phases, delta, CELL_ON, seeds)
 
     def gain_extrema(self, r: float, loss: float, index: int, delta: float) -> tuple[float, float]:
         """Measured gains at the pump phases of largest and smallest gain.
@@ -292,11 +247,11 @@ class _BeatnotePipeline(_Pipeline):
         the gain is measured again at the largest and smallest.  One cell-off
         row serves the search: its 2*delta peak ignores the pump phase.
         """
-        seeds = self._seeds((index,))
-        off_dc, _, reference = self._peaks(self.a_s, self.a_i, 0.0, delta, CELL_OFF, seeds)
+        off_dc, _, reference = self.peaks(self.a_s, self.a_i, (0.0,), delta, CELL_OFF, index)
 
         def gain(phases) -> np.ndarray:
-            on = self._on_peaks(r, loss, phases, delta, seeds, self.a_i)[2]
+            s_out, i_out = self._outputs(r, loss, phases, self.a_i)
+            on = self.peaks(s_out, i_out, phases, delta, CELL_ON, index)[2]
             return gain_ratio(on, reference, off_dc)
 
         gains = gain(_EXTREMA_PHASES)
@@ -309,20 +264,23 @@ class _BeatnotePipeline(_Pipeline):
         return tuple(gain(0.5 * x[[np.argmax(shape), np.argmin(shape)]] % math.pi))
 
     def scan_grid(self, r: float, loss: float, phases, transfer: bool) -> tuple[np.ndarray, ...]:
-        """Columns (gain,) or (gain, gain, cos_out) over the grid, RECORD_BLOCK points at a time.
-
-        Each grid point keeps its own on/off record pair and noise seed.
-        """
-        delta = self.spec.amplifier.detuning
-        blocks = []
-        for start in range(0, len(phases), RECORD_BLOCK):
-            block = phases[start : start + RECORD_BLOCK]
-            seeds = self._seeds(range(start, start + len(block)))
-            _, on_delta, on_two_delta = self._on_peaks(r, loss, block, delta, seeds, self.a_i)
-            off_dc, _, reference = self._peaks(self.a_s, self.a_i, block, delta, CELL_OFF, seeds)
-            gain = gain_ratio(on_two_delta, reference, off_dc)
-            blocks.append((gain, gain, self._cos_out(on_delta, gain)) if transfer else (gain,))
-        return tuple(np.concatenate(column) for column in zip(*blocks))
+        """Columns (gain,) or, for a transfer curve, (gain, gain_idler, cos_out) over the grid;
+        each grid point keeps its own on/off record pair and noise seed."""
+        phases = np.asarray(phases, dtype=np.float64)
+        s_out, i_out = self._outputs(r, loss, phases, self.a_i)
+        if transfer and self.spec.input_ratio != 1.0:
+            # No peak ratio gives G_s, G_i or the signal phase of unequal seeds.
+            # hypot and float_power round as Python's abs(complex) and float ** 2.
+            gain, gain_idler = (
+                np.float_power(np.hypot(z.real, z.imag), 2.0) / abs(a) ** 2
+                for z, a in ((s_out, self.a_s), (i_out, self.a_i))
+            )
+            return gain, gain_idler, np.cos(wrap_phase(np.angle(s_out) - phases))
+        delta, points = self.spec.amplifier.detuning, np.arange(phases.size)
+        _, on_delta, on_two_delta = self.peaks(s_out, i_out, phases, delta, CELL_ON, points)
+        off_dc, _, reference = self.peaks(self.a_s, self.a_i, phases, delta, CELL_OFF, points)
+        gain = gain_ratio(on_two_delta, reference, off_dc)
+        return (gain, gain, self._cos_out(on_delta, gain)) if transfer else (gain,)
 
     def _cos_out(self, on_delta: np.ndarray, gain: np.ndarray) -> np.ndarray:
         cfg = self.spec.detection
@@ -336,13 +294,55 @@ class _BeatnotePipeline(_Pipeline):
         return cos_readout(on_delta, cfg.residual_pump_intensity, gain, i_s, clamp_tol)
 
     def pia_rho(self, r: float, loss: float, index: int, delta: float) -> float:
-        seeds = self._seeds((index,))
-        _, on, _ = self._on_peaks(r, loss, (0.0,), delta, seeds, 0j)
-        _, off, _ = self._peaks(self.a_s, 0j, 0.0, delta, CELL_OFF, seeds)
-        reference = abs(off[0])
-        if reference <= 0.0:
-            raise DomainError("no pump-signal reference beat in the cell-off record")
-        return abs(on[0]) / reference
+        """delta-peak on/off amplitude ratio with an unseeded idler."""
+        s_out, i_out = self._outputs(r, loss, (0.0,), 0j)
+        _, on, _ = self.peaks(s_out, i_out, (0.0,), delta, CELL_ON, index)
+        _, off, _ = self.peaks(self.a_s, 0j, (0.0,), delta, CELL_OFF, index)
+        return abs(on[0]) / abs(off[0])  # ScanSpec refuses a beatnote PIA without the pump
+
+
+class _ModelPipeline(_Pipeline):
+    """Closed-form peaks of noiseless records, plus closed-form extrema and PIA
+    ratio in place of the measured ones: they are the oracle, and faster."""
+
+    def peaks(self, s_out, i_out, phases, delta, stream, points):
+        i_p = self.spec.detection.residual_pump_intensity
+        lo = np.exp(1j * np.asarray(phases, dtype=np.float64))
+        dc = i_p + np.abs(s_out) ** 2 + np.abs(i_out) ** 2
+        at_delta = 2.0 * math.sqrt(i_p) * (s_out * lo.conjugate() + np.conjugate(i_out) * lo)
+        return dc, at_delta, 2.0 * s_out * np.conjugate(i_out)
+
+    def gain_extrema(self, r: float, loss: float, index: int, delta: float) -> tuple[float, float]:
+        if self.spec.input_ratio == 1.0:
+            return loss * math.exp(2.0 * r), loss * math.exp(-2.0 * r)
+        c, s = math.cosh(r), math.sinh(r)
+        kappa = abs(self.a_i) / abs(self.a_s)
+        top = (c + s * kappa) * (c + s / kappa)
+        bottom = abs(c - s * kappa) * abs(c - s / kappa)
+        return loss * top, loss * bottom
+
+    def pia_rho(self, r: float, loss: float, index: int, delta: float) -> float:
+        return math.sqrt(loss) * (math.cosh(r) + math.sinh(r))
+
+
+class _BeatnotePipeline(_Pipeline):
+    """Peaks read from synthesized records, seeded per grid point."""
+
+    def peaks(self, s_out, i_out, phases, delta, stream, points):
+        """Records synthesized and read as (P, N) blocks of at most RECORD_BLOCK rows."""
+        if len(phases) > RECORD_BLOCK:
+            s, i, phi, k = np.broadcast_arrays(s_out, i_out, phases, points)
+            blocks = [
+                self.peaks(s[rows], i[rows], phi[rows], delta, stream, k[rows])
+                for rows in (slice(n, n + RECORD_BLOCK) for n in range(0, len(phi), RECORD_BLOCK))
+            ]
+            return tuple(np.concatenate(column) for column in zip(*blocks))
+        cfg = self.spec.detection_for(delta)
+        seeds = None
+        if cfg.noise_sigma > 0.0:  # noiseless records draw none; a point's records share one
+            seeds = [self._seed(self.spec.master_seed, int(k)) for k in np.atleast_1d(points)]
+        block = synthesize_block(s_out, i_out, phases, delta, cfg, stream, seeds)
+        return block_peaks(block, cfg.sample_rate, delta)
 
 
 def _pipeline(spec: ScanSpec):
@@ -353,7 +353,7 @@ def _base_metadata(spec: ScanSpec, x_name: str) -> dict:
     return {
         "kind": spec.kind,
         "x_name": x_name,
-        "scan_spec": asdict(spec),
+        "scan_spec": spec.as_dict(),
         "master_seed": spec.master_seed,
         "version": __version__,
     }

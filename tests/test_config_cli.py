@@ -328,6 +328,41 @@ class TestCliSweeps:
         assert capsys.readouterr().err.startswith(f"psalab: config error: {key}: ")
         assert not list(tmp_path.glob("*.csv"))
 
+    @pytest.mark.parametrize(
+        "command, kind, keys, key",
+        [
+            ("power-sweep", "power_sweep", {"amplifier": {"detuning": 1e200}},
+             "scan.detection.sample_rate"),
+            ("phase-scan", "phase_scan", {"detection": {"sample_rate": 30}},
+             "scan.detection.sample_rate"),
+            ("phase-scan", "phase_scan", {"detection": {"n_samples": 1999}},
+             "scan.detection.n_samples"),
+            ("spectrum", "detuning_spectrum", {"grid": [10, 20], "detection": {"n_samples": 150}},
+             "scan.detection.n_samples"),
+            ("phase-scan", "phase_scan", {"amplifier": {"detuning": 0}}, "scan.amplifier.detuning"),
+        ],
+        ids=["huge_detuning", "slow_sampling", "fractional_periods", "spectrum_periods", "no_beat"],
+    )
+    def test_sampling_errors_name_their_key(self, tmp_path, capsys, command, kind, keys, key):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"scan": {"kind": kind, "pipeline": "full_beatnote", **keys}}))
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"psalab: config error: {key}: ")
+        assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("scan", [{}, {"input_ratio": 1.78}, {"pipeline": "full_beatnote"}],
+                             ids=["model_exact", "model_exact_mixed", "full_beatnote"])
+    def test_transfer_without_local_oscillator_exits_config(self, tmp_path, capsys, scan):
+        # The cosine readout of the output phase beats against the residual pump.
+        doc = {"scan": {"kind": "transfer_curve", "detection": {"residual_pump_intensity": 0},
+                        **scan}}
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["transfer", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("psalab: config error: scan.detection.residual_pump_intensity: ")
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_io_failure_exit_code(self, tmp_path):
         blocker = tmp_path / "file"
         blocker.write_text("x")
@@ -544,6 +579,44 @@ class TestCliSynthAnalyze:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert str(path) in captured.err and message in captured.err
+
+    @staticmethod
+    def _one_sample_binary(blob: bytes) -> bytes:
+        head = struct.calcsize("<IddQ")
+        version, sample_rate, delta, _ = struct.unpack("<IddQ", blob[4 : 4 + head])
+        return blob[:4] + struct.pack("<IddQ", version, sample_rate, delta, 1) + blob[-8:]
+
+    @staticmethod
+    def _negative_rate_binary(blob: bytes) -> bytes:
+        head = struct.calcsize("<IddQ")
+        version, sample_rate, delta, n = struct.unpack("<IddQ", blob[4 : 4 + head])
+        return blob[:4] + struct.pack("<IddQ", version, -sample_rate, delta, n) + blob[4 + head :]
+
+    @pytest.mark.parametrize(
+        "emit, edit, message",
+        [
+            ("csv", lambda text: text.replace("# rng_seed=0", "# rng_seed=-1"), "rng_seed: "),
+            ("csv", lambda text: "\n".join(text.splitlines()[:8]) + "\n", "n_samples: "),
+            ("csv", lambda text: text.replace("sample_rate_khz=100", "sample_rate_khz=-100"),
+             "sample_rate: "),
+            ("binary", _one_sample_binary, "n_samples: "),
+            ("binary", _negative_rate_binary, "sample_rate: "),
+        ],
+        ids=["csv_negative_seed", "csv_one_sample", "csv_negative_rate", "binary_one_sample",
+             "binary_negative_rate"],
+    )
+    def test_analyze_rejects_out_of_range_header(self, tmp_path, capsys, emit, edit, message):
+        main(["synth", "--out", str(tmp_path), "--name", "rec", "--emit", emit, "--quiet"])
+        path = tmp_path / ("rec.csv" if emit == "csv" else "rec.bin")
+        if emit == "csv":
+            path.write_text(edit(path.read_text()))
+        else:
+            path.write_bytes(edit(path.read_bytes()))
+        capsys.readouterr()
+        assert main(["analyze", str(path)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"psalab: config error: {path}: {message}")
 
     def test_analyze_rejects_nan_in_binary_record(self, tmp_path, capsys):
         main(["synth", "--out", str(tmp_path), "--name", "rec", "--emit", "binary", "--quiet"])

@@ -27,7 +27,8 @@ from psalab import (
     synthesize_beatnote,
 )
 from psalab import sweeps
-from psalab.beatnote import CELL_OFF
+from psalab.analyzer import block_peaks
+from psalab.beatnote import CELL_OFF, CELL_ON, synthesize_block
 from psalab.serialize import sweep_csv_bytes, sweep_json_bytes
 from psalab.sweeps import run_power_sweep
 
@@ -343,6 +344,71 @@ class TestBeatnoteExtremumSearch:
             g_max, g_min = res.columns["g_max"][idx], res.columns["g_min"][idx]
             assert g_max >= max(dense) - 1e-12 * g_max
             assert g_min <= min(dense) + 1e-12
+
+
+class TestPeakSeam:
+    """The pipelines differ only in ``peaks``; the measured chain above it is shared."""
+
+    def test_pipelines_define_only_their_seam(self):
+        def own(cls):
+            return {name for name in vars(cls) if not name.startswith("__")}
+
+        assert own(sweeps._BeatnotePipeline) == {"peaks"}
+        assert own(sweeps._ModelPipeline) == {"peaks", "gain_extrema", "pia_rho"}
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_model_peaks_equal_read_records(self, seed):
+        rng = np.random.default_rng(seed)
+        rows = int(rng.integers(1, sweeps.RECORD_BLOCK + 1))
+        delta = float(rng.uniform(0.5, 50.0))
+        per_period, periods = int(rng.integers(20, 49)), int(rng.integers(4, 13))
+        detection = DetectionConfig(
+            sample_rate=per_period * delta,
+            n_samples=per_period * periods,
+            residual_pump_intensity=float(rng.uniform(0.05, 2.0)),
+        )
+        spec = phase_spec(amplifier=AmplifierParams(r=R_53, detuning=delta), detection=detection)
+        s_out, i_out = (rng.normal(0.0, 2.0, rows) + 1j * rng.normal(0.0, 2.0, rows) for _ in "si")
+        phases = rng.uniform(-2.0 * math.pi, 2.0 * math.pi, rows)
+
+        model = sweeps._ModelPipeline(spec).peaks(s_out, i_out, phases, delta, CELL_ON, 0)
+        block = synthesize_block(s_out, i_out, phases, delta, detection, CELL_ON)
+        read = block_peaks(block, detection.sample_rate, delta)
+        scale = (math.sqrt(detection.residual_pump_intensity) + np.abs(s_out) + np.abs(i_out)) ** 2
+        for name, a, b in zip(("dc", "at_delta", "at_two_delta"), model, read):
+            assert np.all(np.abs(a - b) <= 1e-12 * scale), name
+
+    def test_each_point_derives_its_seed_once_per_run(self, monkeypatch):
+        derived = Counter()
+        seed = sweeps.point_seed
+
+        def counting(master, k):
+            derived[k] += 1
+            return seed(master, k)
+
+        monkeypatch.setattr(sweeps, "point_seed", counting)
+        detection = DetectionConfig(noise_sigma=0.05, rng_seed=3)
+        for spec in (
+            ScanSpec(kind="pia_compare", grid=(0.0, 40.0, 80.0), detection=detection,
+                     pipeline="full_beatnote"),
+            phase_spec(detection=detection, pipeline="full_beatnote"),
+        ):
+            derived.clear()
+            run_scan(spec)
+            assert derived == Counter(range(len(spec.grid)))
+
+    @pytest.mark.parametrize("ratio", [1.0, 1.78, 0.3])
+    def test_measured_route_matches_closed_forms(self, ratio):
+        # The shared estimator, run on closed-form peaks: no record is synthesized.
+        spec = ScanSpec(kind="pia_compare", grid=(0.0, 80.0), input_ratio=ratio)
+        pipe = sweeps._ModelPipeline(spec)
+        for index, power in enumerate((0.0, 5.0, 30.0, 80.0)):
+            for delta in (2.0, 140.0):
+                point = (*effective_r(power, delta, spec.calibration), index, delta)
+                measured = sweeps._Pipeline.gain_extrema(pipe, *point)
+                assert measured == pytest.approx(pipe.gain_extrema(*point), rel=1e-12, abs=0.0)
+                rho = sweeps._Pipeline.pia_rho(pipe, *point)
+                assert rho == pytest.approx(pipe.pia_rho(*point), rel=1e-12, abs=0.0)
 
 
 class TestPipelineEquivalence:
