@@ -1,0 +1,127 @@
+#!/usr/bin/env python3
+"""Hash every stock output of psalab, so two versions can be compared byte for byte.
+
+Writes into a temporary directory, then prints one ``sha256  name`` line
+per file, sorted by name:
+
+- the six stock campaigns of ``run_campaigns.py`` under both pipelines,
+  at noise_sigma 0 and 0.05, as csv, json and binary;
+- the five sweep subcommands run through the CLI (csv and binary, plus
+  their summary lines on stdout);
+- ``psalab synth`` records: cell-on, cell-off and a noisy mixed-seed
+  record, as csv and binary;
+- a transfer histogram written by ``psalab histogram``;
+- the ``--help`` text of ``psalab`` and of every subcommand.
+
+A campaign that raises is hashed as its error message.  Run it on two
+checkouts and diff the output; an empty diff means identical bytes:
+
+    PYTHONPATH=src python scripts/hash_outputs.py --seed 7
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import importlib.util
+import io
+import json
+import os
+import tempfile
+from dataclasses import replace
+from pathlib import Path
+
+from psalab import run_scan
+from psalab.cli import main as cli_main
+from psalab.errors import PsalabError
+from psalab.serialize import write_sweep
+
+SIGMAS = (0.0, 0.05)
+PIPELINES = ("model_exact", "full_beatnote")
+SWEEPS = ("phase-scan", "power-sweep", "pia-compare", "spectrum", "transfer")
+SUBCOMMANDS = (*SWEEPS, "histogram", "synth", "analyze")
+
+
+def _campaign_specs(seed: int, pipeline: str) -> dict:
+    """``campaign_specs`` of the campaign script beside this one."""
+    path = Path(__file__).with_name("run_campaigns.py")
+    spec = importlib.util.spec_from_file_location("run_campaigns", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.campaign_specs(seed, pipeline)
+
+
+def _cli(argv: list[str]) -> str:
+    """Standard output of one in-process CLI call, with its exit code."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+        try:
+            code = cli_main(argv)
+        except SystemExit as stop:  # --help
+            code = stop.code
+    return f"{out.getvalue()}exit {code}\n"
+
+
+def write_outputs(seed: int, outdir: Path) -> None:
+    """Every hashed output of one seed, as files in ``outdir``."""
+    for pipeline in PIPELINES:
+        for sigma in SIGMAS:
+            for name, spec in _campaign_specs(seed, pipeline).items():
+                spec = replace(spec, detection=replace(spec.detection, noise_sigma=sigma))
+                base = f"campaign_{pipeline}_sigma{sigma:g}_{name}"
+                try:
+                    write_sweep(run_scan(spec), outdir, ("csv", "json", "binary"), base)
+                except PsalabError as err:
+                    (outdir / f"{base}.error").write_text(f"{type(err).__name__}: {err}\n")
+
+    common = ["--seed", str(seed), "--out", str(outdir)]
+    stdout = {}
+    for sub in SWEEPS:
+        stdout[f"cli_{sub}"] = _cli([sub, *common, "--emit", "csv,binary", "--name", f"cli_{sub}"])
+    noisy = outdir / "noisy.json"
+    noisy_scan = {"input_ratio": 1.78, "detection": {"noise_sigma": 0.05}}
+    noisy.write_text(json.dumps({"scan": noisy_scan}))
+    records = {"synth_on": [], "synth_off": ["--cell-off"], "synth_noisy": ["--config", str(noisy)]}
+    for name, extra in records.items():
+        _cli(["synth", *common, "--emit", "csv,binary", "--name", name, "--quiet", *extra])
+    transfer = outdir / "campaign_full_beatnote_sigma0_transfer_pure.csv"
+    stdout["cli_histogram"] = _cli(["histogram", str(transfer), "--quiet"])
+    stdout["cli_analyze"] = _cli(["analyze", str(outdir / "synth_noisy.bin")])
+
+    columns = os.environ.get("COLUMNS")
+    os.environ["COLUMNS"] = "80"  # argparse wraps help text to the terminal width
+    try:
+        stdout["help_psalab"] = _cli(["--help"])
+        for sub in SUBCOMMANDS:
+            stdout[f"help_{sub}"] = _cli([sub, "--help"])
+    finally:
+        if columns is None:
+            del os.environ["COLUMNS"]
+        else:
+            os.environ["COLUMNS"] = columns
+    for name, text in stdout.items():
+        (outdir / f"{name}.stdout").write_text(text.replace(str(outdir), "<out>"))
+    noisy.unlink()
+
+
+def hash_lines(seed: int) -> list[str]:
+    """``sha256  name`` of every output of ``write_outputs``, sorted by name."""
+    with tempfile.TemporaryDirectory() as tmp:
+        outdir = Path(tmp)
+        write_outputs(seed, outdir)
+        return [
+            f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.name}"
+            for path in sorted(outdir.iterdir())
+        ]
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seed", type=int, default=7, help="master RNG seed (default 7)")
+    args = parser.parse_args()
+    print("\n".join(hash_lines(args.seed)))
+
+
+if __name__ == "__main__":
+    main()

@@ -47,11 +47,13 @@ class SpectrumPeaks:
     bin_resolution: float
 
 
-def _bin_index(frequency: float, bin_resolution: float, n: int) -> int:
-    k = frequency / bin_resolution
-    if abs(k - round(k)) > 1e-9 * max(1.0, abs(k)):
+def bin_index(frequency: float, sample_rate: float, n: int) -> int:
+    """FFT bin of a tone in an n-sample record; off the bin grid, at DC or past Nyquist raises."""
+    resolution = sample_rate / n
+    k = frequency / resolution if resolution > 0.0 else math.inf
+    if not math.isfinite(k) or abs(k - round(k)) > 1e-9 * max(1.0, abs(k)):
         raise DomainError(
-            f"frequency {frequency} is off the FFT bin grid (resolution {bin_resolution})"
+            f"frequency {frequency} is off the FFT bin grid (resolution {resolution})"
         )
     k = int(round(k))
     if not 0 < k < n // 2:
@@ -66,8 +68,7 @@ def _bin_rows(n: int, sample_rate: float, delta: float) -> np.ndarray:
     The bin rows are scaled to single-sided amplitudes, and their angle is
     reduced as (k*m) mod n first, so it stays exact for long records.
     """
-    resolution = sample_rate / n
-    k = np.array([[_bin_index(delta, resolution, n)], [_bin_index(2.0 * delta, resolution, n)]])
+    k = np.array([[bin_index(delta, sample_rate, n)], [bin_index(2.0 * delta, sample_rate, n)]])
     angle = (2.0 * math.pi / n) * ((k * np.arange(n)) % n)
     cos, sin = (2.0 / n) * np.cos(angle), (2.0 / n) * np.sin(angle)
     rows = np.stack([np.full(n, 1.0 / n), cos[0], -sin[0], cos[1], -sin[1]])
@@ -172,6 +173,13 @@ def extract_cos_phase(
     return float(cos_readout(signed, i_p, gain, i_s_in, clamp_tol))
 
 
+def _nearest_branch(principal: float, previous: float) -> float:
+    """The branch +-principal + 2*pi*k closest to ``previous``; +principal wins ties."""
+    up = principal + TWO_PI * round((previous - principal) / TWO_PI)
+    down = -principal + TWO_PI * round((previous + principal) / TWO_PI)
+    return down if abs(down - previous) < abs(up - previous) else up
+
+
 def reconstruct_phase(
     cos_phi: float,
     branch: str = "principal",
@@ -194,8 +202,7 @@ def reconstruct_phase(
         raise DomainError(f"branch must be 'principal' or 'continuity', got {branch!r}")
     if previous is None:
         raise DomainError("continuity branch needs the previously reconstructed phase")
-    turns = [c + TWO_PI * round((previous - c) / TWO_PI) for c in (principal, -principal)]
-    return float(min(turns, key=lambda value: abs(value - previous)))
+    return _nearest_branch(principal, float(previous))
 
 
 def unwrap_cos_scan(cos_values: np.ndarray) -> np.ndarray:
@@ -214,12 +221,15 @@ def unwrap_cos_scan(cos_values: np.ndarray) -> np.ndarray:
     values = np.asarray(cos_values, dtype=np.float64)
     if values.ndim != 1 or values.size == 0:
         raise DomainError("cosine scan must be a non-empty 1-D sequence")
-    out = np.empty_like(values)
-    out[0] = reconstruct_phase(float(values[0]), "principal")
-    for k in range(1, values.size):
-        predicted = out[k - 1] if k == 1 else 2.0 * out[k - 1] - out[k - 2]
-        out[k] = reconstruct_phase(float(values[k]), "continuity", previous=float(predicted))
-    return out
+    for bad in values[~(np.abs(values) <= 1.0 + DEFAULT_CLAMP_TOL)][:1]:
+        reconstruct_phase(float(bad))  # raises the first bad point's own error
+    # math.acos per value: np.arccos need not round like libm.
+    principal = list(map(math.acos, np.clip(values, -1.0, 1.0).tolist()))
+    out = principal[:1]
+    for k in range(1, len(principal)):
+        predicted = out[0] if k == 1 else 2.0 * out[k - 1] - out[k - 2]
+        out.append(_nearest_branch(principal[k], predicted))
+    return np.array(out)
 
 
 def phase_histogram(phases, n_bins: int) -> tuple[np.ndarray, np.ndarray]:

@@ -164,11 +164,12 @@ def synthesize_block(
     re *= re
     im *= im
     trace = np.add(re, im, out=re)
-    if cfg.noise_sigma > 0.0:
-        trace += np.stack([
-            _rng_for(seed, stream).normal(0.0, cfg.noise_sigma, cfg.n_samples)
-            for seed in ((cfg.rng_seed,) if seeds is None else seeds)
-        ])
+    if cfg.noise_sigma > 0.0:  # normal(0, sigma) is 0 + sigma*z: draw z into one block
+        seeds = (cfg.rng_seed,) if seeds is None else seeds
+        noise = np.empty((len(seeds), cfg.n_samples))
+        for seed, row in zip(seeds, noise):
+            _rng_for(seed, stream).standard_normal(out=row)
+        trace += np.multiply(noise, cfg.noise_sigma, out=noise)
     return trace
 
 

@@ -26,6 +26,7 @@ from .serialize import (
     histogram_to_csv,
     read_record,
     read_sweep_csv,
+    read_text,
     record_to_binary,
     record_to_csv,
     write_sweep,
@@ -38,12 +39,13 @@ EXIT_CONFIG = 2
 EXIT_DOMAIN = 3
 EXIT_IO = 4
 
-_SUBCOMMAND_KINDS = {
-    "phase-scan": "phase_scan",
-    "power-sweep": "power_sweep",
-    "pia-compare": "pia_compare",
-    "spectrum": "detuning_spectrum",
-    "transfer": "transfer_curve",
+# Sweep subcommands: name -> (scan kind, help line).
+_SWEEP_COMMANDS = {
+    "phase-scan": ("phase_scan", "gain versus scanned input phase"),
+    "power-sweep": ("power_sweep", "extremal gains versus pump power"),
+    "pia-compare": ("pia_compare", "seeded versus unseeded-idler gain"),
+    "spectrum": ("detuning_spectrum", "extremal gains versus pump-signal detuning"),
+    "transfer": ("transfer_curve", "phase-to-phase transfer curve"),
 }
 
 _EPILOG = f"""\
@@ -63,11 +65,9 @@ def _load_document(path: str | None) -> dict:
     if path is None:
         return {}
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        return json.loads(read_text(path))
     except OSError as err:
         raise ConfigError(f"cannot read config {path}: {err}") from None
-    try:
-        return json.loads(text)
     except json.JSONDecodeError as err:
         raise ConfigError(f"{path} is not valid JSON: {err}") from None
 
@@ -202,20 +202,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", metavar="PATH", help="JSON run configuration")
-    parser.add_argument("--seed", type=int, metavar="U64", help="override the master RNG seed")
-    parser.add_argument("--out", metavar="DIR", help="output directory")
-    parser.add_argument(
-        "--emit", metavar="LIST", help="comma-separated output formats: csv,json,binary"
-    )
-    parser.add_argument(
-        "--strict", action="store_true", help="treat unknown config keys as errors"
-    )
-    parser.add_argument("--quiet", action="store_true", help="suppress the summary line")
-    parser.add_argument("--name", metavar="BASE", help="basename for output files")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="psalab",
@@ -228,17 +214,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"psalab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    descriptions = {
-        "phase-scan": "gain versus scanned input phase",
-        "power-sweep": "extremal gains versus pump power",
-        "pia-compare": "seeded versus unseeded-idler gain",
-        "spectrum": "extremal gains versus pump-signal detuning",
-        "transfer": "phase-to-phase transfer curve",
-    }
-    for name, kind in _SUBCOMMAND_KINDS.items():
-        sp = sub.add_parser(name, help=descriptions[name])
-        _add_common(sp)
+    common = argparse.ArgumentParser(add_help=False)  # the run flags, declared once
+    common.add_argument("--config", metavar="PATH", help="JSON run configuration")
+    common.add_argument("--seed", type=int, metavar="U64", help="override the master RNG seed")
+    common.add_argument("--out", metavar="DIR", help="output directory")
+    common.add_argument(
+        "--emit", metavar="LIST", help="comma-separated output formats: csv,json,binary"
+    )
+    common.add_argument("--strict", action="store_true", help="treat unknown config keys as errors")
+    common.add_argument("--quiet", action="store_true", help="suppress the summary line")
+    common.add_argument("--name", metavar="BASE", help="basename for output files")
+    for name, (kind, description) in _SWEEP_COMMANDS.items():
+        sp = sub.add_parser(name, help=description, parents=[common])
         sp.set_defaults(func=lambda args, kind=kind: _cmd_sweep(args, kind))
 
     hist = sub.add_parser("histogram", help="bin the output phases of a transfer CSV")
@@ -251,8 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     hist.add_argument("--quiet", action="store_true", help="suppress the summary line")
     hist.set_defaults(func=_cmd_histogram)
 
-    synth = sub.add_parser("synth", help="emit one raw beatnote record")
-    _add_common(synth)
+    synth = sub.add_parser("synth", help="emit one raw beatnote record", parents=[common])
     synth.add_argument(
         "--cell-off", action="store_true", help="emit the unamplified reference record"
     )

@@ -33,6 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .analyzer import bin_index
 from .beatnote import BeatnoteRecord, DetectionConfig
 from .errors import ConfigError, DomainError
 
@@ -47,17 +48,21 @@ def fmt17(value: float) -> str:
     return format(float(value), ".17g")
 
 
+def _csv_bytes(head: list[str], columns, row_format: str | None = None) -> bytes:
+    """``head`` lines, then one line per row of ``columns``: one %-format per
+    row, each value as ``fmt17`` renders it unless ``row_format`` says otherwise."""
+    row_format = row_format or ",".join(["%.17g"] * len(columns))
+    rows = [row_format % row for row in zip(*(np.asarray(c).tolist() for c in columns))]
+    return ("\n".join([*head, *rows]) + "\n").encode("utf-8")
+
+
 # ---------------------------------------------------------------------------
 # sweep results
 
 
 def sweep_csv_bytes(result) -> bytes:
     names = [result.metadata.get("x_name", "x"), *result.columns.keys()]
-    lines = [",".join(names)]
-    series = [result.x, *result.columns.values()]
-    for row in zip(*series):
-        lines.append(",".join(fmt17(v) for v in row))
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    return _csv_bytes([",".join(names)], [result.x, *result.columns.values()])
 
 
 def sweep_json_bytes(result) -> bytes:
@@ -94,9 +99,17 @@ def _require_finite(path, what: str, values) -> np.ndarray:
     return arr
 
 
+def read_text(path: str | Path) -> str:
+    """The UTF-8 text of an input file; bytes that do not decode are the file's fault."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"{path}: not UTF-8 text: {err}") from None
+
+
 def read_sweep_csv(path: str | Path) -> tuple[list[str], np.ndarray]:
     """Parse a sweep CSV back into (column names, 2-D value array)."""
-    text = Path(path).read_text(encoding="utf-8")
+    text = read_text(path)
     lines = [line for line in text.splitlines() if line.strip()]
     if len(lines) < 2:
         raise ConfigError(f"{path}: sweep CSV has no data rows")
@@ -113,11 +126,9 @@ def read_sweep_csv(path: str | Path) -> tuple[list[str], np.ndarray]:
 
 def histogram_to_csv(edges, counts, path: str | Path) -> Path:
     """Write histogram bins as ``bin_left,bin_right,count`` CSV rows."""
-    lines = ["bin_left,bin_right,count"]
-    for left, right, count in zip(edges[:-1], edges[1:], counts):
-        lines.append(f"{fmt17(left)},{fmt17(right)},{int(count)}")
+    columns = [edges[:-1], edges[1:], counts]
     path = Path(path)
-    path.write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+    path.write_bytes(_csv_bytes(["bin_left,bin_right,count"], columns, "%.17g,%.17g,%d"))
     return path
 
 
@@ -162,7 +173,7 @@ def write_sweep(
 
 def record_csv_bytes(rec: BeatnoteRecord) -> bytes:
     cfg = rec.config_echo
-    lines = [
+    head = [
         "# psalab beatnote record v1",
         f"# sample_rate_khz={fmt17(rec.sample_rate)}",
         f"# delta_khz={fmt17(rec.delta)}",
@@ -171,10 +182,7 @@ def record_csv_bytes(rec: BeatnoteRecord) -> bytes:
         f"# residual_pump_intensity={fmt17(cfg.residual_pump_intensity)}",
         "time_ms,intensity",
     ]
-    times = rec.times
-    for t, v in zip(times, rec.samples):
-        lines.append(f"{fmt17(t)},{fmt17(v)}")
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    return _csv_bytes(head, [rec.times, rec.samples])
 
 
 def record_to_csv(rec: BeatnoteRecord, path: str | Path) -> Path:
@@ -186,7 +194,7 @@ def record_to_csv(rec: BeatnoteRecord, path: str | Path) -> Path:
 def record_from_csv(path: str | Path) -> BeatnoteRecord:
     header: dict[str, str] = {}
     samples = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for line in read_text(path).splitlines():
         line = line.strip()
         if not line:
             continue
@@ -223,9 +231,15 @@ def _record(path, samples, sample_rate: float, delta: float, **detection) -> Bea
     samples = _require_finite(path, "record samples", samples)
     try:
         cfg = DetectionConfig(sample_rate=sample_rate, n_samples=samples.size, **detection)
-        return BeatnoteRecord(samples, sample_rate, delta, cfg)
+        record = BeatnoteRecord(samples, sample_rate, delta, cfg)
     except DomainError as err:
         raise ConfigError(f"{path}: {err}") from None
+    try:  # the analyzer reads the delta and 2*delta tones: each needs a usable bin
+        for tone in (delta, 2.0 * delta):
+            bin_index(tone, sample_rate, samples.size)
+    except DomainError as err:
+        raise ConfigError(f"{path}: delta: {err}") from None
+    return record
 
 
 def record_binary_bytes(rec: BeatnoteRecord) -> bytes:

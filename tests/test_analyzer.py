@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from psalab import (
     BeatnoteRecord,
@@ -21,7 +23,7 @@ from psalab import (
     wrap_phase,
 )
 
-from psalab.analyzer import block_peaks, cos_readout, gain_ratio
+from psalab.analyzer import DEFAULT_CLAMP_TOL, block_peaks, cos_readout, gain_ratio
 
 from conftest import dist_to_half_turns, signal_phase_direct
 
@@ -241,6 +243,69 @@ class TestReconstructPhase:
     def test_scan_rejects_empty(self):
         with pytest.raises(DomainError):
             unwrap_cos_scan(np.array([]))
+
+
+def unwrap_by_points(cos_values) -> np.ndarray:
+    """``unwrap_cos_scan`` as one ``reconstruct_phase`` call per point: the oracle."""
+    values = np.asarray(cos_values, dtype=np.float64)
+    if values.ndim != 1 or values.size == 0:
+        raise DomainError("cosine scan must be a non-empty 1-D sequence")
+    out = np.empty_like(values)
+    out[0] = reconstruct_phase(float(values[0]), "principal")
+    for k in range(1, values.size):
+        predicted = out[k - 1] if k == 1 else 2.0 * out[k - 1] - out[k - 2]
+        out[k] = reconstruct_phase(float(values[k]), "continuity", previous=float(predicted))
+    return out
+
+
+def outcome(unwrap, values):
+    """The bits an unwrap returns, or the error it raises."""
+    try:
+        return unwrap(values).view(np.int64).tolist()
+    except DomainError as err:
+        return f"DomainError: {err}"
+
+
+EDGE_COSINES = [1.0, -1.0, 0.0, -0.0, 1.0 + DEFAULT_CLAMP_TOL / 2, -1.0 - DEFAULT_CLAMP_TOL / 2]
+
+
+class TestUnwrapOracle:
+    """The bulk unwrap returns the per-point loop's bits and raises its errors."""
+
+    @given(st.lists(st.one_of(st.sampled_from(EDGE_COSINES),
+                              st.floats(-1.0 - DEFAULT_CLAMP_TOL / 2, 1.0 + DEFAULT_CLAMP_TOL / 2)),
+                    min_size=1, max_size=40))
+    @settings(max_examples=200)
+    def test_drawn_scans_bit_equal(self, values):
+        assert outcome(unwrap_cos_scan, values) == outcome(unwrap_by_points, values)
+
+    @given(st.lists(st.floats(-0.7, 0.7), min_size=1, max_size=64), st.floats(-4.0, 4.0))
+    @settings(max_examples=100)
+    def test_smooth_scans_bit_equal(self, steps, start):
+        cosines = np.cos(start + np.cumsum(steps))
+        assert outcome(unwrap_cos_scan, cosines) == outcome(unwrap_by_points, cosines)
+
+    def test_stock_transfer_bit_equal(self):
+        for r in (0.5, 1.5):
+            grid = np.linspace(-math.pi, math.pi, 512, endpoint=False)
+            cosines = np.cos([signal_phase_direct(d, r) for d in grid])
+            assert outcome(unwrap_cos_scan, cosines) == outcome(unwrap_by_points, cosines)
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [0.5, math.nan, 2.0],
+            [0.5, 0.2, 1.0 + 2.0 * DEFAULT_CLAMP_TOL, math.nan],
+            [-math.inf],
+            [],
+            [[0.5, 0.2], [0.1, 0.0]],
+        ],
+        ids=["nan", "past_tolerance", "infinite", "empty", "two_d"],
+    )
+    def test_same_errors(self, values):
+        expected = outcome(unwrap_by_points, values)
+        assert expected.startswith("DomainError")
+        assert outcome(unwrap_cos_scan, values) == expected
 
 
 class TestPhaseHistogram:

@@ -1,5 +1,6 @@
 """The campaign script, run as a separate process the way a user runs it."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -32,3 +33,18 @@ def test_campaign_histogram_matches_cli_histogram(tmp_path, pipeline):
     assert main([*argv, "--quiet"]) == EXIT_OK
     expected = (cli_out / "transfer_pure_hist.csv").read_bytes()
     assert (out / "transfer_pure_hist.csv").read_bytes() == expected
+
+
+def test_hash_outputs_is_stable_within_a_process():
+    path = ROOT / "scripts" / "hash_outputs.py"
+    spec = importlib.util.spec_from_file_location("hash_outputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    first = module.hash_lines(5)
+    assert first == module.hash_lines(5)
+    names = [line.split("  ", 1)[1] for line in first]
+    campaigns, cli_sweeps, records, histogram, analyze = 4 * 6 * 3, 5 * 3, 3 * 2, 2, 1
+    helps = 1 + len(module.SUBCOMMANDS)
+    assert len(names) == campaigns + cli_sweeps + records + histogram + analyze + helps
+    assert not [name for name in names if name.endswith(".error")]
+    assert "campaign_full_beatnote_sigma0.05_transfer_pure.csv" in names

@@ -20,7 +20,7 @@ from psalab import (
     to_document,
 )
 from psalab.calibration import effective_r, fitted_calibration
-from psalab.cli import EXIT_CONFIG, EXIT_DOMAIN, EXIT_IO, EXIT_OK, main
+from psalab.cli import EXIT_CONFIG, EXIT_DOMAIN, EXIT_IO, EXIT_OK, build_parser, main
 from psalab.config import DEFAULT_GRIDS, DEFAULT_PUMP_POWER_MW
 from psalab.serialize import read_sweep_csv
 from psalab.sweeps import SCAN_KINDS
@@ -629,3 +629,64 @@ class TestCliSynthAnalyze:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert str(path) in captured.err and "must be finite" in captured.err
+
+
+class TestCliBadInputFiles:
+    @pytest.mark.parametrize(
+        "emit, delta, message",
+        [
+            ("csv", "-2", "frequency -2.0 maps to unusable bin -40 of 2000"),
+            ("csv", "2.01", "frequency 2.01 is off the FFT bin grid (resolution 0.05)"),
+            ("binary", -2.0, "frequency -2.0 maps to unusable bin -40 of 2000"),
+        ],
+        ids=["csv_negative", "csv_off_grid", "binary_negative"],
+    )
+    def test_analyze_rejects_delta_off_the_bins(self, tmp_path, capsys, emit, delta, message):
+        main(["synth", "--out", str(tmp_path), "--name", "rec", "--emit", emit, "--quiet"])
+        path = tmp_path / ("rec.csv" if emit == "csv" else "rec.bin")
+        if emit == "csv":
+            path.write_text(path.read_text().replace("# delta_khz=2\n", f"# delta_khz={delta}\n"))
+        else:
+            blob = path.read_bytes()
+            head = struct.calcsize("<IddQ")
+            version, sample_rate, _, n = struct.unpack("<IddQ", blob[4 : 4 + head])
+            path.write_bytes(blob[:4] + struct.pack("<IddQ", version, sample_rate, delta, n)
+                             + blob[4 + head :])
+        capsys.readouterr()
+        assert main(["analyze", str(path)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"psalab: config error: {path}: delta: {message}\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["histogram", "{path}"], ["analyze", "{path}"], ["power-sweep", "--config", "{path}"]],
+        ids=["histogram", "analyze", "config"],
+    )
+    def test_non_utf8_input_exits_config(self, tmp_path, capsys, argv):
+        path = tmp_path / "input.csv"
+        path.write_bytes(b"\xff\xfephi_out_wrapped,gain\n0.5,1\n")
+        assert main([arg.format(path=path) for arg in argv]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"psalab: config error: {path}: not UTF-8 text: ")
+
+
+COMMON_FLAG_DEFAULTS = {"config": None, "seed": None, "out": None, "emit": None,
+                        "strict": False, "quiet": False, "name": None}
+
+
+@pytest.mark.parametrize("command", ["phase-scan", "power-sweep", "pia-compare", "spectrum",
+                                     "transfer", "synth"])
+def test_run_commands_take_the_common_flags(command):
+    parser = build_parser()
+    defaults = vars(parser.parse_args([command]))
+    assert {key: defaults[key] for key in COMMON_FLAG_DEFAULTS} == COMMON_FLAG_DEFAULTS
+    given = vars(parser.parse_args([command, "--config", "c.json", "--seed", "5", "--out", "o",
+                                    "--emit", "csv", "--strict", "--quiet", "--name", "b"]))
+    assert {key: given[key] for key in COMMON_FLAG_DEFAULTS} == {
+        "config": "c.json", "seed": 5, "out": "o", "emit": "csv", "strict": True, "quiet": True,
+        "name": "b"}
+    if command == "synth":
+        assert defaults["cell_off"] is False
+        assert parser.parse_args(["synth", "--cell-off"]).cell_off is True

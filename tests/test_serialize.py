@@ -1,0 +1,172 @@
+"""CSV writers against the per-value rendering, and the readers under fuzzed input."""
+
+import math
+import struct
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from psalab import BeatnoteRecord, DetectionConfig, synthesize_beatnote
+from psalab.errors import ConfigError
+from psalab.serialize import (
+    fmt17,
+    histogram_to_csv,
+    read_sweep_csv,
+    record_binary_bytes,
+    record_csv_bytes,
+    record_from_binary,
+    record_from_csv,
+    sweep_csv_bytes,
+)
+from psalab.sweeps import SweepResult
+
+# ---------------------------------------------------------------------------
+# writers: one %-format per row renders what fmt17 renders per value
+
+EDGE_VALUES = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+               1.0, -3.0, 123456789.0, 2.0 ** 53, 0.1]
+VALUES = st.one_of(st.sampled_from(EDGE_VALUES), st.floats(allow_nan=False, allow_infinity=False),
+                   st.integers(-10**6, 10**6).map(float))
+
+
+def old_csv(header: str, rows) -> bytes:
+    return ("\n".join([header, *rows]) + "\n").encode("utf-8")
+
+
+@st.composite
+def tables(draw):
+    n_rows = draw(st.integers(0, 12))
+    n_cols = draw(st.integers(1, 4))
+    return [draw(st.lists(VALUES, min_size=n_rows, max_size=n_rows)) for _ in range(n_cols)]
+
+
+@given(tables())
+@settings(max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_sweep_csv_matches_per_value_rendering_and_reads_back(tmp_path, table):
+    names = ["x"] + [f"c{k}" for k in range(1, len(table))]
+    result = SweepResult(table[0], dict(zip(names[1:], table[1:])), {"x_name": "x"})
+    rows = [",".join(fmt17(v) for v in row) for row in zip(*table)]
+    blob = sweep_csv_bytes(result)
+    assert blob == old_csv(",".join(names), rows)
+    if table[0]:
+        path = tmp_path / "sweep.csv"
+        path.write_bytes(blob)
+        read_names, data = read_sweep_csv(path)
+        assert read_names == names
+        assert data.view(np.int64).tolist() == np.array(table).T.view(np.int64).tolist()
+
+
+@given(st.lists(VALUES, min_size=3, max_size=20), st.data())
+@settings(max_examples=100, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_histogram_csv_matches_per_value_rendering(tmp_path, edges, data):
+    counts = data.draw(st.lists(st.integers(0, 2**63 - 1), min_size=len(edges) - 1,
+                                max_size=len(edges) - 1))
+    counts = np.array(counts, dtype=np.int64)
+    rows = [f"{fmt17(a)},{fmt17(b)},{int(c)}" for a, b, c in zip(edges[:-1], edges[1:], counts)]
+    path = histogram_to_csv(np.array(edges), counts, tmp_path / "hist.csv")
+    assert path.read_bytes() == old_csv("bin_left,bin_right,count", rows)
+
+
+@given(st.lists(VALUES, min_size=2, max_size=30), st.floats(1e-3, 1e6))
+@settings(max_examples=100)
+def test_record_csv_matches_per_value_rendering(samples, sample_rate):
+    cfg = DetectionConfig(sample_rate=sample_rate, n_samples=len(samples))
+    rec = BeatnoteRecord(samples, sample_rate, 2.0, cfg)
+    expected = record_csv_bytes(rec).decode("utf-8").splitlines()[:7]
+    expected += [f"{fmt17(t)},{fmt17(v)}" for t, v in zip(rec.times, rec.samples)]
+    assert record_csv_bytes(rec) == old_csv(expected[0], expected[1:])
+
+
+# ---------------------------------------------------------------------------
+# readers: any bytes either parse or raise ConfigError
+
+FUZZ_RECORD = synthesize_beatnote(
+    complex(1.2, 0.3), complex(0.8, -0.1), 0.4, 20.0,
+    DetectionConfig(sample_rate=400.0, n_samples=80, noise_sigma=0.05, rng_seed=3),
+)
+FUZZ_SWEEP = SweepResult(
+    np.linspace(-math.pi, math.pi, 9), {"gain": np.linspace(0.2, 5.0, 9), "phi": np.zeros(9)},
+    {"x_name": "phi_in"},
+)
+ORIGINALS = {
+    "record_csv": record_csv_bytes(FUZZ_RECORD),
+    "record_binary": record_binary_bytes(FUZZ_RECORD),
+    "sweep_csv": sweep_csv_bytes(FUZZ_SWEEP),
+}
+READERS = {
+    "record_from_binary": record_from_binary,
+    "record_from_csv": record_from_csv,
+    "read_sweep_csv": read_sweep_csv,
+}
+TOKENS = [b"nan", b"-inf", b"1e400", b"-2", b"0", b"2.01", b"5e-324", b"=", b"#", b",",
+          b"\n", b"\xff\xfe", b"\xed\xa0\x80", b"\x00", b"PSAB", b"delta_khz=", b"time_ms"]
+
+
+@st.composite
+def mutated(draw, original: bytes) -> bytes:
+    """``original`` cut short, with bytes overwritten, tokens spliced in or a
+    non-UTF-8 prefix."""
+    blob = bytearray(original)
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(blob)))
+        op = draw(st.sampled_from(["cut", "byte", "token", "delete", "prefix", "header"]))
+        if op == "cut":
+            del blob[at:]
+        elif op == "byte" and at < len(blob):
+            blob[at] = draw(st.integers(0, 255))
+        elif op == "token":
+            blob[at:at] = draw(st.sampled_from(TOKENS))
+        elif op == "delete":
+            del blob[at:at + draw(st.integers(1, 16))]
+        elif op == "prefix":
+            blob[:0] = b"\xff\xfe"
+        elif op == "header":  # the header fields, where a CSV's cut or splice rarely lands
+            at = min(at, 200)
+            blob[at:at + draw(st.integers(0, 8))] = draw(st.sampled_from(TOKENS))
+    return bytes(blob)
+
+
+def parses_or_config_error(reader, path) -> None:
+    try:
+        reader(path)
+    except ConfigError:
+        pass
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "input"
+
+
+@pytest.mark.parametrize("reader", READERS.values(), ids=READERS.keys())
+@pytest.mark.parametrize("original", ORIGINALS.values(), ids=ORIGINALS.keys())
+@given(data=st.data())
+@settings(max_examples=60, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_mutated_files_parse_or_raise_config_error(fuzz_path, reader, original, data):
+    fuzz_path.write_bytes(data.draw(mutated(original)))
+    parses_or_config_error(reader, fuzz_path)
+
+
+@pytest.mark.parametrize("reader", READERS.values(), ids=READERS.keys())
+@given(blob=st.one_of(st.binary(max_size=64),
+                      st.binary(max_size=40).map(lambda b: b"PSAB" + b),
+                      st.text(max_size=64).map(lambda t: t.encode("utf-8"))))
+@settings(max_examples=60, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_garbage_parses_or_raises_config_error(fuzz_path, reader, blob):
+    fuzz_path.write_bytes(blob)
+    parses_or_config_error(reader, fuzz_path)
+
+
+@pytest.mark.parametrize(
+    "sample_rate, delta",
+    [(5e-324, 5e-324), (1e-320, 1e308), (100.0, 5e-324)],
+    ids=["zero_resolution", "overflowing_bin", "subnormal_delta"],
+)
+def test_binary_record_with_extreme_header_raises_config_error(tmp_path, sample_rate, delta):
+    path = tmp_path / "rec.bin"
+    samples = np.zeros(8)
+    path.write_bytes(b"PSAB" + struct.pack("<IddQ", 1, sample_rate, delta, 8) + samples.tobytes())
+    with pytest.raises(ConfigError, match="delta: "):
+        record_from_binary(path)
