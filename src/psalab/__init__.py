@@ -29,7 +29,6 @@ from .calibration import (
     effective_r,
     fitted_calibration,
     r_for_max_gain,
-    resolve_amplifier,
 )
 from .beatnote import (
     BeatnoteRecord,
@@ -38,7 +37,6 @@ from .beatnote import (
     synthesize_beatnote,
 )
 from .analyzer import (
-    SpectrumPeaks,
     extract_cos_phase,
     extract_gain,
     phase_histogram,
@@ -50,12 +48,7 @@ from .sweeps import (
     ScanSpec,
     SweepResult,
     point_seed,
-    run_detuning_spectrum,
-    run_phase_scan,
-    run_pia_compare,
-    run_power_sweep,
     run_scan,
-    run_transfer_curve,
 )
 from .config import RunConfig, parse_config, to_document
 
@@ -71,7 +64,6 @@ __all__ = [
     "PsalabError",
     "RunConfig",
     "ScanSpec",
-    "SpectrumPeaks",
     "SweepResult",
     "cell_off_record",
     "default_calibration",
@@ -91,13 +83,7 @@ __all__ = [
     "psa_max_from_pia",
     "r_for_max_gain",
     "reconstruct_phase",
-    "resolve_amplifier",
-    "run_detuning_spectrum",
-    "run_phase_scan",
-    "run_pia_compare",
-    "run_power_sweep",
     "run_scan",
-    "run_transfer_curve",
     "spectrum_peaks",
     "synthesize_beatnote",
     "to_document",

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,16 +34,6 @@ DEFAULT_CLAMP_TOL = 1e-6
 # Off-record 2*delta amplitudes below this fraction of the DC level are
 # treated as "no reference beat present".
 DEFAULT_REFERENCE_FLOOR = 1e-12
-
-
-@dataclass(frozen=True)
-class SpectrumPeaks:
-    """Coherent single-sided amplitudes at DC, delta and 2*delta."""
-
-    dc: float
-    at_delta: complex
-    at_two_delta: complex
-    bin_resolution: float
 
 
 def bin_index(frequency: float, sample_rate: float, n: int) -> int:
@@ -91,40 +80,36 @@ def block_peaks(
     return bins[:, 0], bins[:, 1] + 1j * bins[:, 2], bins[:, 3] + 1j * bins[:, 4]
 
 
-def spectrum_peaks(rec: BeatnoteRecord) -> SpectrumPeaks:
-    """Read DC and the delta / 2*delta coherent amplitudes of a record."""
+def spectrum_peaks(rec: BeatnoteRecord) -> tuple[float, complex, complex]:
+    """DC and the delta / 2*delta coherent amplitudes of a record."""
     dc, at_delta, at_two_delta = block_peaks(rec.samples[np.newaxis], rec.sample_rate, rec.delta)
-    return SpectrumPeaks(
-        dc=float(dc[0]),
-        at_delta=complex(at_delta[0]),
-        at_two_delta=complex(at_two_delta[0]),
-        bin_resolution=rec.sample_rate / rec.n_samples,
-    )
+    return float(dc[0]), complex(at_delta[0]), complex(at_two_delta[0])
 
 
-def gain_ratio(
-    on_two_delta, off_two_delta, off_dc, reference_floor: float = DEFAULT_REFERENCE_FLOOR
-) -> np.ndarray:
+def _first_failure(ok, *values) -> tuple:
+    """Index of the first False in ``ok``, then each of ``values`` (broadcast to ``ok``) there."""
+    k = int(np.flatnonzero(~np.asarray(ok))[0])
+    return (k, *(np.broadcast_to(v, np.shape(ok)).flat[k] for v in values))
+
+
+def gain_ratio(on_two_delta, off_two_delta, off_dc) -> np.ndarray:
     """Cell-on / cell-off ratios of 2*delta peak amplitudes, elementwise.
 
-    An off reference at or below ``reference_floor`` of its DC level, or
-    a non-finite one, means no reference beat and raises.
+    An off reference at or below DEFAULT_REFERENCE_FLOOR of its DC level,
+    or a non-finite one, means no reference beat and raises.
     """
     reference = np.abs(off_two_delta)
-    if not np.all(reference > reference_floor * np.abs(off_dc)):
+    ok = reference > DEFAULT_REFERENCE_FLOOR * np.abs(off_dc)
+    if not np.all(ok):
+        k, ref, dc = _first_failure(ok, reference, off_dc)
         raise DomainError(
-            f"no reference beat: off-record 2*delta amplitude {reference} is below "
-            f"{reference_floor} of its DC level {off_dc}"
+            f"no reference beat: off-record 2*delta amplitude {ref} is below "
+            f"{DEFAULT_REFERENCE_FLOOR} of its DC level {dc} at row {k}"
         )
     return np.abs(on_two_delta) / reference
 
 
-def extract_gain(
-    on: BeatnoteRecord,
-    off: BeatnoteRecord,
-    *,
-    reference_floor: float = DEFAULT_REFERENCE_FLOOR,
-) -> float:
+def extract_gain(on: BeatnoteRecord, off: BeatnoteRecord) -> float:
     """Gain as the cell-on / cell-off ratio of the 2*delta peak amplitudes."""
     if (on.delta, on.sample_rate, on.n_samples) != (off.delta, off.sample_rate, off.n_samples):
         raise DomainError(
@@ -133,7 +118,7 @@ def extract_gain(
             f"({off.delta}, {off.sample_rate}, {off.n_samples})"
         )
     dc, _, at_two_delta = block_peaks(np.stack([on.samples, off.samples]), on.sample_rate, on.delta)
-    return float(gain_ratio(at_two_delta[0], at_two_delta[1], dc[1], reference_floor))
+    return float(gain_ratio(at_two_delta[0], at_two_delta[1], dc[1]))
 
 
 def cos_readout(
@@ -148,14 +133,18 @@ def cos_readout(
     """
     if not math.isfinite(i_p) or i_p <= 0.0:
         raise DomainError(f"no local oscillator: residual pump intensity must be > 0, got {i_p}")
-    if not np.all((gain > 0.0) & np.isfinite(gain)):
-        raise DomainError(f"gain must be finite and > 0, got {gain}")
+    ok = (gain > 0.0) & np.isfinite(gain)
+    if not np.all(ok):
+        k, bad = _first_failure(ok, gain)
+        raise DomainError(f"gain must be finite and > 0, got {bad} at row {k}")
     if not math.isfinite(i_s_in) or i_s_in <= 0.0:
         raise DomainError(f"input signal intensity must be > 0, got {i_s_in}")
     value = np.real(at_delta) / (4.0 * np.sqrt(i_p * gain * i_s_in))
-    if not np.all(np.abs(value) <= 1.0 + clamp_tol):
+    ok = np.abs(value) <= 1.0 + clamp_tol
+    if not np.all(ok):
+        k, bad, tol = _first_failure(ok, value, clamp_tol)
         raise DomainError(
-            f"extracted cos amplitude {value} exceeds the unit circle by more than {clamp_tol}"
+            f"extracted cos amplitude {bad} exceeds the unit circle by more than {tol} at row {k}"
         )
     return np.clip(value, -1.0, 1.0)
 
@@ -169,7 +158,7 @@ def extract_cos_phase(
     clamp_tol: float = DEFAULT_CLAMP_TOL,
 ) -> float:
     """cos(dphi_out) of one record; see ``cos_readout``."""
-    signed = spectrum_peaks(rec).at_delta.real
+    signed = spectrum_peaks(rec)[1].real
     return float(cos_readout(signed, i_p, gain, i_s_in, clamp_tol))
 
 

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .errors import DomainError, check_number
-from .squeezer import R_MAX, AmplifierParams
+from .squeezer import R_MAX
 
 CALIBRATION_MODES = ("linear", "saturating")
 
@@ -124,18 +124,4 @@ def r_for_max_gain(g_max: float) -> float:
     if not math.isfinite(g_max) or g_max < 1.0:
         raise DomainError(f"maximum gain must be >= 1, got {g_max}")
     return 0.5 * math.log(g_max)
-
-
-def resolve_amplifier(params: AmplifierParams, cal: CalibrationMap) -> tuple[float, float]:
-    """Resolve an operating point to (r, loss).
-
-    An explicit ``r`` denotes the ideal lossless squeezer and wins over
-    ``pump_power``; a power-driven point goes through the calibration map
-    and picks up the detuning-dependent loss.
-    """
-    if params.r is not None:
-        return params.r, 1.0
-    if params.pump_power is not None:
-        return effective_r(params.pump_power, params.detuning, cal)
-    raise DomainError("amplifier needs either r or pump_power to be set")
 

@@ -18,7 +18,6 @@ from pathlib import Path
 from . import __version__
 from .analyzer import phase_histogram, spectrum_peaks
 from .beatnote import cell_off_record, synthesize_beatnote
-from .calibration import resolve_amplifier
 from .config import ENV_OUTPUT_DIR, RunConfig, parse_config_document, to_document
 from .errors import ConfigError, DomainError, PsalabError
 from .serialize import (
@@ -159,8 +158,10 @@ def _cmd_histogram(args: argparse.Namespace) -> int:
 
 def _cmd_synth(args: argparse.Namespace) -> int:
     cfg = _build_config(args, "phase_scan")
+    if not {"csv", "binary"} & set(cfg.emit):
+        raise ConfigError("synth emits records; request 'csv' and/or 'binary'")
     spec, amp = cfg.scan, cfg.scan.amplifier
-    r, loss = resolve_amplifier(amp, spec.calibration)
+    ((r, loss, _),) = spec.operating_points()
     s_in, i_in = spec.input_fields()
     if args.cell_off:
         record = cell_off_record(s_in, i_in, amp.pump_phase, amp.detuning, spec.detection)
@@ -174,8 +175,6 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         paths.append(record_to_csv(record, cfg.output_dir / f"{base}.csv"))
     if "binary" in cfg.emit:
         paths.append(record_to_binary(record, cfg.output_dir / f"{base}.bin"))
-    if not paths:
-        raise ConfigError("synth emits records; request 'csv' and/or 'binary'")
     if cfg.verbosity >= 1:
         label = "cell-off" if args.cell_off else "cell-on"
         print(f"synth: {label} record, n={record.n_samples} -> " + ", ".join(map(str, paths)))
@@ -184,16 +183,16 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     record = read_record(args.record)
-    peaks = spectrum_peaks(record)
+    dc, at_delta, at_two_delta = spectrum_peaks(record)
 
     def tone(z: complex) -> dict:
         return {"re": z.real, "im": z.imag, "abs": abs(z)}
 
     summary = {
-        "dc": float(peaks.dc),
-        "at_delta": tone(peaks.at_delta),
-        "at_two_delta": tone(peaks.at_two_delta),
-        "bin_resolution_khz": peaks.bin_resolution,
+        "dc": dc,
+        "at_delta": tone(at_delta),
+        "at_two_delta": tone(at_two_delta),
+        "bin_resolution_khz": record.sample_rate / record.n_samples,
         "delta_khz": record.delta,
         "sample_rate_khz": record.sample_rate,
         "n_samples": record.n_samples,

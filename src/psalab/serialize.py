@@ -280,8 +280,6 @@ def record_from_binary(path: str | Path) -> BeatnoteRecord:
 def read_record(path: str | Path) -> BeatnoteRecord:
     """Ingest a record from either documented on-disk format."""
     path = Path(path)
-    if not path.exists():
-        raise DomainError(f"record file {path} does not exist")
     with path.open("rb") as handle:
         magic = handle.read(4)
     if magic == RECORD_MAGIC:

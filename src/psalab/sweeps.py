@@ -31,17 +31,10 @@ import numpy as np
 from . import __version__
 from .analyzer import DEFAULT_CLAMP_TOL, block_peaks, cos_readout, gain_ratio, unwrap_cos_scan
 from .beatnote import CELL_OFF, CELL_ON, DetectionConfig, synthesize_block
-from .calibration import CalibrationMap, default_calibration, effective_r, resolve_amplifier
+from .calibration import CalibrationMap, default_calibration, effective_r
 from .errors import DomainError, check_number
 from .squeezer import R_MAX, AmplifierParams, evolve_block, psa_max_from_pia, wrap_phase
 
-SCAN_KINDS = (
-    "phase_scan",
-    "power_sweep",
-    "pia_compare",
-    "detuning_spectrum",
-    "transfer_curve",
-)
 PIPELINES = ("model_exact", "full_beatnote")
 
 # Pump-power range the amplifier cell is characterised over.
@@ -151,28 +144,37 @@ class ScanSpec:
         self._validate_operating_points()
 
     def _validate_operating_points(self) -> None:
-        """r <= R_MAX and loss >= exp(-2*R_MAX) at the grid's ends, so nothing overflows."""
-        points = self.operating_points()
-        key = "grid" if self.kind == "detuning_spectrum" else "amplifier.detuning"
-        for power, delta in points[:1] + points[-1:]:
-            try:
-                r, loss = effective_r(power, delta, self.calibration)
-            except OverflowError:  # (delta / bandwidth_hwhm) ** 2
-                raise DomainError(f"{key}: {delta:g} kHz overflows the detuning window") from None
-            if not (r <= R_MAX and loss >= math.exp(-2.0 * R_MAX)):
+        """r <= R_MAX and loss >= exp(-2*R_MAX) at every point, so nothing overflows."""
+        try:
+            points = self.operating_points()
+        except OverflowError:  # (delta / bandwidth_hwhm) ** 2 at the largest detuning
+            spectrum = self.kind == "detuning_spectrum"
+            key = "grid" if spectrum else "amplifier.detuning"
+            delta = max(self.grid) if spectrum else self.amplifier.detuning
+            raise DomainError(f"{key}: {delta:g} kHz overflows the detuning window") from None
+        for k, (r, loss, delta) in enumerate(points):
+            if not (r <= R_MAX and loss >= math.exp(-2.0 * R_MAX)):  # an explicit r passes
+                sweep = self.kind in ("power_sweep", "pia_compare")
+                power = self.grid[k] if sweep else self.amplifier.pump_power
                 raise DomainError(f"calibration: gives r = {r:g}, loss {loss:g} at {power:g} mW "
                                   f"{delta:g} kHz; expect r <= {R_MAX:g}, loss >= e^-{2 * R_MAX:g}")
 
-    def operating_points(self) -> list[tuple[float, float]]:
-        """(pump power, detuning) of each grid point; one for a phase grid, or none at a set r."""
+    def operating_points(self) -> list[tuple[float, float, float]]:
+        """(r, loss, detuning) at each grid point of a power or detuning sweep, or at the
+        one point a phase grid is scanned at.  An explicit r is the lossless squeezer and
+        wins over pump_power; a pump power goes through the calibration map."""
         amp = self.amplifier
         if self.kind == "detuning_spectrum":
-            return [(amp.pump_power, delta) for delta in self.grid]
-        if self.kind in ("power_sweep", "pia_compare"):
-            return [(power, amp.detuning) for power in self.grid]
-        if amp.r is not None or amp.pump_power is None:  # no calibrated point
-            return []
-        return [(amp.pump_power, amp.detuning)]
+            points = [(amp.pump_power, delta) for delta in self.grid]
+        elif self.kind in ("power_sweep", "pia_compare"):
+            points = [(power, amp.detuning) for power in self.grid]
+        elif amp.r is not None:
+            return [(amp.r, 1.0, amp.detuning)]
+        elif amp.pump_power is None:
+            raise DomainError("amplifier: needs either r or pump_power to be set")
+        else:
+            points = [(amp.pump_power, amp.detuning)]
+        return [(*effective_r(power, delta, self.calibration), delta) for power, delta in points]
 
     def detection_for(self, delta: float) -> DetectionConfig:
         """The detection config at one beat frequency: detuning sweeps keep the
@@ -345,72 +347,40 @@ class _BeatnotePipeline(_Pipeline):
         return block_peaks(block, cfg.sample_rate, delta)
 
 
-def _pipeline(spec: ScanSpec):
-    return _ModelPipeline(spec) if spec.pipeline == "model_exact" else _BeatnotePipeline(spec)
-
-
-def _base_metadata(spec: ScanSpec, x_name: str) -> dict:
-    return {
-        "kind": spec.kind,
-        "x_name": x_name,
-        "scan_spec": spec.as_dict(),
-        "master_seed": spec.master_seed,
-        "version": __version__,
-    }
-
-
-def _require_kind(spec: ScanSpec, kind: str) -> None:
-    if spec.kind != kind:
-        raise DomainError(f"{_RUNNERS[kind].__name__} needs kind={kind!r}, got {spec.kind!r}")
-
-
 def _pia_gain_from_rho(rho: float) -> float:
     """Invert the delta-peak ratio through cosh^2 - sinh^2 = 1."""
     c = 0.5 * (rho + 1.0 / rho)
     return c * c
 
 
-def run_phase_scan(spec: ScanSpec) -> SweepResult:
+def _gain_vs_phase(spec: ScanSpec, pipe: _Pipeline, metadata: dict) -> dict:
     """Gain versus the scanned pump-signal input phase (piezo emulation)."""
-    _require_kind(spec, "phase_scan")
-    r, loss = resolve_amplifier(spec.amplifier, spec.calibration)
-    (gains,) = _pipeline(spec).scan_grid(r, loss, spec.grid, transfer=False)
-    return SweepResult(np.asarray(spec.grid), {"gain": gains}, _base_metadata(spec, "phi_in"))
+    ((r, loss, _),) = spec.operating_points()
+    return {"gain": pipe.scan_grid(r, loss, spec.grid, transfer=False)[0]}
 
 
-def _operating_points(spec: ScanSpec, measure) -> tuple[np.ndarray, ...]:
-    """Columns of ``measure(r, loss, index, delta)`` over the spec's operating points."""
-    rows = []
-    for idx, (power, delta) in enumerate(spec.operating_points()):
-        r, loss = effective_r(power, delta, spec.calibration)
-        rows.append(measure(r, loss, idx, delta))
-    return tuple(np.asarray(column) for column in zip(*rows))
+def _extrema(spec: ScanSpec, pipe: _Pipeline, metadata: dict) -> dict:
+    """Extremal gains versus pump power through the calibration map, or versus detuning."""
+    extrema = [
+        pipe.gain_extrema(r, loss, k, delta)
+        for k, (r, loss, delta) in enumerate(spec.operating_points())
+    ]
+    g_max, g_min = map(np.array, zip(*extrema))
+    return {"g_max": g_max, "g_min": g_min, "inv_g_max": 1.0 / g_max}
 
 
-def run_power_sweep(spec: ScanSpec) -> SweepResult:
-    """Extremal gains versus pump power through the calibration map."""
-    _require_kind(spec, "power_sweep")
-    g_max, g_min = _operating_points(spec, _pipeline(spec).gain_extrema)
-    columns = {"g_max": g_max, "g_min": g_min, "inv_g_max": 1.0 / g_max}
-    return SweepResult(np.asarray(spec.grid), columns, _base_metadata(spec, "power_mw"))
-
-
-def run_pia_compare(spec: ScanSpec) -> SweepResult:
+def _pia_compare(spec: ScanSpec, pipe: _Pipeline, metadata: dict) -> dict:
     """Seeded-idler maximum gain versus unseeded (phase-insensitive) gain."""
-    _require_kind(spec, "pia_compare")
-    pipe = _pipeline(spec)
-
-    def measure(*point) -> tuple[float, float, float]:
-        top, _ = pipe.gain_extrema(*point)
-        pia = _pia_gain_from_rho(pipe.pia_rho(*point))
-        return top, pia, psa_max_from_pia(pia)
-
-    g_max, g_pia, g_from_pia = _operating_points(spec, measure)
-    columns = {"g_max": g_max, "g_pia": g_pia, "g_max_from_pia": g_from_pia}
-    return SweepResult(np.asarray(spec.grid), columns, _base_metadata(spec, "power_mw"))
+    rows = []
+    for k, (r, loss, delta) in enumerate(spec.operating_points()):
+        top, _ = pipe.gain_extrema(r, loss, k, delta)
+        pia = _pia_gain_from_rho(pipe.pia_rho(r, loss, k, delta))
+        rows.append((top, pia, psa_max_from_pia(pia)))
+    g_max, g_pia, g_from_pia = map(np.array, zip(*rows))
+    return {"g_max": g_max, "g_pia": g_pia, "g_max_from_pia": g_from_pia}
 
 
-def run_detuning_spectrum(spec: ScanSpec) -> SweepResult:
+def _spectrum(spec: ScanSpec, pipe: _Pipeline, metadata: dict) -> dict:
     """Extremal gains versus pump-signal detuning, plus the bandwidth.
 
     The bandwidth is the largest grid detuning for which g_min stays within
@@ -418,49 +388,55 @@ def run_detuning_spectrum(spec: ScanSpec) -> SweepResult:
     the metadata.  The detuning response is a calibrated, phenomenological
     reproduction and the metadata flags it as such.
     """
-    _require_kind(spec, "detuning_spectrum")
-    g_max, g_min = _operating_points(spec, _pipeline(spec).gain_extrema)
-    ideal = 1.0 / g_max
-    pure = np.abs(g_min - ideal) <= BANDWIDTH_TOLERANCE * ideal
+    columns = _extrema(spec, pipe, metadata)
+    ideal = columns["inv_g_max"]
+    pure = np.abs(columns["g_min"] - ideal) <= BANDWIDTH_TOLERANCE * ideal
     deltas = np.asarray(spec.grid)
-    metadata = _base_metadata(spec, "delta_khz")
     metadata["bandwidth_khz"] = float(deltas[pure].max()) if pure.any() else None
     metadata["bandwidth_tolerance"] = BANDWIDTH_TOLERANCE
     metadata["detuning_model"] = "phenomenological (Lorentzian window + Gaussian loss)"
-    columns = {"g_max": g_max, "g_min": g_min, "inv_g_max": ideal}
-    return SweepResult(deltas, columns, metadata)
+    return columns
 
 
-def run_transfer_curve(spec: ScanSpec) -> SweepResult:
+def _transfer(spec: ScanSpec, pipe: _Pipeline, metadata: dict) -> dict:
     """Phase-to-phase transfer: signal gain and output phase per input phase.
 
     The output phase is reconstructed from the cosine readout with branch
     continuity along the scan (anchored on the principal branch at the
     first point) and reported both unwrapped and wrapped to [-pi, pi).
     """
-    _require_kind(spec, "transfer_curve")
-    r, loss = resolve_amplifier(spec.amplifier, spec.calibration)
-    gains, gains_idler, cosines = _pipeline(spec).scan_grid(r, loss, spec.grid, transfer=True)
+    ((r, loss, _),) = spec.operating_points()
+    gains, gains_idler, cosines = pipe.scan_grid(r, loss, spec.grid, transfer=True)
     unwrapped = unwrap_cos_scan(cosines)
-    columns = {
+    return {
         "gain": gains,
         "gain_idler": gains_idler,
         "cos_phi_out": cosines,
         "phi_out_wrapped": wrap_phase(unwrapped),
         "phi_out_unwrapped": unwrapped,
     }
-    return SweepResult(np.asarray(spec.grid), columns, _base_metadata(spec, "phi_in"))
 
 
-_RUNNERS = {
-    "phase_scan": run_phase_scan,
-    "power_sweep": run_power_sweep,
-    "pia_compare": run_pia_compare,
-    "detuning_spectrum": run_detuning_spectrum,
-    "transfer_curve": run_transfer_curve,
+# Scan kind -> (x column name, its columns from the spec, its pipeline and the metadata).
+_SCANS = {
+    "phase_scan": ("phi_in", _gain_vs_phase),
+    "power_sweep": ("power_mw", _extrema),
+    "pia_compare": ("power_mw", _pia_compare),
+    "detuning_spectrum": ("delta_khz", _spectrum),
+    "transfer_curve": ("phi_in", _transfer),
 }
+SCAN_KINDS = tuple(_SCANS)
 
 
 def run_scan(spec: ScanSpec) -> SweepResult:
-    """Dispatch a ScanSpec to its runner."""
-    return _RUNNERS[spec.kind](spec)
+    """Run a ScanSpec through its pipeline into the figure-shaped dataset of its kind."""
+    x_name, columns = _SCANS[spec.kind]
+    pipe = _ModelPipeline(spec) if spec.pipeline == "model_exact" else _BeatnotePipeline(spec)
+    metadata = {
+        "kind": spec.kind,
+        "x_name": x_name,
+        "scan_spec": spec.as_dict(),
+        "master_seed": spec.master_seed,
+        "version": __version__,
+    }
+    return SweepResult(np.asarray(spec.grid), columns(spec, pipe, metadata), metadata)

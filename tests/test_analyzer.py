@@ -1,6 +1,7 @@
 """Spectral peak readout, gain/phase extraction and phase reconstruction."""
 
 import cmath
+import json
 import math
 
 import numpy as np
@@ -24,6 +25,8 @@ from psalab import (
 )
 
 from psalab.analyzer import DEFAULT_CLAMP_TOL, block_peaks, cos_readout, gain_ratio
+from psalab.cli import main
+from psalab.serialize import record_to_binary
 
 from conftest import dist_to_half_turns, signal_phase_direct
 
@@ -48,31 +51,36 @@ def equal_seed_pair(gain, dphi_out, cfg=CFG, delta=DELTA):
 
 class TestSpectrumPeaks:
     def test_constant_trace(self):
-        peaks = spectrum_peaks(tone_record(dc=3.25))
-        assert peaks.dc == pytest.approx(3.25, rel=1e-14)
-        assert abs(peaks.at_delta) == pytest.approx(0.0, abs=1e-12)
-        assert abs(peaks.at_two_delta) == pytest.approx(0.0, abs=1e-12)
+        dc, at_delta, at_two_delta = spectrum_peaks(tone_record(dc=3.25))
+        assert dc == pytest.approx(3.25, rel=1e-14)
+        assert abs(at_delta) == pytest.approx(0.0, abs=1e-12)
+        assert abs(at_two_delta) == pytest.approx(0.0, abs=1e-12)
 
-    def test_bin_resolution(self):
-        peaks = spectrum_peaks(tone_record(dc=1.0))
-        assert peaks.bin_resolution == pytest.approx(CFG.sample_rate / CFG.n_samples, rel=1e-15)
+    def test_bin_resolution(self, tmp_path, capsys):
+        # The resolution is reported by `psalab analyze`, beside the peaks.
+        path = record_to_binary(tone_record(dc=1.0), tmp_path / "tone.bin")
+        assert main(["analyze", str(path)]) == 0
+        bin_resolution = json.loads(capsys.readouterr().out)["bin_resolution_khz"]
+        assert bin_resolution == pytest.approx(CFG.sample_rate / CFG.n_samples, rel=1e-15)
 
     def test_reads_amplitude_and_phase_on_bin(self):
-        peaks = spectrum_peaks(tone_record(dc=2.0, a1=0.5, th1=0.8, a2=2.0, th2=-1.1))
-        assert peaks.dc == pytest.approx(2.0, rel=1e-12)
-        assert abs(peaks.at_delta) == pytest.approx(0.5, rel=1e-10)
-        assert math.atan2(peaks.at_delta.imag, peaks.at_delta.real) == pytest.approx(0.8, abs=1e-10)
-        assert abs(peaks.at_two_delta) == pytest.approx(2.0, rel=1e-10)
-        assert math.atan2(peaks.at_two_delta.imag, peaks.at_two_delta.real) == pytest.approx(
+        dc, at_delta, at_two_delta = spectrum_peaks(
+            tone_record(dc=2.0, a1=0.5, th1=0.8, a2=2.0, th2=-1.1)
+        )
+        assert dc == pytest.approx(2.0, rel=1e-12)
+        assert abs(at_delta) == pytest.approx(0.5, rel=1e-10)
+        assert math.atan2(at_delta.imag, at_delta.real) == pytest.approx(0.8, abs=1e-10)
+        assert abs(at_two_delta) == pytest.approx(2.0, rel=1e-10)
+        assert math.atan2(at_two_delta.imag, at_two_delta.real) == pytest.approx(
             -1.1, abs=1e-10
         )
 
     def test_negative_delta_tone_is_signed_real(self):
         # a pure cos(w t + pi) tone reads as a real negative amplitude
         a1 = 4.0 * math.sqrt(0.25 * 4.0 * 1.0)
-        peaks = spectrum_peaks(tone_record(dc=1.0, a1=a1, th1=math.pi))
-        assert peaks.at_delta.real == pytest.approx(-a1, rel=1e-10)
-        assert abs(peaks.at_delta.imag) <= 1e-9
+        _, at_delta, _ = spectrum_peaks(tone_record(dc=1.0, a1=a1, th1=math.pi))
+        assert at_delta.real == pytest.approx(-a1, rel=1e-10)
+        assert abs(at_delta.imag) <= 1e-9
 
     @pytest.mark.parametrize(
         "n, k1",
@@ -89,12 +97,14 @@ class TestSpectrumPeaks:
         for k in (k1, k2, k3):
             samples += rng.uniform(0.1, 3.0) * np.cos(2.0 * math.pi * k * m / n + rng.uniform(0, 7))
         cfg = DetectionConfig(sample_rate=float(n), n_samples=n)
-        peaks = spectrum_peaks(BeatnoteRecord(samples, cfg.sample_rate, float(k1), cfg))
+        dc, at_delta, at_two_delta = spectrum_peaks(
+            BeatnoteRecord(samples, cfg.sample_rate, float(k1), cfg)
+        )
         spectrum = np.fft.rfft(samples)
         tol = 1e-12 * math.sqrt(np.mean(samples**2))
-        assert abs(peaks.dc - spectrum[0].real / n) <= tol
-        assert abs(peaks.at_delta - 2.0 * spectrum[k1] / n) <= tol
-        assert abs(peaks.at_two_delta - 2.0 * spectrum[k2] / n) <= tol
+        assert abs(dc - spectrum[0].real / n) <= tol
+        assert abs(at_delta - 2.0 * spectrum[k1] / n) <= tol
+        assert abs(at_two_delta - 2.0 * spectrum[k2] / n) <= tol
 
     def test_block_rows_match_single_record_reads(self):
         rng = np.random.default_rng(3)
@@ -105,10 +115,12 @@ class TestSpectrumPeaks:
         dc, at_delta, at_two_delta = block_peaks(block, CFG.sample_rate, DELTA)
         tol = 1e-12 * math.sqrt(np.mean(block**2))
         for k, row in enumerate(block):
-            peaks = spectrum_peaks(BeatnoteRecord(row, CFG.sample_rate, DELTA, CFG))
-            assert abs(dc[k] - peaks.dc) <= tol
-            assert abs(at_delta[k] - peaks.at_delta) <= tol
-            assert abs(at_two_delta[k] - peaks.at_two_delta) <= tol
+            row_dc, row_delta, row_two_delta = spectrum_peaks(
+                BeatnoteRecord(row, CFG.sample_rate, DELTA, CFG)
+            )
+            assert abs(dc[k] - row_dc) <= tol
+            assert abs(at_delta[k] - row_delta) <= tol
+            assert abs(at_two_delta[k] - row_two_delta) <= tol
 
     def test_off_bin_delta_rejected(self):
         cfg = DetectionConfig(sample_rate=100.0, n_samples=2000)
@@ -209,6 +221,33 @@ class TestExtractCosPhase:
     def test_nan_readout_rejected(self):
         with pytest.raises(DomainError, match="exceeds the unit circle"):
             cos_readout(np.array([0.5, np.nan]), 0.25, np.array([1.0, 1.0]), 1.0)
+
+
+class TestErrorsNameOneRow:
+    """A failing array check names its first bad row, not the whole array."""
+
+    ROWS = 257
+
+    def ones(self) -> np.ndarray:
+        return np.ones(self.ROWS)
+
+    @pytest.mark.parametrize(
+        "call, opening",
+        [
+            (lambda a: gain_ratio(2.0 * a + 0j, 1e-15 * a, 2.25 * a), "no reference beat: "),
+            (lambda a: cos_readout(a, 0.25, np.where(a > 0.0, np.nan, a), 1.0),
+             "gain must be finite and > 0, got nan at row 0"),
+            (lambda a: cos_readout(np.concatenate([a[:3], 3.0 * a[3:]]), 0.25, a, 1.0),
+             "extracted cos amplitude 1.5 exceeds the unit circle by more than 1e-06 at row 3"),
+        ],
+        ids=["gain_ratio", "cos_readout_gain", "cos_readout_clamp"],
+    )
+    def test_message_is_bounded(self, call, opening):
+        with pytest.raises(DomainError) as err:
+            call(self.ones())
+        message = str(err.value)
+        assert message.startswith(opening)
+        assert len(message) < 200
 
 
 class TestReconstructPhase:

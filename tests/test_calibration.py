@@ -7,14 +7,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from psalab import (
-    AmplifierParams,
     CalibrationMap,
     DomainError,
     default_calibration,
     effective_r,
     fitted_calibration,
     r_for_max_gain,
-    resolve_amplifier,
 )
 
 powers = st.floats(min_value=0.0, max_value=80.0, allow_nan=False)
@@ -108,17 +106,3 @@ def test_r_for_max_gain_round_trip():
     with pytest.raises(DomainError):
         r_for_max_gain(0.5)
 
-
-class TestResolveAmplifier:
-    def test_explicit_r_is_lossless(self):
-        r, loss = resolve_amplifier(AmplifierParams(r=0.8, detuning=100.0), default_calibration())
-        assert (r, loss) == (0.8, 1.0)
-
-    def test_power_driven_goes_through_map(self):
-        cal = default_calibration()
-        params = AmplifierParams(pump_power=40.0, detuning=2.0)
-        assert resolve_amplifier(params, cal) == effective_r(40.0, 2.0, cal)
-
-    def test_unset_operating_point_rejected(self):
-        with pytest.raises(DomainError):
-            resolve_amplifier(AmplifierParams(), default_calibration())

@@ -227,7 +227,10 @@ class TestSchemaCoverage:
     @pytest.mark.parametrize("path, default", NUMERIC_KEYS, ids=NUMERIC_IDS)
     def test_null_only_where_default_is_none(self, path, default):
         if default is None:
-            section = parse_config(document_with(path, None)).scan
+            doc = json.loads(document_with(path, None))
+            if path == ("scan", "amplifier", "pump_power"):
+                doc["scan"]["amplifier"]["r"] = 0.5  # a phase scan needs r or pump_power
+            section = parse_config(json.dumps(doc)).scan
             for key in path[1:-1]:
                 section = getattr(section, key)
             assert getattr(section, path[-1]) is None
@@ -299,12 +302,29 @@ class TestCliSweeps:
         cfg.write_text('{"scan": {"kind": "transfer_curve"}}')
         assert main(["power-sweep", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
 
-    def test_domain_failure_exit_code(self, tmp_path):
-        # r and pump_power both unset: the phase scan cannot resolve an
-        # operating point, a physics-domain failure
+    # An idler seed 1e-15 of the signal leaves the cell-off records no 2*delta
+    # reference beat: a physics-domain failure that only the run can find.
+    NO_REFERENCE_BEAT = {"kind": "phase_scan", "pipeline": "full_beatnote", "input_ratio": 1e30}
+
+    def test_domain_failure_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"
-        cfg.write_text('{"scan": {"kind": "phase_scan", "amplifier": {"pump_power": null}}}')
+        cfg.write_text(json.dumps({"scan": self.NO_REFERENCE_BEAT}))
         assert main(["phase-scan", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_DOMAIN
+        err = capsys.readouterr().err
+        assert err.startswith("psalab: domain error: no reference beat: ")
+        # All 257 grid points fail; the message names the first, not every amplitude.
+        assert "at row 0" in err and len(err) < 300
+
+    @pytest.mark.parametrize(
+        "command, kind", [("phase-scan", "phase_scan"), ("transfer", "transfer_curve")]
+    )
+    def test_unset_operating_point_exits_config(self, tmp_path, capsys, command, kind):
+        # Neither r nor pump_power: the spec is refused when it is built.
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"scan": {"kind": kind, "amplifier": {"pump_power": None}}}))
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("psalab: config error: scan.amplifier: ")
+        assert not list(tmp_path.glob("*.csv"))
 
     @pytest.mark.parametrize(
         "command, scan, key",
@@ -564,7 +584,13 @@ class TestCliSynthAnalyze:
         assert ratio == pytest.approx(loss * math.exp(2 * r_eff), rel=1e-9)
 
     def test_analyze_missing_file(self, tmp_path):
-        assert main(["analyze", str(tmp_path / "nope.bin")]) == EXIT_DOMAIN
+        assert main(["analyze", str(tmp_path / "nope.bin")]) == EXIT_IO
+
+    def test_synth_refuses_emit_list_before_creating_output_dir(self, tmp_path, capsys):
+        out = tmp_path / "newdir"
+        assert main(["synth", "--emit", "json", "--out", str(out)]) == EXIT_CONFIG
+        assert "synth emits records" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("sample, message", [("abc", "abc"), ("nan", "must be finite")])
     def test_analyze_rejects_malformed_csv_record(self, tmp_path, capsys, sample, message):

@@ -30,7 +30,6 @@ from psalab import sweeps
 from psalab.analyzer import block_peaks
 from psalab.beatnote import CELL_OFF, CELL_ON, synthesize_block
 from psalab.serialize import sweep_csv_bytes, sweep_json_bytes
-from psalab.sweeps import run_power_sweep
 
 from conftest import dist_to_half_turns, signal_phase_direct
 
@@ -92,9 +91,47 @@ class TestScanSpecValidation:
             )
         assert any(entry.name == "_validate_kind" for entry in err.traceback)
 
-    def test_kind_runner_mismatch(self):
-        with pytest.raises(DomainError, match="run_power_sweep"):
-            run_power_sweep(phase_spec())
+
+class TestOperatingPoints:
+    """ScanSpec.operating_points is the one map from a spec to (r, loss, detuning)."""
+
+    def test_explicit_r_is_lossless(self):
+        spec = phase_spec(amplifier=AmplifierParams(r=0.8, detuning=100.0))
+        assert spec.operating_points() == [(0.8, 1.0, 100.0)]
+
+    def test_power_driven_goes_through_map(self):
+        spec = phase_spec(amplifier=AmplifierParams(pump_power=40.0, detuning=2.0))
+        assert spec.operating_points() == [(*effective_r(40.0, 2.0, spec.calibration), 2.0)]
+
+    @pytest.mark.parametrize("kind, grid", [("phase_scan", PHASE_GRID),
+                                            ("transfer_curve", OFFSET_PHASES)])
+    def test_unset_operating_point_rejected_when_built(self, kind, grid):
+        with pytest.raises(DomainError, match="^amplifier: ") as err:
+            ScanSpec(kind=kind, grid=grid, amplifier=AmplifierParams())
+        assert any(entry.name == "__post_init__" for entry in err.traceback)
+
+    def test_oracle_on_every_kind(self):
+        cal = default_calibration()
+        power = AmplifierParams(pump_power=30.0, detuning=140.0)
+        powers, deltas = (0.0, 5.0, 40.0, 80.0), (0.5, 2.0, 200.0, 1000.0)
+        cases = [
+            (ScanSpec(kind=kind, grid=powers, amplifier=power),
+             [(*effective_r(p, 140.0, cal), 140.0) for p in powers])
+            for kind in ("power_sweep", "pia_compare")
+        ] + [
+            (ScanSpec(kind="detuning_spectrum", grid=deltas, amplifier=power),
+             [(*effective_r(30.0, d, cal), d) for d in deltas]),
+        ] + [
+            (ScanSpec(kind=kind, grid=grid, amplifier=amp), [point])
+            for kind, grid in (("phase_scan", PHASE_GRID), ("transfer_curve", OFFSET_PHASES))
+            for amp, point in (
+                (power, (*effective_r(30.0, 140.0, cal), 140.0)),
+                (AmplifierParams(r=R_53, pump_power=30.0, detuning=140.0), (R_53, 1.0, 140.0)),
+            )
+        ]
+        assert {spec.kind for spec, _ in cases} == set(sweeps.SCAN_KINDS)
+        for spec, expected in cases:
+            assert spec.operating_points() == expected
 
 
 class TestPhaseScan:
