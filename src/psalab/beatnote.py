@@ -103,8 +103,13 @@ class BeatnoteRecord:
             raise DomainError(f"record samples must be a 1-D array, got shape {arr.shape}")
         if arr.size != self.config_echo.n_samples:
             raise DomainError(
-                f"record length {arr.size} does not match configured n_samples "
+                f"n_samples: record length {arr.size} does not match configured n_samples "
                 f"{self.config_echo.n_samples}"
+            )
+        if self.sample_rate != self.config_echo.sample_rate:
+            raise DomainError(
+                f"sample_rate: record rate {self.sample_rate} kHz does not match configured "
+                f"sample_rate {self.config_echo.sample_rate} kHz"
             )
         if not np.isfinite(arr).all():
             raise DomainError("record samples must be finite")

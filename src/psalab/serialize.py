@@ -5,14 +5,19 @@ IEEE doubles losslessly.  Nothing time-dependent is ever written inside a
 file, so a scan re-run with the same seed produces byte-identical output;
 only the default file *names* carry a timestamp.
 
-Beatnote record binary layout (little-endian):
+Beatnote record binary layout, version 2 (little-endian):
 
     4 bytes  magic  b"PSAB"
-    u32      format version (1)
-    f64      sample_rate [kHz]
-    f64      delta [kHz]
-    i64      sample count n
+    u32      format version (2)
+    u32      header length h in bytes
+    h bytes  UTF-8 header: the record CSV's ``# key=value`` lines without ``# ``
     n * f64  intensity samples
+
+The header holds delta_khz and every DetectionConfig field.  Any but the
+two frequencies may be left out: it takes its DetectionConfig default, and
+n_samples the sample count.  Version 1 is still read: f64 sample_rate, f64
+delta and u64 count stand in for the header, so noise_sigma, rng_seed and
+residual_pump_intensity read as their defaults (0, 0 and 0.25).
 
 Sweep binary layout (little-endian):
 
@@ -28,6 +33,7 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
+from dataclasses import asdict, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -40,6 +46,7 @@ from .errors import ConfigError, DomainError
 RECORD_MAGIC = b"PSAB"
 SWEEP_MAGIC = b"PSSW"
 FORMAT_VERSION = 1
+RECORD_VERSION = 2
 EMIT_FORMATS = ("csv", "json", "binary")
 
 
@@ -54,6 +61,12 @@ def _csv_bytes(head: list[str], columns, row_format: str | None = None) -> bytes
     row_format = row_format or ",".join(["%.17g"] * len(columns))
     rows = [row_format % row for row in zip(*(np.asarray(c).tolist() for c in columns))]
     return ("\n".join([*head, *rows]) + "\n").encode("utf-8")
+
+
+def _write(path: str | Path, blob: bytes) -> Path:
+    path = Path(path)
+    path.write_bytes(blob)
+    return path
 
 
 # ---------------------------------------------------------------------------
@@ -74,18 +87,11 @@ def sweep_json_bytes(result) -> bytes:
 
 def sweep_binary_bytes(result) -> bytes:
     names = [result.metadata.get("x_name", "x"), *result.columns.keys()]
-    series = [result.x, *result.columns.values()]
-    out = bytearray()
-    out += SWEEP_MAGIC
-    out += struct.pack("<I", FORMAT_VERSION)
-    out += struct.pack("<q", int(result.x.size))
-    out += struct.pack("<I", len(names))
-    for name, column in zip(names, series):
+    out = SWEEP_MAGIC + struct.pack("<IqI", FORMAT_VERSION, int(result.x.size), len(names))
+    for name, column in zip(names, [result.x, *result.columns.values()]):
         encoded = name.encode("utf-8")
-        out += struct.pack("<I", len(encoded))
-        out += encoded
-        out += np.asarray(column, dtype="<f8").tobytes()
-    return bytes(out)
+        out += struct.pack("<I", len(encoded)) + encoded + np.asarray(column, "<f8").tobytes()
+    return out
 
 
 def _require_finite(path, what: str, values) -> np.ndarray:
@@ -99,10 +105,11 @@ def _require_finite(path, what: str, values) -> np.ndarray:
     return arr
 
 
-def read_text(path: str | Path) -> str:
-    """The UTF-8 text of an input file; bytes that do not decode are the file's fault."""
+def read_text(path: str | Path, blob: bytes | None = None) -> str:
+    """The UTF-8 text of an input file, or of ``blob`` read from it; bytes that
+    do not decode are the file's fault."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return (Path(path).read_bytes() if blob is None else blob).decode("utf-8")
     except UnicodeDecodeError as err:
         raise ConfigError(f"{path}: not UTF-8 text: {err}") from None
 
@@ -127,9 +134,7 @@ def read_sweep_csv(path: str | Path) -> tuple[list[str], np.ndarray]:
 def histogram_to_csv(edges, counts, path: str | Path) -> Path:
     """Write histogram bins as ``bin_left,bin_right,count`` CSV rows."""
     columns = [edges[:-1], edges[1:], counts]
-    path = Path(path)
-    path.write_bytes(_csv_bytes(["bin_left,bin_right,count"], columns, "%.17g,%.17g,%d"))
-    return path
+    return _write(path, _csv_bytes(["bin_left,bin_right,count"], columns, "%.17g,%.17g,%d"))
 
 
 def default_basename(kind: str, seed: int) -> str:
@@ -153,135 +158,125 @@ def write_sweep(
     base = basename or default_basename(
         result.metadata.get("kind", "scan"), result.metadata.get("master_seed", 0)
     )
-    paths = []
-    writers = {
-        "csv": (".csv", sweep_csv_bytes),
-        "json": (".json", sweep_json_bytes),
-        "binary": (".bin", sweep_binary_bytes),
-    }
-    for fmt in emit:
-        suffix, writer = writers[fmt]
-        path = outdir / f"{base}{suffix}"
-        path.write_bytes(writer(result))
-        paths.append(path)
-    return paths
+    writers = {"csv": (".csv", sweep_csv_bytes), "json": (".json", sweep_json_bytes),
+               "binary": (".bin", sweep_binary_bytes)}
+    return [_write(outdir / f"{base}{writers[fmt][0]}", writers[fmt][1](result)) for fmt in emit]
 
 
 # ---------------------------------------------------------------------------
 # beatnote records
 
-
-def record_csv_bytes(rec: BeatnoteRecord) -> bytes:
-    cfg = rec.config_echo
-    head = [
-        "# psalab beatnote record v1",
-        f"# sample_rate_khz={fmt17(rec.sample_rate)}",
-        f"# delta_khz={fmt17(rec.delta)}",
-        f"# noise_sigma={fmt17(cfg.noise_sigma)}",
-        f"# rng_seed={cfg.rng_seed}",
-        f"# residual_pump_intensity={fmt17(cfg.residual_pump_intensity)}",
-        "time_ms,intensity",
-    ]
-    return _csv_bytes(head, [rec.times, rec.samples])
+# The record header: delta, then every DetectionConfig field, each as one
+# ``key=value`` line.  Key -> (field, the type its value parses to); the two
+# frequencies carry their unit in the key.
+_HEADER = {
+    {"delta": "delta_khz", "sample_rate": "sample_rate_khz"}.get(name, name): (name, kind)
+    for name, kind in [("delta", float),
+                       *((f.name, type(f.default)) for f in fields(DetectionConfig))]
+}
 
 
-def record_to_csv(rec: BeatnoteRecord, path: str | Path) -> Path:
-    path = Path(path)
-    path.write_bytes(record_csv_bytes(rec))
-    return path
+def _header_lines(rec: BeatnoteRecord) -> list[str]:
+    values = {"delta": rec.delta, **asdict(rec.config_echo)}
+    return [f"{key}={fmt17(values[name]) if kind is float else values[name]}"
+            for key, (name, kind) in _HEADER.items()]
 
 
-def record_from_csv(path: str | Path) -> BeatnoteRecord:
-    header: dict[str, str] = {}
-    samples = []
-    for line in read_text(path).splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            body = line.lstrip("#").strip()
-            if "=" in body:
-                key, _, value = body.partition("=")
-                header[key.strip()] = value.strip()
-            continue
-        if line.startswith("time_ms"):
-            continue
-        cells = line.split(",")
-        if len(cells) != 2:
-            raise ConfigError(f"{path}: malformed record CSV line {line!r}")
-        samples.append(cells[1])
-    try:
-        sample_rate = float(header["sample_rate_khz"])
-        delta = float(header["delta_khz"])
-        noise_sigma = float(header.get("noise_sigma", 0.0))
-        rng_seed = int(header.get("rng_seed", 0))
-        residual_pump = float(header.get("residual_pump_intensity", 0.0))
-        samples = [float(value) for value in samples]
-    except KeyError as missing:
-        raise ConfigError(f"{path}: record CSV header lacks {missing}") from None
-    except ValueError as err:
-        raise ConfigError(f"{path}: malformed record CSV: {err}") from None
-    return _record(path, samples, sample_rate, delta, noise_sigma=noise_sigma, rng_seed=rng_seed,
-                   residual_pump_intensity=residual_pump)
+def _header_values(path, lines) -> dict:
+    """The fields ``key=value`` lines set, each parsed to its type; other lines are skipped."""
+    values = {}
+    for key, _, text in (line.partition("=") for line in lines):
+        if key.strip() in _HEADER:
+            name, kind = _HEADER[key.strip()]
+            try:
+                values[name] = kind(text.strip())
+            except ValueError as err:
+                raise ConfigError(f"{path}: {name}: {err}") from None
+    return values
 
 
-def _record(path, samples, sample_rate: float, delta: float, **detection) -> BeatnoteRecord:
-    """The record a file holds; a header value out of its field's range is the file's fault."""
-    _require_finite(path, "sample_rate and delta", [sample_rate, delta])
+def _record(path, samples, header: dict) -> BeatnoteRecord:
+    """The record a file holds: a field its header leaves out takes its DetectionConfig
+    default, n_samples the sample count; values out of range are the file's fault."""
     samples = _require_finite(path, "record samples", samples)
+    detection = {"n_samples": samples.size, **header}
+    for name in ("sample_rate", "delta"):  # no default stands in for a record's frequencies
+        if name not in header:
+            raise ConfigError(f"{path}: {name}: the record header has none")
+    delta = detection.pop("delta")
     try:
-        cfg = DetectionConfig(sample_rate=sample_rate, n_samples=samples.size, **detection)
-        record = BeatnoteRecord(samples, sample_rate, delta, cfg)
+        cfg = DetectionConfig(**detection)
+        record = BeatnoteRecord(samples, cfg.sample_rate, delta, cfg)
     except DomainError as err:
         raise ConfigError(f"{path}: {err}") from None
     try:  # the analyzer reads the delta and 2*delta tones: each needs a usable bin
         for tone in (delta, 2.0 * delta):
-            bin_index(tone, sample_rate, samples.size)
+            bin_index(tone, cfg.sample_rate, samples.size)
     except DomainError as err:
         raise ConfigError(f"{path}: delta: {err}") from None
     return record
 
 
+def record_csv_bytes(rec: BeatnoteRecord) -> bytes:
+    head = [f"psalab beatnote record v{RECORD_VERSION}", *_header_lines(rec)]
+    return _csv_bytes([*(f"# {line}" for line in head), "time_ms,intensity"],
+                      [rec.times, rec.samples])
+
+
+def record_to_csv(rec: BeatnoteRecord, path: str | Path) -> Path:
+    return _write(path, record_csv_bytes(rec))
+
+
+def record_from_csv(path: str | Path) -> BeatnoteRecord:
+    header, samples = [], []
+    for line in read_text(path).splitlines():
+        line = line.strip()
+        if line.startswith("#"):
+            header.append(line.lstrip("#"))
+        elif line and not line.startswith("time_ms"):
+            cells = line.split(",")
+            if len(cells) != 2:
+                raise ConfigError(f"{path}: malformed record CSV line {line!r}")
+            samples.append(cells[1])
+    try:
+        samples = [float(value) for value in samples]
+    except ValueError as err:
+        raise ConfigError(f"{path}: malformed record CSV: {err}") from None
+    return _record(path, samples, _header_values(path, header))
+
+
 def record_binary_bytes(rec: BeatnoteRecord) -> bytes:
-    header = RECORD_MAGIC + struct.pack(
-        "<IddQ", FORMAT_VERSION, rec.sample_rate, rec.delta, rec.n_samples
-    )
-    return header + np.asarray(rec.samples, dtype="<f8").tobytes()
+    header = "".join(f"{line}\n" for line in _header_lines(rec)).encode("utf-8")
+    head = RECORD_MAGIC + struct.pack("<II", RECORD_VERSION, len(header)) + header
+    return head + np.asarray(rec.samples, dtype="<f8").tobytes()
 
 
 def record_to_binary(rec: BeatnoteRecord, path: str | Path) -> Path:
-    path = Path(path)
-    path.write_bytes(record_binary_bytes(rec))
-    return path
+    return _write(path, record_binary_bytes(rec))
 
 
 def record_from_binary(path: str | Path) -> BeatnoteRecord:
-    """Read a record written by ``record_to_binary``.
-
-    The binary layout stores sampling metadata only, so the reconstructed
-    config echo carries defaults for the noise model fields.
-    """
+    """Read a record written by ``record_to_binary``, in either layout version."""
     blob = Path(path).read_bytes()
-    head = struct.calcsize("<IddQ")
-    if len(blob) < 4 + head or blob[:4] != RECORD_MAGIC:
+    if blob[:4] != RECORD_MAGIC:
         raise ConfigError(f"{path}: not a psalab beatnote record (bad magic)")
-    version, sample_rate, delta, count = struct.unpack("<IddQ", blob[4 : 4 + head])
-    if version != FORMAT_VERSION:
+    version = int.from_bytes(blob[4:8], "little")
+    heads = {1: 32, RECORD_VERSION: 12 + int.from_bytes(blob[8:12], "little")}
+    if version not in heads:
         raise ConfigError(f"{path}: unsupported record format version {version}")
-    payload = blob[4 + head :]
-    if len(payload) != count * 8:
-        raise ConfigError(
-            f"{path}: truncated record payload ({len(payload)} bytes for {count} samples)"
-        )
-    samples = np.frombuffer(payload, dtype="<f8")
-    return _record(path, samples, sample_rate, delta, residual_pump_intensity=0.0)
+    start = heads[version]
+    if len(blob) < start or (len(blob) - start) % 8:
+        raise ConfigError(f"{path}: truncated record ({len(blob)} bytes)")
+    if version == 1:  # sample_rate, delta and count; every other field keeps its default
+        rate, delta, count = struct.unpack_from("<ddQ", blob, 8)
+        header = {"sample_rate": rate, "delta": delta, "n_samples": count}
+    else:
+        header = _header_values(path, read_text(path, blob[12:start]).splitlines())
+    return _record(path, np.frombuffer(blob, dtype="<f8", offset=start), header)
 
 
 def read_record(path: str | Path) -> BeatnoteRecord:
     """Ingest a record from either documented on-disk format."""
-    path = Path(path)
-    with path.open("rb") as handle:
-        magic = handle.read(4)
-    if magic == RECORD_MAGIC:
-        return record_from_binary(path)
-    return record_from_csv(path)
+    with Path(path).open("rb") as handle:
+        binary = handle.read(4) == RECORD_MAGIC
+    return record_from_binary(path) if binary else record_from_csv(path)

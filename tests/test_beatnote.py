@@ -248,6 +248,14 @@ class TestConfigInvariants:
         with pytest.raises(DomainError):
             BeatnoteRecord(np.zeros(10), 100.0, DELTA, quiet_config())
 
+    def test_record_length_mismatch_names_n_samples(self):
+        with pytest.raises(DomainError, match="^n_samples: record length 10 does not match"):
+            BeatnoteRecord(np.zeros(10), 100.0, DELTA, quiet_config())
+
+    def test_record_sample_rate_mismatch_rejected(self):
+        with pytest.raises(DomainError, match="^sample_rate: record rate 50.0 kHz"):
+            BeatnoteRecord(np.zeros(2000), 50.0, DELTA, quiet_config())
+
 
 class TestRecordSerialisation:
     def test_csv_round_trip_bit_exact(self, tmp_path):

@@ -26,6 +26,26 @@ from psalab.serialize import read_sweep_csv
 from psalab.sweeps import SCAN_KINDS
 
 
+def v1_record(blob: bytes, sample_rate=100.0, delta=2.0, n=2000) -> bytes:
+    """The stock synth record as version-1 bytes: sample rate, delta and
+    count, then the last ``n`` samples of ``blob``."""
+    return b"PSAB" + struct.pack("<IddQ", 1, sample_rate, delta, n) + blob[len(blob) - 8 * n :]
+
+
+def v2_record(blob: bytes, old: str, new: str, n=2000) -> bytes:
+    """Version-2 ``blob`` with ``old`` replaced by ``new`` in its header text,
+    then the last ``n`` of its samples."""
+    (size,) = struct.unpack_from("<I", blob, 8)
+    header = blob[12 : 12 + size].replace(old.encode(), new.encode())
+    return b"PSAB" + struct.pack("<II", 2, len(header)) + header + blob[len(blob) - 8 * n :]
+
+
+def first_rows(text: str, n: int) -> str:
+    """A record CSV cut at a line boundary after its first ``n`` data rows."""
+    lines = text.splitlines()
+    return "\n".join(lines[: lines.index("time_ms,intensity") + 1 + n]) + "\n"
+
+
 class TestParseConfig:
     def test_minimal_phase_scan_fills_defaults(self):
         cfg = parse_config('{"scan": {"kind": "phase_scan"}}')
@@ -608,28 +628,34 @@ class TestCliSynthAnalyze:
 
     @staticmethod
     def _one_sample_binary(blob: bytes) -> bytes:
-        head = struct.calcsize("<IddQ")
-        version, sample_rate, delta, _ = struct.unpack("<IddQ", blob[4 : 4 + head])
-        return blob[:4] + struct.pack("<IddQ", version, sample_rate, delta, 1) + blob[-8:]
+        return v1_record(blob, n=1)
 
     @staticmethod
     def _negative_rate_binary(blob: bytes) -> bytes:
-        head = struct.calcsize("<IddQ")
-        version, sample_rate, delta, n = struct.unpack("<IddQ", blob[4 : 4 + head])
-        return blob[:4] + struct.pack("<IddQ", version, -sample_rate, delta, n) + blob[4 + head :]
+        return v1_record(blob, sample_rate=-100.0)
 
     @pytest.mark.parametrize(
         "emit, edit, message",
         [
             ("csv", lambda text: text.replace("# rng_seed=0", "# rng_seed=-1"), "rng_seed: "),
-            ("csv", lambda text: "\n".join(text.splitlines()[:8]) + "\n", "n_samples: "),
+            ("csv", lambda text: first_rows(text, 1), "n_samples: "),
             ("csv", lambda text: text.replace("sample_rate_khz=100", "sample_rate_khz=-100"),
              "sample_rate: "),
             ("binary", _one_sample_binary, "n_samples: "),
             ("binary", _negative_rate_binary, "sample_rate: "),
+            ("csv", lambda text: first_rows(text, 1000), "n_samples: "),
+            ("binary", lambda blob: v2_record(blob, "n_samples=2000", "n_samples=1", n=1),
+             "n_samples: "),
+            ("binary", lambda blob: v2_record(blob, "sample_rate_khz=100", "sample_rate_khz=-100"),
+             "sample_rate: "),
+            ("binary", lambda blob: v2_record(blob, "rng_seed=0", "rng_seed=-1"), "rng_seed: "),
+            ("binary", lambda blob: blob[: len(blob) - 8000], "n_samples: "),
+            ("csv", lambda text: text.replace("# sample_rate_khz=100\n", ""), "sample_rate: "),
         ],
         ids=["csv_negative_seed", "csv_one_sample", "csv_negative_rate", "binary_one_sample",
-             "binary_negative_rate"],
+             "binary_negative_rate", "csv_truncated", "binary_v2_one_sample",
+             "binary_v2_negative_rate", "binary_v2_negative_seed", "binary_v2_truncated",
+             "csv_no_rate"],
     )
     def test_analyze_rejects_out_of_range_header(self, tmp_path, capsys, emit, edit, message):
         main(["synth", "--out", str(tmp_path), "--name", "rec", "--emit", emit, "--quiet"])
@@ -664,20 +690,19 @@ class TestCliBadInputFiles:
             ("csv", "-2", "frequency -2.0 maps to unusable bin -40 of 2000"),
             ("csv", "2.01", "frequency 2.01 is off the FFT bin grid (resolution 0.05)"),
             ("binary", -2.0, "frequency -2.0 maps to unusable bin -40 of 2000"),
+            ("binary", "-2", "frequency -2.0 maps to unusable bin -40 of 2000"),
         ],
-        ids=["csv_negative", "csv_off_grid", "binary_negative"],
+        ids=["csv_negative", "csv_off_grid", "binary_negative", "binary_v2_negative"],
     )
     def test_analyze_rejects_delta_off_the_bins(self, tmp_path, capsys, emit, delta, message):
         main(["synth", "--out", str(tmp_path), "--name", "rec", "--emit", emit, "--quiet"])
         path = tmp_path / ("rec.csv" if emit == "csv" else "rec.bin")
         if emit == "csv":
             path.write_text(path.read_text().replace("# delta_khz=2\n", f"# delta_khz={delta}\n"))
+        elif isinstance(delta, float):
+            path.write_bytes(v1_record(path.read_bytes(), delta=delta))
         else:
-            blob = path.read_bytes()
-            head = struct.calcsize("<IddQ")
-            version, sample_rate, _, n = struct.unpack("<IddQ", blob[4 : 4 + head])
-            path.write_bytes(blob[:4] + struct.pack("<IddQ", version, sample_rate, delta, n)
-                             + blob[4 + head :])
+            path.write_bytes(v2_record(path.read_bytes(), "delta_khz=2\n", f"delta_khz={delta}\n"))
         capsys.readouterr()
         assert main(["analyze", str(path)]) == EXIT_CONFIG
         captured = capsys.readouterr()

@@ -1,4 +1,5 @@
-"""CSV writers against the per-value rendering, and the readers under fuzzed input."""
+"""CSV writers against the per-value rendering, record round trips in both
+formats, and the readers under fuzzed input."""
 
 import math
 import struct
@@ -13,11 +14,14 @@ from psalab.errors import ConfigError
 from psalab.serialize import (
     fmt17,
     histogram_to_csv,
+    read_record,
     read_sweep_csv,
     record_binary_bytes,
     record_csv_bytes,
     record_from_binary,
     record_from_csv,
+    record_to_binary,
+    record_to_csv,
     sweep_csv_bytes,
 )
 from psalab.sweeps import SweepResult
@@ -74,9 +78,51 @@ def test_histogram_csv_matches_per_value_rendering(tmp_path, edges, data):
 def test_record_csv_matches_per_value_rendering(samples, sample_rate):
     cfg = DetectionConfig(sample_rate=sample_rate, n_samples=len(samples))
     rec = BeatnoteRecord(samples, sample_rate, 2.0, cfg)
-    expected = record_csv_bytes(rec).decode("utf-8").splitlines()[:7]
+    lines = record_csv_bytes(rec).decode("utf-8").splitlines()
+    expected = lines[: lines.index("time_ms,intensity") + 1]
     expected += [f"{fmt17(t)},{fmt17(v)}" for t, v in zip(rec.times, rec.samples)]
     assert record_csv_bytes(rec) == old_csv(expected[0], expected[1:])
+
+
+# ---------------------------------------------------------------------------
+# records: what is written reads back as the record that was written
+
+
+@given(st.integers(6, 64), st.floats(1e-3, 1e6), st.floats(0.0, 10.0),
+       st.one_of(st.just(0.0), st.floats(0.0, 1e3)), st.integers(0, 2**70), st.data())
+@settings(max_examples=100, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_record_round_trips_in_both_formats(tmp_path, n_samples, sample_rate, noise_sigma, pump,
+                                            seed, data):
+    samples = data.draw(st.lists(VALUES, min_size=n_samples, max_size=n_samples))
+    cfg = DetectionConfig(sample_rate=sample_rate, n_samples=n_samples, noise_sigma=noise_sigma,
+                          rng_seed=seed, residual_pump_intensity=pump)
+    # delta on bin 1, so the delta and 2*delta tones both sit on usable bins
+    rec = BeatnoteRecord(samples, sample_rate, sample_rate / n_samples, cfg)
+    for write, name in [(record_to_csv, "rec.csv"), (record_to_binary, "rec.bin")]:
+        back = read_record(write(rec, tmp_path / name))
+        assert back.samples.view(np.int64).tolist() == rec.samples.view(np.int64).tolist()
+        assert (back.sample_rate, back.delta) == (rec.sample_rate, rec.delta)
+        assert back.config_echo == cfg
+
+
+def test_v1_binary_reads_with_detection_config_defaults(tmp_path):
+    samples = FUZZ_RECORD.samples
+    path = tmp_path / "v1.bin"
+    path.write_bytes(b"PSAB" + struct.pack("<IddQ", 1, 400.0, 20.0, samples.size)
+                     + samples.astype("<f8").tobytes())
+    back = read_record(path)
+    assert np.array_equal(back.samples, samples) and back.delta == 20.0
+    assert back.config_echo == DetectionConfig(sample_rate=400.0, n_samples=samples.size)
+    assert back.config_echo.residual_pump_intensity == 0.25
+
+
+def test_v1_csv_without_n_samples_counts_its_rows(tmp_path):
+    lines = record_csv_bytes(FUZZ_RECORD).decode("utf-8").splitlines()
+    path = tmp_path / "v1.csv"
+    path.write_text("\n".join(line for line in lines if not line.startswith("# n_samples=")))
+    back = read_record(path)
+    assert np.array_equal(back.samples, FUZZ_RECORD.samples)
+    assert back.config_echo == FUZZ_RECORD.config_echo
 
 
 # ---------------------------------------------------------------------------
@@ -93,6 +139,8 @@ FUZZ_SWEEP = SweepResult(
 ORIGINALS = {
     "record_csv": record_csv_bytes(FUZZ_RECORD),
     "record_binary": record_binary_bytes(FUZZ_RECORD),
+    "record_binary_v1": b"PSAB" + struct.pack("<IddQ", 1, 400.0, 20.0, FUZZ_RECORD.n_samples)
+                        + FUZZ_RECORD.samples.astype("<f8").tobytes(),
     "sweep_csv": sweep_csv_bytes(FUZZ_SWEEP),
 }
 READERS = {
@@ -101,7 +149,8 @@ READERS = {
     "read_sweep_csv": read_sweep_csv,
 }
 TOKENS = [b"nan", b"-inf", b"1e400", b"-2", b"0", b"2.01", b"5e-324", b"=", b"#", b",",
-          b"\n", b"\xff\xfe", b"\xed\xa0\x80", b"\x00", b"PSAB", b"delta_khz=", b"time_ms"]
+          b"\n", b"\xff\xfe", b"\xed\xa0\x80", b"\x00", b"PSAB", b"delta_khz=", b"n_samples=",
+          b"time_ms"]
 
 
 @st.composite
