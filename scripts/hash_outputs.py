@@ -4,8 +4,11 @@
 Writes into a temporary directory, then prints one ``sha256  name`` line
 per file, sorted by name:
 
-- the six stock campaigns of ``run_campaigns.py`` under both pipelines,
-  at noise_sigma 0 and 0.05, as csv, json and binary;
+- the six stock campaigns of ``run_campaigns.py`` with its pipeline set to
+  each of the two (the spectrum and the mixed transfer curve stay pinned to
+  model_exact), plus a full_beatnote copy of the spectrum from 10 kHz, since
+  records refuse delta = 0; all at noise_sigma 0 and 0.05, as csv, json and
+  binary;
 - the five sweep subcommands run through the CLI (csv and binary, plus
   their summary lines on stdout);
 - ``psalab synth`` records: cell-on, cell-off and a noisy mixed-seed
@@ -31,6 +34,8 @@ import os
 import tempfile
 from dataclasses import replace
 from pathlib import Path
+
+import numpy as np
 
 from psalab import run_scan
 from psalab.cli import main as cli_main
@@ -67,7 +72,13 @@ def write_outputs(seed: int, outdir: Path) -> None:
     """Every hashed output of one seed, as files in ``outdir``."""
     for pipeline in PIPELINES:
         for sigma in SIGMAS:
-            for name, spec in _campaign_specs(seed, pipeline).items():
+            specs = _campaign_specs(seed, pipeline)
+            if pipeline == "full_beatnote":  # the stock spectrum is pinned to model_exact
+                specs["gain_spectrum_beatnote"] = replace(
+                    specs["gain_spectrum"], pipeline=pipeline,
+                    grid=tuple(np.arange(10.0, 1000.1, 10.0)),
+                )
+            for name, spec in specs.items():
                 spec = replace(spec, detection=replace(spec.detection, noise_sigma=sigma))
                 base = f"campaign_{pipeline}_sigma{sigma:g}_{name}"
                 try:

@@ -139,7 +139,7 @@ def _expand(key: str, make, *args) -> tuple[float, ...]:
     """The grid ``make(*args)``; a count numpy refuses is named on its key."""
     try:
         return tuple(float(x) for x in make(*args))
-    except ValueError as err:
+    except (ValueError, MemoryError) as err:  # numpy's _ArrayMemoryError: too many points
         raise ConfigError(f"scan.grid.{key}: {args[-1]!r} does not expand: {err}") from None
 
 

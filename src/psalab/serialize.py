@@ -183,15 +183,22 @@ def _header_lines(rec: BeatnoteRecord) -> list[str]:
 
 
 def _header_values(path, lines) -> dict:
-    """The fields ``key=value`` lines set, each parsed to its type; other lines are skipped."""
+    """The fields ``key=value`` lines set, each parsed to its type; lines without ``=``
+    are skipped, and a key outside the header or set twice is the file's fault."""
     values = {}
-    for key, _, text in (line.partition("=") for line in lines):
-        if key.strip() in _HEADER:
-            name, kind = _HEADER[key.strip()]
-            try:
-                values[name] = kind(text.strip())
-            except ValueError as err:
-                raise ConfigError(f"{path}: {name}: {err}") from None
+    for key, eq, text in (line.partition("=") for line in lines):
+        key = key.strip()
+        if not eq:
+            continue
+        if key not in _HEADER:
+            raise ConfigError(f"{path}: {key}: not a record header key")
+        name, kind = _HEADER[key]
+        if name in values:
+            raise ConfigError(f"{path}: {key}: set twice in the record header")
+        try:
+            values[name] = kind(text.strip())
+        except ValueError as err:
+            raise ConfigError(f"{path}: {name}: {err}") from None
     return values
 
 

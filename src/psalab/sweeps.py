@@ -1,11 +1,11 @@
-"""Campaign runners that produce the figure-shaped datasets.
+"""The campaign runner that produces the figure-shaped datasets.
 
-Each runner walks an ordered grid (input phase, pump power or detuning),
-evaluates the amplifier plus detection chain at every point, and collects
-named columns into a SweepResult whose metadata suffices to reproduce it
-bit for bit.  Grid points are independent work items: every point derives
-its own RNG seed from (master seed, point index), so results cannot
-depend on evaluation order.
+``run_scan`` walks a ScanSpec's ordered grid (input phase, pump power or
+detuning), evaluates the amplifier plus detection chain at every point, and
+collects its kind's named columns into a SweepResult whose metadata suffices
+to reproduce it bit for bit.  Grid points are independent work items: every
+point derives its own RNG seed from (master seed, point index), so results
+cannot depend on evaluation order.
 
 The two pipelines differ only in how they obtain the DC, delta and 2*delta
 spectrum peaks: ``model_exact`` in closed form, ``full_beatnote`` from
@@ -40,8 +40,8 @@ PIPELINES = ("model_exact", "full_beatnote")
 # Pump-power range the amplifier cell is characterised over.
 POWER_RANGE_MW = (0.0, 80.0)
 
-# An extremum search whose sampled gains spread less than this fraction of
-# the largest is flat to rounding (no squeezing): its extremes are final.
+# An extremum search whose fitted phase terms |B| + |C| are below this fraction
+# of |A| is flat to rounding (no squeezing): its measured extremes are final.
 EXTREMA_FLAT_RTOL = 1e-13
 
 # A sweep point counts as "pure PSA" while |g_min - 1/g_max| stays within
@@ -51,11 +51,7 @@ BANDWIDTH_TOLERANCE = 0.05
 # full_beatnote synthesizes and reads at most this many records per block.
 # At 2,000 samples an 8-row array is 125 kB; larger temporaries, mapped and
 # page-faulted afresh on each allocation, measured slower and cost memory.
-# The extremum search samples gain**2, a degree-2 trig polynomial in 2*phi_p
-# (5 coefficients), at phi_p = k*pi/RECORD_BLOCK, so RECORD_BLOCK must be >= 5.
 RECORD_BLOCK = 8
-_EXTREMA_PHASES = np.arange(RECORD_BLOCK) * (math.pi / RECORD_BLOCK)
-_EXTREMA_DFT = np.exp(-2j * np.outer(np.arange(3), _EXTREMA_PHASES)) / RECORD_BLOCK
 
 # Noisy cosine readouts may overshoot the unit circle by this many standard
 # deviations of the propagated delta-bin noise before extraction errors out.
@@ -242,28 +238,30 @@ class _Pipeline:
     def gain_extrema(self, r: float, loss: float, index: int, delta: float) -> tuple[float, float]:
         """Measured gains at the pump phases of largest and smallest gain.
 
-        The 2*delta on-peak is linear in z = exp(2j*phi_p), noise included, so
-        gain**2 = c0 + 2*Re(c1*z + c2*z**2), fixed by one block at phi_p =
-        k*pi/RECORD_BLOCK.  Its stationary points are the roots of 2*c2*z**4
+        The 2*delta on-peak is affine in z = exp(2j*phi_p) and conj(z), noise
+        included: on = A + B*z + C*conj(z), fixed by one block at phi_p = 0,
+        pi/3, 2*pi/3 through the 3-point DFT.  Then gain**2 is proportional to
+        |A|**2 + |B|**2 + |C|**2 + 2*Re(c1*z + c2*z**2), c1 = conj(A)*B + A*conj(C)
+        and c2 = B*conj(C), whose stationary points are the roots of 2*c2*z**4
         + c1*z**3 - conj(c1)*z - 2*conj(c2) (Boyd, J. Eng. Math. 56:203, 2006);
         the gain is measured again at the largest and smallest.  One cell-off
         row serves the search: its 2*delta peak ignores the pump phase.
         """
         off_dc, _, reference = self.peaks(self.a_s, self.a_i, (0.0,), delta, CELL_OFF, index)
 
-        def gain(phases) -> np.ndarray:
+        def measure(phases) -> tuple[np.ndarray, np.ndarray]:
             s_out, i_out = self._outputs(r, loss, phases, self.a_i)
             on = self.peaks(s_out, i_out, phases, delta, CELL_ON, index)[2]
-            return gain_ratio(on, reference, off_dc)
+            return on, gain_ratio(on, reference, off_dc)
 
-        gains = gain(_EXTREMA_PHASES)
-        top, bottom = float(gains.max()), float(gains.min())
-        if top - bottom <= EXTREMA_FLAT_RTOL * top:  # r = 0: c1 = c2 = 0, no roots
-            return top, bottom
-        _, c1, c2 = _EXTREMA_DFT @ (gains * gains)
+        on, gains = measure(np.arange(3) * (math.pi / 3.0))
+        a, b, c = np.fft.fft(on) / 3.0
+        if abs(b) + abs(c) <= EXTREMA_FLAT_RTOL * abs(a):  # r = 0: c1 = c2 = 0, no roots
+            return float(gains.max()), float(gains.min())
+        c1, c2 = a.conjugate() * b + a * c.conjugate(), b * c.conjugate()
         x = np.angle(np.roots((2.0 * c2, c1, 0.0, -c1.conjugate(), -2.0 * c2.conjugate())))
         shape = (c1 * np.exp(1j * x) + c2 * np.exp(2j * x)).real
-        return tuple(gain(0.5 * x[[np.argmax(shape), np.argmin(shape)]] % math.pi))
+        return tuple(measure(0.5 * x[[np.argmax(shape), np.argmin(shape)]] % math.pi)[1])
 
     def scan_grid(self, r: float, loss: float, phases, transfer: bool) -> tuple[np.ndarray, ...]:
         """Columns (gain,) or, for a transfer curve, (gain, gain_idler, cos_out) over the grid;

@@ -173,9 +173,12 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="^emit: expected a list"):
             parse_config('{"scan": {"kind": "phase_scan"}, "emit": %s}' % emit)
 
-    @pytest.mark.parametrize("key, value", [("step", 1e-300), ("num", 1e300)])
+    @pytest.mark.parametrize(
+        "key, value", [("step", 1e-300), ("num", 1e300), ("step", 1e-15), ("num", 1e15)]
+    )
     def test_grid_numpy_cannot_expand(self, key, value):
-        # numpy rejects these counts before it allocates anything
+        # numpy refuses the first two counts outright; the last two ask for more
+        # bytes than a 128 TiB address space, so their allocation fails untouched
         grid = {"start": 0, "stop": 80, key: value}
         with pytest.raises(ConfigError, match=rf"^scan\.grid\.{key}: "):
             parse_config(json.dumps({"scan": {"kind": "power_sweep", "grid": grid}}))
@@ -651,11 +654,17 @@ class TestCliSynthAnalyze:
             ("binary", lambda blob: v2_record(blob, "rng_seed=0", "rng_seed=-1"), "rng_seed: "),
             ("binary", lambda blob: blob[: len(blob) - 8000], "n_samples: "),
             ("csv", lambda text: text.replace("# sample_rate_khz=100\n", ""), "sample_rate: "),
+            ("csv", lambda text: text.replace("# noise_sigma=0", "# noise_sigm=0.05"),
+             "noise_sigm: "),
+            ("binary", lambda blob: v2_record(blob, "noise_sigma=0", "noise_sigm=0.05"),
+             "noise_sigm: "),
+            ("csv", lambda text: text.replace("# rng_seed=0", "# rng_seed=0\n# rng_seed=1"),
+             "rng_seed: "),
         ],
         ids=["csv_negative_seed", "csv_one_sample", "csv_negative_rate", "binary_one_sample",
              "binary_negative_rate", "csv_truncated", "binary_v2_one_sample",
              "binary_v2_negative_rate", "binary_v2_negative_seed", "binary_v2_truncated",
-             "csv_no_rate"],
+             "csv_no_rate", "csv_unknown_key", "binary_v2_unknown_key", "csv_repeated_key"],
     )
     def test_analyze_rejects_out_of_range_header(self, tmp_path, capsys, emit, edit, message):
         main(["synth", "--out", str(tmp_path), "--name", "rec", "--emit", emit, "--quiet"])

@@ -289,12 +289,12 @@ class TestTransferCurve:
 
 
 class TestBeatnoteExtremumSearch:
-    """The 8-phase spectral search against a dense scan of the same gain.
+    """The three-phase fitted search against a dense scan of the same gain.
 
-    Real seeds put every extremum at pump phase 0 or pi/2, both among the
-    sampled phases; a rotated signal seed moves them off those, so only
-    the roots of the fitted gain**2 can find them.  Work is counted in
-    records (block rows) synthesized per seed stream at each grid point.
+    Real seeds put every extremum at pump phase 0 or pi/2; a rotated signal
+    seed moves them off those, so only the roots of the fitted gain**2 can
+    find them.  Work is counted in records (block rows) synthesized per seed
+    stream at each grid point.
     """
 
     POWERS = (0.0, 25.0, 63.0)
@@ -345,15 +345,43 @@ class TestBeatnoteExtremumSearch:
 
     @SIGNAL_PHASES
     @OVERRIDES
-    def test_one_block_plus_two_rows_per_point(self, overrides, signal_phase, monkeypatch):
+    def test_three_fit_rows_plus_two_per_point(self, overrides, signal_phase, monkeypatch):
         spec, _, _ = self.spec_with_signal(overrides, signal_phase, monkeypatch)
         per_point = self.count_rows(monkeypatch)
         run_scan(spec)
-        block = sweeps.RECORD_BLOCK
-        # At 0 mW the sampled gains are flat and no roots are sought.
-        assert per_point == [
-            {"off": 1, "gain": block}, {"off": 1, "gain": block + 2}, {"off": 1, "gain": block + 2}
-        ]
+        # At 0 mW the fitted phase terms vanish and no roots are sought.
+        assert per_point == [{"off": 1, "gain": 3}, {"off": 1, "gain": 5}, {"off": 1, "gain": 5}]
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.05, 0.2])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_on_peak_is_affine_in_z_and_its_conjugate(self, seed, sigma):
+        """The search's premise: one grid index's 2*delta on-peaks, noise included,
+        are A + B*z + C*conj(z) with z = exp(2j*phi_p), fixed by the three fit phases."""
+        rng = np.random.default_rng(seed)
+        r, loss = float(rng.uniform(0.05, 1.5)), float(rng.uniform(0.3, 1.0))
+        spec = ScanSpec(
+            kind="power_sweep", grid=self.POWERS, pipeline="full_beatnote",
+            input_ratio=float(rng.uniform(0.3, 3.0)),
+            detection=DetectionConfig(noise_sigma=sigma, rng_seed=int(rng.integers(2**32))),
+        )
+        pipe = sweeps._BeatnotePipeline(spec)
+        delta, index = spec.amplifier.detuning, int(rng.integers(len(self.POWERS)))
+
+        def on_peaks(phases):
+            s_out, i_out = pipe._outputs(r, loss, phases, pipe.a_i)
+            dc, _, on = pipe.peaks(s_out, i_out, phases, delta, CELL_ON, index)
+            return dc, on
+
+        def terms(phases):
+            z = np.exp(2j * np.asarray(phases))
+            return np.stack([np.ones_like(z), z, z.conjugate()], axis=-1)
+
+        fit_phases = np.arange(3) * (math.pi / 3.0)
+        coefficients = np.linalg.solve(terms(fit_phases), on_peaks(fit_phases)[1])
+        phases = rng.uniform(-math.pi, math.pi, 6)
+        dc, on = on_peaks(phases)
+        np.testing.assert_allclose(on, terms(phases) @ coefficients, rtol=0.0,
+                                   atol=1e-12 * np.abs(dc).max())
 
     @SIGNAL_PHASES
     @OVERRIDES
