@@ -6,9 +6,10 @@ per file, sorted by name:
 
 - the six stock campaigns of ``run_campaigns.py`` with its pipeline set to
   each of the two (the spectrum and the mixed transfer curve stay pinned to
-  model_exact), plus a full_beatnote copy of the spectrum from 10 kHz, since
-  records refuse delta = 0; all at noise_sigma 0 and 0.05, as csv, json and
-  binary;
+  model_exact), plus two full_beatnote copies: the spectrum from 10 kHz,
+  since records refuse delta = 0, and the power sweep at input ratio 1.78,
+  whose g_min comes off the quartic's roots; all at noise_sigma 0 and 0.05,
+  as csv, json and binary;
 - the five sweep subcommands run through the CLI (csv and binary, plus
   their summary lines on stdout);
 - ``psalab synth`` records: cell-on, cell-off and a noisy mixed-seed
@@ -78,6 +79,7 @@ def write_outputs(seed: int, outdir: Path) -> None:
                     specs["gain_spectrum"], pipeline=pipeline,
                     grid=tuple(np.arange(10.0, 1000.1, 10.0)),
                 )
+                specs["gain_vs_power_mixed"] = replace(specs["gain_vs_power"], input_ratio=1.78)
             for name, spec in specs.items():
                 spec = replace(spec, detection=replace(spec.detection, noise_sigma=sigma))
                 base = f"campaign_{pipeline}_sigma{sigma:g}_{name}"

@@ -142,13 +142,13 @@ def _trig_rows(n_samples: int, sample_rate: float, delta: float) -> np.ndarray:
 
 
 def synthesize_block(
-    s_out, i_out, pump_phase, delta: float, cfg: DetectionConfig, stream: int, seeds=None
+    s_out, i_out, pump_phase, delta: float, cfg: DetectionConfig, stream, seeds=None
 ) -> np.ndarray:
     """Detected intensity traces of P records as a (P, n_samples) block.
 
-    One row per ``pump_phase`` entry; ``s_out`` and ``i_out`` are scalars
-    or one value per row.  Each row forms E(t) sample by sample and
-    records |E|^2.  With noise, a row adds the draws of ``stream`` under
+    One row per ``pump_phase`` entry; ``s_out``, ``i_out`` and ``stream``
+    are scalars or one value per row.  Each row forms E(t) sample by sample
+    and records |E|^2.  With noise, a row adds the draws of its stream under
     its seed in ``seeds``, or under ``cfg.rng_seed`` for every row.
     """
     phase = np.atleast_1d(np.asarray(pump_phase, dtype=np.float64))
@@ -171,9 +171,15 @@ def synthesize_block(
     trace = np.add(re, im, out=re)
     if cfg.noise_sigma > 0.0:  # normal(0, sigma) is 0 + sigma*z: draw z into one block
         seeds = (cfg.rng_seed,) if seeds is None else seeds
-        noise = np.empty((len(seeds), cfg.n_samples))
-        for seed, row in zip(seeds, noise):
-            _rng_for(seed, stream).standard_normal(out=row)
+        keys = draws = [(seed, stream) for seed in seeds]
+        if not isinstance(stream, (int, np.integer)):  # a stream per row
+            keys = list(zip(seeds if len(seeds) > 1 else list(seeds) * len(stream), stream))
+            draws = list(dict.fromkeys(keys))  # each distinct (seed, stream) is drawn once
+        noise = np.empty((len(draws), cfg.n_samples))
+        for (seed, row_stream), row in zip(draws, noise):
+            _rng_for(seed, row_stream).standard_normal(out=row)
+        if len(draws) < len(keys):  # rows that share a draw
+            noise = noise[[draws.index(key) for key in keys]]
         trace += np.multiply(noise, cfg.noise_sigma, out=noise)
     return trace
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -137,6 +137,10 @@ class ScanSpec:
                     self.detection_for(delta).validate_for_delta(delta)
             except DomainError as err:  # it names the detection field it bounds
                 raise DomainError(f"detection.{err}") from None
+            try:  # a record block numpy can hold
+                np.empty((RECORD_BLOCK, self.detection.n_samples))
+            except (ValueError, MemoryError) as err:  # numpy's _ArrayMemoryError: too many samples
+                raise DomainError(f"detection.n_samples: {err}") from None
         self._validate_operating_points()
 
     def _validate_operating_points(self) -> None:
@@ -181,9 +185,9 @@ class ScanSpec:
         return replace(cfg, sample_rate=cfg.sample_rate / self.amplifier.detuning * delta)
 
     def as_dict(self) -> dict:
-        """``dataclasses.asdict`` that shares the grid tuple instead of deep-copying each float."""
+        """``dataclasses.asdict``, shallow: the grid is shared, nested dataclasses hold scalars."""
         values = {f.name: getattr(self, f.name) for f in fields(self)}
-        return {key: asdict(v) if is_dataclass(v) else v for key, v in values.items()}
+        return {key: dict(vars(v)) if is_dataclass(v) else v for key, v in values.items()}
 
     @property
     def master_seed(self) -> int:
@@ -224,9 +228,9 @@ class _Pipeline:
         self.a_s, self.a_i = spec.input_fields()
         self._seed = functools.lru_cache(None)(point_seed)  # a seed per grid point and run
 
-    def peaks(self, s_out, i_out, phases, delta: float, stream: int, points):
-        """(dc, at_delta, at_two_delta) of the ``stream`` record at each pump phase, a row
-        each; ``points`` is one grid index for all rows (they share its noise) or one per row."""
+    def peaks(self, s_out, i_out, phases, delta: float, stream, points):
+        """(dc, at_delta, at_two_delta) of the record at each pump phase, a row each; ``stream``
+        and ``points`` (a grid index; rows of one share its noise) are scalars or one per row."""
         raise NotImplementedError
 
     def _outputs(self, r: float, loss: float, phases, idler: complex):
@@ -244,24 +248,28 @@ class _Pipeline:
         |A|**2 + |B|**2 + |C|**2 + 2*Re(c1*z + c2*z**2), c1 = conj(A)*B + A*conj(C)
         and c2 = B*conj(C), whose stationary points are the roots of 2*c2*z**4
         + c1*z**3 - conj(c1)*z - 2*conj(c2) (Boyd, J. Eng. Math. 56:203, 2006);
-        the gain is measured again at the largest and smallest.  One cell-off
-        row serves the search: its 2*delta peak ignores the pump phase.
+        the gain is measured again at the largest and smallest.  One cell-off row,
+        whose 2*delta peak ignores the pump phase, leads the fit block: two blocks a point.
         """
-        off_dc, _, reference = self.peaks(self.a_s, self.a_i, (0.0,), delta, CELL_OFF, index)
-
-        def measure(phases) -> tuple[np.ndarray, np.ndarray]:
-            s_out, i_out = self._outputs(r, loss, phases, self.a_i)
-            on = self.peaks(s_out, i_out, phases, delta, CELL_ON, index)[2]
-            return on, gain_ratio(on, reference, off_dc)
-
-        on, gains = measure(np.arange(3) * (math.pi / 3.0))
+        fit = np.arange(3) * (math.pi / 3.0)
+        s_out, i_out = self._outputs(r, loss, fit, self.a_i)
+        streams = (CELL_OFF, CELL_ON, CELL_ON, CELL_ON)
+        dc, _, two_delta = self.peaks(np.r_[self.a_s, s_out], np.r_[self.a_i, i_out],
+                                      np.r_[0.0, fit], delta, streams, index)
+        off_dc, reference, on = dc[:1], two_delta[:1], two_delta[1:]
         a, b, c = np.fft.fft(on) / 3.0
         if abs(b) + abs(c) <= EXTREMA_FLAT_RTOL * abs(a):  # r = 0: c1 = c2 = 0, no roots
+            gains = gain_ratio(on, reference, off_dc)
             return float(gains.max()), float(gains.min())
         c1, c2 = a.conjugate() * b + a * c.conjugate(), b * c.conjugate()
-        x = np.angle(np.roots((2.0 * c2, c1, 0.0, -c1.conjugate(), -2.0 * c2.conjugate())))
+        companion = np.diag(np.ones(3, complex), -1)  # np.roots' matrix of the quartic
+        companion[0] = -np.array((c1, 0.0, -c1.conjugate(), -2.0 * c2.conjugate())) / (2.0 * c2)
+        x = np.angle(np.linalg.eigvals(companion))
         shape = (c1 * np.exp(1j * x) + c2 * np.exp(2j * x)).real
-        return tuple(measure(0.5 * x[[np.argmax(shape), np.argmin(shape)]] % math.pi)[1])
+        phases = 0.5 * x[[np.argmax(shape), np.argmin(shape)]] % math.pi
+        s_out, i_out = self._outputs(r, loss, phases, self.a_i)
+        on = self.peaks(s_out, i_out, phases, delta, CELL_ON, index)[2]
+        return tuple(gain_ratio(on, reference, off_dc))
 
     def scan_grid(self, r: float, loss: float, phases, transfer: bool) -> tuple[np.ndarray, ...]:
         """Columns (gain,) or, for a transfer curve, (gain, gain_idler, cos_out) over the grid;
@@ -294,11 +302,11 @@ class _Pipeline:
         return cos_readout(on_delta, cfg.residual_pump_intensity, gain, i_s, clamp_tol)
 
     def pia_rho(self, r: float, loss: float, index: int, delta: float) -> float:
-        """delta-peak on/off amplitude ratio with an unseeded idler."""
+        """delta-peak on/off amplitude ratio with an unseeded idler, read as one block."""
         s_out, i_out = self._outputs(r, loss, (0.0,), 0j)
-        _, on, _ = self.peaks(s_out, i_out, (0.0,), delta, CELL_ON, index)
-        _, off, _ = self.peaks(self.a_s, 0j, (0.0,), delta, CELL_OFF, index)
-        return abs(on[0]) / abs(off[0])  # ScanSpec refuses a beatnote PIA without the pump
+        _, on_off, _ = self.peaks(np.r_[s_out, self.a_s], np.r_[i_out, 0j], (0.0, 0.0), delta,
+                                  (CELL_ON, CELL_OFF), index)
+        return abs(on_off[0]) / abs(on_off[1])  # ScanSpec refuses a beatnote PIA without the pump
 
 
 class _ModelPipeline(_Pipeline):
@@ -331,9 +339,10 @@ class _BeatnotePipeline(_Pipeline):
     def peaks(self, s_out, i_out, phases, delta, stream, points):
         """Records synthesized and read as (P, N) blocks of at most RECORD_BLOCK rows."""
         if len(phases) > RECORD_BLOCK:
-            s, i, phi, k = np.broadcast_arrays(s_out, i_out, phases, points)
+            s, i, phi, k, st = np.broadcast_arrays(s_out, i_out, phases, points, stream)
             blocks = [
-                self.peaks(s[rows], i[rows], phi[rows], delta, stream, k[rows])
+                self.peaks(s[rows], i[rows], phi[rows], delta,
+                           stream if isinstance(stream, int) else st[rows], k[rows])
                 for rows in (slice(n, n + RECORD_BLOCK) for n in range(0, len(phi), RECORD_BLOCK))
             ]
             return tuple(np.concatenate(column) for column in zip(*blocks))
@@ -343,12 +352,6 @@ class _BeatnotePipeline(_Pipeline):
             seeds = [self._seed(self.spec.master_seed, int(k)) for k in np.atleast_1d(points)]
         block = synthesize_block(s_out, i_out, phases, delta, cfg, stream, seeds)
         return block_peaks(block, cfg.sample_rate, delta)
-
-
-def _pia_gain_from_rho(rho: float) -> float:
-    """Invert the delta-peak ratio through cosh^2 - sinh^2 = 1."""
-    c = 0.5 * (rho + 1.0 / rho)
-    return c * c
 
 
 def _gain_vs_phase(spec: ScanSpec, pipe: _Pipeline, metadata: dict) -> dict:
@@ -372,8 +375,9 @@ def _pia_compare(spec: ScanSpec, pipe: _Pipeline, metadata: dict) -> dict:
     rows = []
     for k, (r, loss, delta) in enumerate(spec.operating_points()):
         top, _ = pipe.gain_extrema(r, loss, k, delta)
-        pia = _pia_gain_from_rho(pipe.pia_rho(r, loss, k, delta))
-        rows.append((top, pia, psa_max_from_pia(pia)))
+        rho = pipe.pia_rho(r, loss, k, delta)
+        c = 0.5 * (rho + 1.0 / rho)  # g_pia = c**2 inverts rho through cosh^2 - sinh^2 = 1
+        rows.append((top, c * c, psa_max_from_pia(c * c)))
     g_max, g_pia, g_from_pia = map(np.array, zip(*rows))
     return {"g_max": g_max, "g_pia": g_pia, "g_max_from_pia": g_from_pia}
 

@@ -178,6 +178,19 @@ class TestBlockSynthesis:
         draws = _rng_for(5, CELL_OFF).normal(0.0, 0.3, cfg.n_samples)
         assert np.array_equal(noisy, quiet + draws)
 
+    @pytest.mark.parametrize("sigma", [0.0, 0.05, 0.2])
+    def test_stream_per_row_equals_single_stream_blocks(self, sigma):
+        cfg = quiet_config(noise_sigma=sigma, rng_seed=5)
+        s_out, i_out = np.r_[1.0, self.S], np.r_[0.5j, self.I]
+        phases, streams = np.r_[0.0, self.PHASES], (CELL_OFF, CELL_ON, CELL_ON, CELL_ON)
+        one, two = point_seed(11, 3), point_seed(11, 4)
+        for seeds in ([one], [one, one, two, two]):
+            mixed = synthesize_block(s_out, i_out, phases, DELTA, cfg, streams, seeds)
+            for stream in (CELL_OFF, CELL_ON):
+                single = synthesize_block(s_out, i_out, phases, DELTA, cfg, stream, seeds)
+                rows = np.equal(streams, stream)
+                assert np.array_equal(mixed[rows], single[rows])
+
     def test_non_finite_row_rejected(self):
         with pytest.raises(DomainError, match="finite"):
             synthesize_block(self.S, self.I, [0.0, math.nan, 1.0], DELTA, quiet_config(), CELL_ON)

@@ -43,10 +43,12 @@ def test_hash_outputs_is_stable_within_a_process():
     first = module.hash_lines(5)
     assert first == module.hash_lines(5)
     names = [line.split("  ", 1)[1] for line in first]
-    # six stock campaigns per pipeline and sigma, plus the full_beatnote spectrum per sigma
-    campaigns, cli_sweeps, records, histogram, analyze = 4 * 6 * 3 + 2 * 3, 5 * 3, 3 * 2, 2, 1
+    # six stock campaigns per pipeline and sigma, plus the full_beatnote spectrum and
+    # mixed-seed power sweep per sigma
+    campaigns, cli_sweeps, records, histogram, analyze = 4 * 6 * 3 + 2 * 2 * 3, 5 * 3, 3 * 2, 2, 1
     helps = 1 + len(module.SUBCOMMANDS)
     assert len(names) == campaigns + cli_sweeps + records + histogram + analyze + helps
     assert not [name for name in names if name.endswith(".error")]
     assert "campaign_full_beatnote_sigma0.05_transfer_pure.csv" in names
     assert "campaign_full_beatnote_sigma0.05_gain_spectrum_beatnote.csv" in names
+    assert "campaign_full_beatnote_sigma0.05_gain_vs_power_mixed.csv" in names

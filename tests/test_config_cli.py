@@ -383,8 +383,12 @@ class TestCliSweeps:
             ("spectrum", "detuning_spectrum", {"grid": [10, 20], "detection": {"n_samples": 150}},
              "scan.detection.n_samples"),
             ("phase-scan", "phase_scan", {"amplifier": {"detuning": 0}}, "scan.amplifier.detuning"),
+            # More samples than the address space holds: refused before any record is made.
+            ("phase-scan", "phase_scan", {"detection": {"n_samples": 1e15}},
+             "scan.detection.n_samples"),
         ],
-        ids=["huge_detuning", "slow_sampling", "fractional_periods", "spectrum_periods", "no_beat"],
+        ids=["huge_detuning", "slow_sampling", "fractional_periods", "spectrum_periods", "no_beat",
+             "huge_record"],
     )
     def test_sampling_errors_name_their_key(self, tmp_path, capsys, command, kind, keys, key):
         cfg = tmp_path / "c.json"

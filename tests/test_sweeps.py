@@ -2,9 +2,12 @@
 reproducibility."""
 
 import cmath
+import importlib.util
+import json
 import math
 from collections import Counter
-from dataclasses import replace
+from dataclasses import asdict, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +16,7 @@ from hypothesis import strategies as st
 
 from psalab import (
     AmplifierParams,
+    CalibrationMap,
     DetectionConfig,
     DomainError,
     ScanSpec,
@@ -320,27 +324,32 @@ class TestBeatnoteExtremumSearch:
         return spec, signal, idler
 
     @staticmethod
-    def count_rows(monkeypatch) -> list[dict]:
-        """Records synthesized per seed stream, one entry per searched grid point."""
+    def count_rows(monkeypatch, method="gain_extrema", calls=None) -> list[dict]:
+        """Records synthesized per seed stream, one entry per call of ``method`` (one per
+        grid point); ``calls``, if given, gets the ``synthesize_block`` calls of each."""
         counts = Counter()
         synthesize = sweeps.synthesize_block
 
         def counting(s_out, i_out, phases, delta, cfg, stream, seeds=None):
             block = synthesize(s_out, i_out, phases, delta, cfg, stream, seeds)
-            counts["off" if stream == CELL_OFF else "gain"] += len(block)
+            for row_stream in np.broadcast_to(stream, len(block)):
+                counts["off" if row_stream == CELL_OFF else "gain"] += 1
+            counts["calls"] += 1
             return block
 
         monkeypatch.setattr(sweeps, "synthesize_block", counting)
-        search = sweeps._BeatnotePipeline.gain_extrema
+        measured = getattr(sweeps._BeatnotePipeline, method)
         per_point = []
 
         def recorded(pipe, *args, **kwargs):
             before = Counter(counts)
-            result = search(pipe, *args, **kwargs)
+            result = measured(pipe, *args, **kwargs)
             per_point.append({name: counts[name] - before[name] for name in ("off", "gain")})
+            if calls is not None:
+                calls.append(counts["calls"] - before["calls"])
             return result
 
-        monkeypatch.setattr(sweeps._BeatnotePipeline, "gain_extrema", recorded)
+        monkeypatch.setattr(sweeps._BeatnotePipeline, method, recorded)
         return per_point
 
     @SIGNAL_PHASES
@@ -351,6 +360,25 @@ class TestBeatnoteExtremumSearch:
         run_scan(spec)
         # At 0 mW the fitted phase terms vanish and no roots are sought.
         assert per_point == [{"off": 1, "gain": 3}, {"off": 1, "gain": 5}, {"off": 1, "gain": 5}]
+
+    @SIGNAL_PHASES
+    @OVERRIDES
+    def test_two_block_calls_per_point(self, overrides, signal_phase, monkeypatch):
+        spec, _, _ = self.spec_with_signal(overrides, signal_phase, monkeypatch)
+        calls = []
+        self.count_rows(monkeypatch, calls=calls)
+        run_scan(spec)
+        # The cell-off row leads the fit block; at 0 mW no extremum is measured again.
+        assert calls == [1, 2, 2]
+
+    @OVERRIDES
+    def test_pia_reads_one_block_per_point(self, overrides, monkeypatch):
+        spec = ScanSpec(kind="pia_compare", grid=self.POWERS, pipeline="full_beatnote", **overrides)
+        calls = []
+        per_point = self.count_rows(monkeypatch, "pia_rho", calls)
+        run_scan(spec)
+        assert per_point == [{"off": 1, "gain": 1}] * len(self.POWERS)
+        assert calls == [1] * len(self.POWERS)
 
     @pytest.mark.parametrize("sigma", [0.0, 0.05, 0.2])
     @pytest.mark.parametrize("seed", range(4))
@@ -663,6 +691,32 @@ class TestReproducibility:
         seeds = [point_seed(77, i) for i in range(16)]
         assert seeds == [point_seed(77, i) for i in range(16)]
         assert len(set(seeds)) == 16
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_spec_echo_is_asdict_and_a_copy(self, seed):
+        path = Path(__file__).resolve().parents[1] / "scripts" / "run_campaigns.py"
+        module_spec = importlib.util.spec_from_file_location("run_campaigns", path)
+        campaigns = importlib.util.module_from_spec(module_spec)
+        module_spec.loader.exec_module(campaigns)
+        rng = np.random.default_rng(seed)
+        detection = DetectionConfig(noise_sigma=float(rng.uniform(0.0, 0.3)),
+                                    rng_seed=int(rng.integers(2**32)))
+        specs = [
+            *campaigns.campaign_specs(seed, "full_beatnote").values(),
+            ScanSpec(kind="power_sweep", grid=tuple(np.sort(rng.uniform(0.0, 80.0, 5))),
+                     calibration=CalibrationMap(mode="linear", slope=float(rng.uniform(0.001, 0.02))),
+                     detection=detection, input_ratio=float(rng.uniform(0.3, 3.0))),
+            phase_spec(amplifier=AmplifierParams(r=float(rng.uniform(0.0, 1.5)),
+                                                 pump_phase=float(rng.uniform(-3.0, 3.0))),
+                       detection=detection, pipeline="full_beatnote"),
+        ]
+        for spec in specs:
+            expected, echo = asdict(spec), spec.as_dict()
+            assert echo == expected
+            assert json.dumps(echo) == json.dumps(expected)  # key order too
+            for section in ("amplifier", "calibration", "detection"):
+                echo[section].clear()
+            assert asdict(spec) == expected
 
     def test_metadata_echoes_spec_and_version(self):
         res = run_scan(self.NOISY)
