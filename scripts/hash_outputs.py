@@ -15,6 +15,8 @@ per file, sorted by name:
 - ``psalab synth`` records: cell-on, cell-off and a noisy mixed-seed
   record, as csv and binary;
 - a transfer histogram written by ``psalab histogram``;
+- a phase scan whose ``--config`` misspells ``noise_sigma``, refused
+  before it writes anything (its stderr and exit code);
 - the ``--help`` text of ``psalab`` and of every subcommand.
 
 A campaign that raises is hashed as its error message.  Run it on two
@@ -101,6 +103,11 @@ def write_outputs(seed: int, outdir: Path) -> None:
     transfer = outdir / "campaign_full_beatnote_sigma0_transfer_pure.csv"
     stdout["cli_histogram"] = _cli(["histogram", str(transfer), "--quiet"])
     stdout["cli_analyze"] = _cli(["analyze", str(outdir / "synth_noisy.bin")])
+    typo = outdir / "typo.json"
+    typo.write_text(json.dumps({"scan": {"pipeline": "full_beatnote",
+                                         "detection": {"noise_sigm": 0.05}}}))
+    stdout["cli_unknown_key"] = _cli(["phase-scan", *common, "--config", str(typo)])
+    typo.unlink()
 
     columns = os.environ.get("COLUMNS")
     os.environ["COLUMNS"] = "80"  # argparse wraps help text to the terminal width

@@ -95,7 +95,7 @@ def _build_config(args: argparse.Namespace, kind: str) -> RunConfig:
     if args.quiet:
         flags["verbosity"] = 0
     doc = _overlay(_load_document(args.config), flags)
-    cfg = parse_config_document(doc, strict=args.strict, default_kind=kind)
+    cfg = parse_config_document(doc, default_kind=kind)
     if cfg.scan.kind != kind:
         raise ConfigError(
             f"config declares scan.kind {cfg.scan.kind!r} but the subcommand runs {kind!r}"
@@ -220,7 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--emit", metavar="LIST", help="comma-separated output formats: csv,json,binary"
     )
-    common.add_argument("--strict", action="store_true", help="treat unknown config keys as errors")
     common.add_argument("--quiet", action="store_true", help="suppress the summary line")
     common.add_argument("--name", metavar="BASE", help="basename for output files")
     for name, (kind, description) in _SWEEP_COMMANDS.items():

@@ -22,12 +22,12 @@ dataclass (the calibration section goes through ``fitted_calibration``),
 whose defaults fill omitted keys and whose checks bound the values given;
 a field's DomainError comes back as a ConfigError that names the key path.
 This module checks only what a dataclass cannot: JSON types, unknown keys
-(errors in strict mode, warnings otherwise) and grid forms.  It supplies
-the two defaults that belong to the document, the kind's grid
-(DEFAULT_GRIDS) and DEFAULT_PUMP_POWER_MW while ``r`` is unset, so a
-minimal pure-PSA phase scan needs nothing but the kind.  Grids are given
-either as explicit ``values`` or as ``start``/``stop`` plus ``num``
-(inclusive linspace) or ``step``.
+(errors that name the full key path) and grid forms.  It supplies the two
+defaults that belong to the document, the kind's grid (DEFAULT_GRIDS) and
+DEFAULT_PUMP_POWER_MW while ``r`` is unset, so a minimal pure-PSA phase
+scan needs nothing but the kind.  A grid is given in one form: explicit
+``values``, or ``start``/``stop`` plus ``num`` (inclusive linspace) or
+``step``; a mixture of forms is an error.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import warnings
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -104,23 +103,19 @@ def _join(path: str, key: str) -> str:
     return f"{path}.{key}" if path else key
 
 
-def _check_keys(section: dict, path: str, strict: bool) -> None:
+def _check_keys(section: dict, path: str) -> None:
     known = _KNOWN_KEYS[path]
     for key in section:
         if key not in known:
             message = f"unknown key {_join(path, key)!r} (known keys here: {', '.join(known)})"
-            if strict:
-                raise ConfigError(message)
-            warnings.warn(f"config: {message}", stacklevel=3)
+            raise ConfigError(message)
 
 
-def _section(doc: dict, path: str, key: str, strict: bool) -> dict:
+def _section(doc: dict, path: str, key: str) -> dict:
     value = doc.get(key, {})
     if not isinstance(value, dict):
         raise ConfigError(f"{path or 'config'}.{key}: expected an object, got {value!r}")
-    child = _join(path, key)
-    if child in _KNOWN_KEYS:
-        _check_keys(value, child, strict)
+    _check_keys(value, _join(path, key))
     return value
 
 
@@ -143,17 +138,17 @@ def _expand(key: str, make, *args) -> tuple[float, ...]:
         raise ConfigError(f"scan.grid.{key}: {args[-1]!r} does not expand: {err}") from None
 
 
-def _parse_grid(scan: dict, kind: str, strict: bool) -> tuple[float, ...]:
+def _parse_grid(scan: dict, kind: str) -> tuple[float, ...]:
     if "grid" not in scan:
         return DEFAULT_GRIDS[kind]
     raw = scan["grid"]
     if isinstance(raw, list):
         values = raw
     elif isinstance(raw, dict):
-        _check_keys(raw, "scan.grid", strict)
-        if "values" in raw:
-            values = raw["values"]
-        else:
+        _check_keys(raw, "scan.grid")
+        if "values" in raw and len(raw) > 1 or {"num", "step"} <= raw.keys():
+            raise ConfigError(f"scan.grid: mixes grid forms: {', '.join(raw)}")
+        if "values" not in raw:
             if "start" not in raw or "stop" not in raw:
                 raise ConfigError("scan.grid: needs 'values' or both 'start' and 'stop'")
             start = _number(raw["start"], "scan.grid.start")
@@ -169,6 +164,7 @@ def _parse_grid(scan: dict, kind: str, strict: bool) -> tuple[float, ...]:
                     raise ConfigError(f"scan.grid.step: expected > 0, got {step!r}")
                 return _expand("step", np.arange, start, stop + 0.5 * step, step)
             raise ConfigError("scan.grid: start/stop need either 'num' or 'step'")
+        values = raw["values"]
     else:
         raise ConfigError(f"scan.grid: expected a list or an object, got {raw!r}")
     if not isinstance(values, list) or not values:
@@ -214,40 +210,34 @@ def _build(cls, section: dict, path: str, **given):
         raise _named(path, err) from None
 
 
-def _amplifier(scan: dict, strict: bool) -> AmplifierParams:
-    section = _section(scan, "scan", "amplifier", strict)
+def _amplifier(scan: dict) -> AmplifierParams:
+    section = _section(scan, "scan", "amplifier")
     if section.get("r") is None:
         section = {"pump_power": DEFAULT_PUMP_POWER_MW, **section}
     return _build(AmplifierParams, section, "scan.amplifier")
 
 
-def _calibration(scan: dict, strict: bool) -> CalibrationMap:
+def _calibration(scan: dict) -> CalibrationMap:
     """The anchored fit of the section's map shape; ``slope`` and ``r_sat``,
     when given, replace their fitted values."""
     path = "scan.calibration"
-    section = _section(scan, "scan", "calibration", strict)
-    anchor = _section(section, path, "anchor", strict)
+    section = _section(scan, "scan", "calibration")
+    anchor = _section(section, path, "anchor")
     shape = _values(CalibrationMap, section, path)
     overrides = {key: shape.pop(key) for key in ("slope", "r_sat") if key in shape}
-    anchor = {
-        key: _number(value, f"{path}.anchor.{key}")
-        for key, value in anchor.items()
-        if key in _KNOWN_KEYS[f"{path}.anchor"]
-    }
+    anchor = {key: _number(value, f"{path}.anchor.{key}") for key, value in anchor.items()}
     try:
         return replace(fitted_calibration(**anchor, **shape), **overrides)
     except DomainError as err:
         raise _named(path, err) from None
 
 
-def parse_config_document(
-    doc: dict, *, strict: bool = True, default_kind: str | None = None
-) -> RunConfig:
+def parse_config_document(doc: dict, *, default_kind: str | None = None) -> RunConfig:
     """Validate a parsed JSON document into a RunConfig."""
     if not isinstance(doc, dict):
         raise ConfigError(f"config root: expected an object, got {doc!r}")
-    _check_keys(doc, "", strict)
-    scan = _section(doc, "", "scan", strict)
+    _check_keys(doc, "")
+    scan = _section(doc, "", "scan")
     kind = scan.get("kind", default_kind)
     if kind is None:
         raise ConfigError("scan.kind: required (one of %s)" % (SCAN_KINDS,))
@@ -258,12 +248,10 @@ def parse_config_document(
         scan,
         "scan",
         kind=kind,
-        grid=_parse_grid(scan, kind, strict),
-        amplifier=_amplifier(scan, strict),
-        calibration=_calibration(scan, strict),
-        detection=_build(
-            DetectionConfig, _section(scan, "scan", "detection", strict), "scan.detection"
-        ),
+        grid=_parse_grid(scan, kind),
+        amplifier=_amplifier(scan),
+        calibration=_calibration(scan),
+        detection=_build(DetectionConfig, _section(scan, "scan", "detection"), "scan.detection"),
     )
     output_dir = doc.get("output_dir", os.environ.get(ENV_OUTPUT_DIR, "."))
     if not isinstance(output_dir, str):
@@ -271,13 +259,13 @@ def parse_config_document(
     return _build(RunConfig, doc, "", scan=spec, output_dir=Path(output_dir))
 
 
-def parse_config(text: str, *, strict: bool = True, default_kind: str | None = None) -> RunConfig:
+def parse_config(text: str, *, default_kind: str | None = None) -> RunConfig:
     """Parse a JSON config document into a validated RunConfig."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as err:
         raise ConfigError(f"config is not valid JSON: {err}") from None
-    return parse_config_document(doc, strict=strict, default_kind=default_kind)
+    return parse_config_document(doc, default_kind=default_kind)
 
 
 def to_document(cfg: RunConfig) -> dict:

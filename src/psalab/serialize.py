@@ -47,6 +47,7 @@ RECORD_MAGIC = b"PSAB"
 SWEEP_MAGIC = b"PSSW"
 FORMAT_VERSION = 1
 RECORD_VERSION = 2
+_TITLE = "psalab beatnote record v"  # a record CSV's first line, then its version
 EMIT_FORMATS = ("csv", "json", "binary")
 
 
@@ -183,13 +184,14 @@ def _header_lines(rec: BeatnoteRecord) -> list[str]:
 
 
 def _header_values(path, lines) -> dict:
-    """The fields ``key=value`` lines set, each parsed to its type; lines without ``=``
-    are skipped, and a key outside the header or set twice is the file's fault."""
+    """The fields ``key=value`` lines set, each parsed to its type; a line without ``=``,
+    or a key outside the header or set twice, is the file's fault."""
     values = {}
-    for key, eq, text in (line.partition("=") for line in lines):
+    for line in lines:
+        key, eq, text = line.partition("=")
         key = key.strip()
         if not eq:
-            continue
+            raise ConfigError(f"{path}: record header line {line.strip()!r} is not key=value")
         if key not in _HEADER:
             raise ConfigError(f"{path}: {key}: not a record header key")
         name, kind = _HEADER[key]
@@ -225,7 +227,7 @@ def _record(path, samples, header: dict) -> BeatnoteRecord:
 
 
 def record_csv_bytes(rec: BeatnoteRecord) -> bytes:
-    head = [f"psalab beatnote record v{RECORD_VERSION}", *_header_lines(rec)]
+    head = [f"{_TITLE}{RECORD_VERSION}", *_header_lines(rec)]
     return _csv_bytes([*(f"# {line}" for line in head), "time_ms,intensity"],
                       [rec.times, rec.samples])
 
@@ -249,7 +251,9 @@ def record_from_csv(path: str | Path) -> BeatnoteRecord:
         samples = [float(value) for value in samples]
     except ValueError as err:
         raise ConfigError(f"{path}: malformed record CSV: {err}") from None
-    return _record(path, samples, _header_values(path, header))
+    if not header or not header[0].strip().startswith(_TITLE):
+        raise ConfigError(f"{path}: the record CSV does not open with '# {_TITLE}N'")
+    return _record(path, samples, _header_values(path, header[1:]))
 
 
 def record_binary_bytes(rec: BeatnoteRecord) -> bytes:

@@ -54,7 +54,7 @@ BANDWIDTH_TOLERANCE = 0.05
 RECORD_BLOCK = 8
 
 # Noisy cosine readouts may overshoot the unit circle by this many standard
-# deviations of the propagated delta-bin noise before extraction errors out.
+# deviations of their propagated bin noise before extraction errors out.
 COS_CLAMP_SIGMAS = 6.0
 
 
@@ -288,16 +288,21 @@ class _Pipeline:
         _, on_delta, on_two_delta = self.peaks(s_out, i_out, phases, delta, CELL_ON, points)
         off_dc, _, reference = self.peaks(self.a_s, self.a_i, phases, delta, CELL_OFF, points)
         gain = gain_ratio(on_two_delta, reference, off_dc)
-        return (gain, gain, self._cos_out(on_delta, gain)) if transfer else (gain,)
+        if not transfer:
+            return (gain,)
+        return gain, gain, self._cos_out(on_delta, gain, on_two_delta, reference)
 
-    def _cos_out(self, on_delta: np.ndarray, gain: np.ndarray) -> np.ndarray:
+    def _cos_out(self, on_delta, gain, on_two_delta, reference) -> np.ndarray:
         cfg = self.spec.detection
         i_s = abs(self.a_s) ** 2
         clamp_tol = DEFAULT_CLAMP_TOL
         if cfg.noise_sigma > 0.0:
-            # Propagated bin-amplitude noise on the cosine readout.
+            # First-order bin noise on cos = Re(on_delta) / scale: the delta bin's, plus the
+            # gain ratio's, whose 2*delta on and off bins each carry cos / 2 of theirs.
             scale = 4.0 * np.sqrt(cfg.residual_pump_intensity * gain * i_s)
-            sigma = cfg.noise_sigma * math.sqrt(2.0 / cfg.n_samples) / scale
+            half_cos = 0.5 * np.real(on_delta) / scale
+            rel = half_cos**2 * (1.0 / np.abs(on_two_delta) ** 2 + 1.0 / np.abs(reference) ** 2)
+            sigma = cfg.noise_sigma * math.sqrt(2.0 / cfg.n_samples) * np.sqrt(scale**-2.0 + rel)
             clamp_tol = np.maximum(clamp_tol, COS_CLAMP_SIGMAS * sigma)
         return cos_readout(on_delta, cfg.residual_pump_intensity, gain, i_s, clamp_tol)
 

@@ -46,8 +46,9 @@ def test_hash_outputs_is_stable_within_a_process():
     # six stock campaigns per pipeline and sigma, plus the full_beatnote spectrum and
     # mixed-seed power sweep per sigma
     campaigns, cli_sweeps, records, histogram, analyze = 4 * 6 * 3 + 2 * 2 * 3, 5 * 3, 3 * 2, 2, 1
-    helps = 1 + len(module.SUBCOMMANDS)
-    assert len(names) == campaigns + cli_sweeps + records + histogram + analyze + helps
+    helps, refusals = 1 + len(module.SUBCOMMANDS), 1
+    assert len(names) == campaigns + cli_sweeps + records + histogram + analyze + helps + refusals
+    assert "cli_unknown_key.stdout" in names
     assert not [name for name in names if name.endswith(".error")]
     assert "campaign_full_beatnote_sigma0.05_transfer_pure.csv" in names
     assert "campaign_full_beatnote_sigma0.05_gain_spectrum_beatnote.csv" in names

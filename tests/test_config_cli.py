@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import struct
 from dataclasses import MISSING, asdict, fields
 
@@ -75,13 +76,28 @@ class TestParseConfig:
                 '{"scan": {"kind": "power_sweep", "amplifier": {"pump_power": -3}}}'
             )
 
-    def test_unknown_key_strict_vs_lenient(self):
-        doc = '{"scan": {"kind": "phase_scan", "gird": [1, 2]}}'
-        with pytest.raises(ConfigError, match="unknown key 'scan.gird'"):
-            parse_config(doc)
-        with pytest.warns(UserWarning, match="unknown key"):
-            cfg = parse_config(doc, strict=False)
-        assert cfg.scan.kind == "phase_scan"
+    @pytest.mark.parametrize(
+        "doc, key",
+        [
+            ({"scan": {"kind": "phase_scan"}, "verbosty": 1}, "verbosty"),
+            ({"scan": {"kind": "phase_scan", "gird": [1, 2]}}, "scan.gird"),
+            ({"scan": {"kind": "phase_scan", "grid": {"start": -4, "stop": 4, "nun": 5}}},
+             "scan.grid.nun"),
+            ({"scan": {"kind": "phase_scan", "amplifier": {"pump_powr": 30}}},
+             "scan.amplifier.pump_powr"),
+            ({"scan": {"kind": "phase_scan", "calibration": {"mdoe": "saturating"}}},
+             "scan.calibration.mdoe"),
+            ({"scan": {"kind": "phase_scan", "calibration": {"anchor": {"powr": 30}}}},
+             "scan.calibration.anchor.powr"),
+            ({"scan": {"kind": "phase_scan", "detection": {"noise_sigm": 0.05}}},
+             "scan.detection.noise_sigm"),
+        ],
+        ids=["root", "scan", "grid", "amplifier", "calibration", "anchor", "detection"],
+    )
+    def test_unknown_key_is_refused(self, doc, key):
+        message = rf"^unknown key '{re.escape(key)}' \(known keys here: "
+        with pytest.raises(ConfigError, match=message):
+            parse_config(json.dumps(doc))
 
     @pytest.mark.parametrize(
         "scan, key",
@@ -105,6 +121,26 @@ class TestParseConfig:
             '{"scan": {"kind": "power_sweep", "grid": {"start": 0, "stop": 80, "step": 20}}}'
         )
         assert by_step.scan.grid == (0.0, 20.0, 40.0, 60.0, 80.0)
+
+    @pytest.mark.parametrize(
+        "grid, keys",
+        [
+            ({"values": [0, 40], "start": 0, "stop": 80, "num": 5}, "values, start, stop, num"),
+            ({"start": 0, "stop": 80, "num": 3, "step": 10}, "start, stop, num, step"),
+            ({"values": [0, 40], "step": 10}, "values, step"),
+        ],
+    )
+    def test_mixed_grid_forms_refused(self, tmp_path, capsys, grid, keys):
+        doc = {"scan": {"kind": "power_sweep", "grid": grid}}
+        with pytest.raises(ConfigError, match=rf"^scan\.grid: mixes grid forms: {keys}$"):
+            parse_config(json.dumps(doc))
+        path, out = tmp_path / "mixed.json", tmp_path / "out"
+        path.write_text(json.dumps(doc))
+        assert main(["power-sweep", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"psalab: config error: scan.grid: mixes grid forms: {keys}\n"
+        assert not out.exists()
 
     def test_bad_grid_named(self):
         with pytest.raises(ConfigError, match="scan.grid"):
@@ -664,11 +700,18 @@ class TestCliSynthAnalyze:
              "noise_sigm: "),
             ("csv", lambda text: text.replace("# rng_seed=0", "# rng_seed=0\n# rng_seed=1"),
              "rng_seed: "),
+            ("csv", lambda text: text.replace("# noise_sigma=0\n", "# noise_sigma 0.05\n"),
+             "record header line 'noise_sigma 0.05' is not key=value"),
+            ("binary", lambda blob: v2_record(blob, "noise_sigma=0\n", "noise_sigma 0.05\n"),
+             "record header line 'noise_sigma 0.05' is not key=value"),
+            ("csv", lambda text: text.replace("# psalab beatnote record v2\n", ""),
+             "the record CSV does not open with '# psalab beatnote record vN'"),
         ],
         ids=["csv_negative_seed", "csv_one_sample", "csv_negative_rate", "binary_one_sample",
              "binary_negative_rate", "csv_truncated", "binary_v2_one_sample",
              "binary_v2_negative_rate", "binary_v2_negative_seed", "binary_v2_truncated",
-             "csv_no_rate", "csv_unknown_key", "binary_v2_unknown_key", "csv_repeated_key"],
+             "csv_no_rate", "csv_unknown_key", "binary_v2_unknown_key", "csv_repeated_key",
+             "csv_line_without_equals", "binary_v2_line_without_equals", "csv_no_title"],
     )
     def test_analyze_rejects_out_of_range_header(self, tmp_path, capsys, emit, edit, message):
         main(["synth", "--out", str(tmp_path), "--name", "rec", "--emit", emit, "--quiet"])
@@ -737,7 +780,7 @@ class TestCliBadInputFiles:
 
 
 COMMON_FLAG_DEFAULTS = {"config": None, "seed": None, "out": None, "emit": None,
-                        "strict": False, "quiet": False, "name": None}
+                        "quiet": False, "name": None}
 
 
 @pytest.mark.parametrize("command", ["phase-scan", "power-sweep", "pia-compare", "spectrum",
@@ -747,10 +790,24 @@ def test_run_commands_take_the_common_flags(command):
     defaults = vars(parser.parse_args([command]))
     assert {key: defaults[key] for key in COMMON_FLAG_DEFAULTS} == COMMON_FLAG_DEFAULTS
     given = vars(parser.parse_args([command, "--config", "c.json", "--seed", "5", "--out", "o",
-                                    "--emit", "csv", "--strict", "--quiet", "--name", "b"]))
+                                    "--emit", "csv", "--quiet", "--name", "b"]))
     assert {key: given[key] for key in COMMON_FLAG_DEFAULTS} == {
-        "config": "c.json", "seed": 5, "out": "o", "emit": "csv", "strict": True, "quiet": True,
-        "name": "b"}
+        "config": "c.json", "seed": 5, "out": "o", "emit": "csv", "quiet": True, "name": "b"}
     if command == "synth":
         assert defaults["cell_off"] is False
         assert parser.parse_args(["synth", "--cell-off"]).cell_off is True
+
+
+@pytest.mark.parametrize("command", ["phase-scan", "power-sweep", "pia-compare", "spectrum",
+                                     "transfer", "synth"])
+def test_unknown_key_exits_config_and_writes_nothing(tmp_path, capsys, command):
+    path = tmp_path / "typo.json"
+    path.write_text('{"scan": {"detection": {"noise_sigm": 0.05}}}')
+    out = tmp_path / "out"
+    assert main([command, "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    known = ", ".join(f.name for f in fields(DetectionConfig))
+    assert captured.err == ("psalab: config error: unknown key 'scan.detection.noise_sigm' "
+                            f"(known keys here: {known})\n")
+    assert sorted(tmp_path.iterdir()) == [path]

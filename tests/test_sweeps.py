@@ -653,9 +653,10 @@ class TestPipelineAgreementProperty:
 class TestNoisyTransfer:
     def test_noisy_pure_transfer_stays_on_the_unit_circle(self):
         # Hundreds of plateau points sit at |cos| ~ 1, so the clamp must
-        # allow for the propagated bin noise on every seed.
+        # allow for the propagated bin noise on every seed.  Seeds 705, 706
+        # and 854 overshot a clamp that propagated the delta bin's noise alone.
         grid = tuple(np.linspace(-math.pi, math.pi, 512, endpoint=False))
-        for seed in range(12):
+        for seed in [*range(12), 705, 706, 854]:
             spec = ScanSpec(
                 kind="transfer_curve",
                 grid=grid,
