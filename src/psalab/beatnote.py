@@ -38,6 +38,13 @@ MIN_PERIODS = 4
 CELL_ON = 0
 CELL_OFF = 1
 
+# numpy's SeedSequence: a 4-word pool, the hash constants its entropy mixer (A)
+# and generate_state (B) step through, and the multipliers of its mix.
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R, _SHIFT = (np.array(c, np.uint32) for c in (0xCA01F9DD, 0x4973F715, 16))
+
 
 @dataclass(frozen=True)
 class DetectionConfig:
@@ -128,8 +135,122 @@ class BeatnoteRecord:
         return np.arange(self.n_samples) / self.sample_rate
 
 
-def _rng_for(seed: int, stream: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream,)))
+def _chain(init: int, mult: int, n: int) -> np.ndarray:
+    """init * mult**j mod 2**32 for j < n: the hash constants SeedSequence steps through."""
+    consts = [init]
+    while len(consts) < n:
+        consts.append(consts[-1] * mult & 0xFFFFFFFF)
+    return np.array(consts, np.uint32)
+
+
+# Enough for a 2-word key after entropy below 2**128, and for four 64-bit words out.
+_CHAIN_A = _chain(_INIT_A, _MULT_A, 4 + 12 + 2 * 4 + 1)
+_CHAIN_B = _chain(_INIT_B, _MULT_B, 2 * 4 + 1)
+# The pool mix hashes word src into every other word dst, steps 4, 5, ... in
+# (src, dst) order; the src column repeats a step, and its word is put back.
+_MIX_STEPS = [[_POOL + (_POOL - 1) * src + dst - (dst > src) for dst in range(_POOL)]
+              for src in range(_POOL)]
+_MIX_CONSTS = [
+    (src, *(np.array([_CHAIN_A[step + out] for step in steps]) for out in (0, 1)))
+    for src, steps in enumerate(_MIX_STEPS)
+]
+
+
+def _hashmix(value, consts_in, consts_out):
+    """SeedSequence's hashmix of value, elementwise under the hash constants given."""
+    value = value ^ consts_in
+    value *= consts_out
+    value ^= value >> _SHIFT
+    return value
+
+
+def _mix(x, y):
+    """SeedSequence's mix of x with a fresh hashmix y, which it overwrites."""
+    y *= _MIX_R
+    out = x * _MIX_L - y
+    out ^= out >> _SHIFT
+    return out
+
+
+def _key_words(keys) -> np.ndarray:
+    """SeedSequence's little-endian uint32 words of a spawn key (0 is one word): an int
+    >= 0 of any size, or an array of ints below 2**64 that share one word count."""
+    if isinstance(keys, (int, np.integer)):
+        key = int(keys)
+        return np.frombuffer(key.to_bytes(4 * max(1, -(-key.bit_length() // 32)), "little"), "<u4")
+    words = np.asarray(keys, "<u8")[..., None].view("<u4")
+    if not words[..., 1].any():
+        return words[..., :1]
+    if not words[..., 1].all():
+        raise DomainError("spawn keys below and above 2**32 hash as 1 and 2 words; "
+                          "derive them in separate calls")
+    return words
+
+
+def seed_words(entropy, keys, n_words: int) -> np.ndarray:
+    """``SeedSequence(e, spawn_key=(k,)).generate_state(n_words, np.uint64)`` for every
+    (e, k) of ``entropy`` and ``keys`` broadcast together, in one numpy pass.
+
+    Each is an int >= 0 of any size or an array of ints below 2**64; the words
+    come out along a last axis of ``n_words``.  SeedSequence pads a spawned
+    entropy to its pool, hashes the pool, then mixes in each word past it: the
+    entropy's above 2**128, then the key's.  Up to the key, the pool is that of
+    the unspawned ``SeedSequence(e)``, whose short entropy hashes as if padded:
+    a single entropy takes numpy's pool (cheaper for one row), shared by every
+    key, and an array of them is hashed here, a row each.
+    """
+    key, shape = _key_words(keys), np.shape(entropy)
+    if math.prod(shape) == 1:
+        value = int(np.reshape(entropy, -1)[0])
+        pool = np.random.SeedSequence(value).pool.reshape(*shape, _POOL)
+        start = max(_POOL, -(-value.bit_length() // 32))  # entropy words hashed
+    else:
+        run = np.zeros((*shape, _POOL), np.uint32)
+        run[..., :2] = np.asarray(entropy, "<u8")[..., None].view("<u4")
+        pool = _hashmix(run, _CHAIN_A[:_POOL], _CHAIN_A[1:_POOL + 1])
+        for src, consts_in, consts_out in _MIX_CONSTS:
+            mixed = _mix(pool, _hashmix(pool[..., src, None], consts_in, consts_out))
+            mixed[..., src] = pool[..., src]
+            pool = mixed
+        start = _POOL
+    end = 4 * (start + key.shape[-1]) + 1  # one past the last hash constant the key takes
+    a = _CHAIN_A if _CHAIN_A.size >= end else _chain(_INIT_A, _MULT_A, end)
+    for j in range(key.shape[-1]):
+        step = 4 * (start + j)
+        pool = _mix(pool, _hashmix(key[..., j, None], a[step:step + 4], a[step + 1:step + 5]))
+    n = 2 * n_words
+    b = _CHAIN_B if _CHAIN_B.size > n else _chain(_INIT_B, _MULT_B, n + 1)
+    cycled = np.concatenate([pool] * -(-n // _POOL), -1)[..., :n]  # pool words, cycled to n
+    state = _hashmix(cycled, b[:n], b[1:n + 1])
+    return np.ascontiguousarray(state, "<u4").view("<u8").astype(np.uint64, copy=False)
+
+
+class _SeedWords:
+    """Hands PCG64 the four 64-bit words ``seed_words`` derived for it, which it asks
+    for as ``generate_state(4, np.uint64)`` and reads from their contiguous buffer.
+    It is registered as numpy's ISeedSequence on first use, not at import: loading
+    numpy.random would add ~15 ms to every CLI call."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def _standard_normals(words: np.ndarray, n_samples: int) -> np.ndarray:
+    """Rows of standard normals, one per row of PCG64 seed words; equal rows are drawn once."""
+    np.random.bit_generator.ISeedSequence.register(_SeedWords)  # once; then a cached no-op
+    words = np.ascontiguousarray(words, np.uint64).reshape(-1, 4)
+    rows = [row.tobytes() for row in words]
+    distinct = dict(zip(rows, words))
+    noise = np.empty((len(distinct), n_samples))
+    for out, row in zip(noise, distinct.values()):
+        np.random.Generator(np.random.PCG64(_SeedWords(row))).standard_normal(out=out)
+    if len(distinct) < len(rows):  # rows that share a draw
+        index = {row: j for j, row in enumerate(distinct)}
+        noise = noise[[index[row] for row in rows]]
+    return noise
 
 
 @functools.lru_cache(maxsize=16)
@@ -142,14 +263,18 @@ def _trig_rows(n_samples: int, sample_rate: float, delta: float) -> np.ndarray:
 
 
 def synthesize_block(
-    s_out, i_out, pump_phase, delta: float, cfg: DetectionConfig, stream, seeds=None
+    s_out, i_out, pump_phase, delta: float, cfg: DetectionConfig, stream, seeds=None, *,
+    words=None,
 ) -> np.ndarray:
     """Detected intensity traces of P records as a (P, n_samples) block.
 
     One row per ``pump_phase`` entry; ``s_out``, ``i_out`` and ``stream``
     are scalars or one value per row.  Each row forms E(t) sample by sample
-    and records |E|^2.  With noise, a row adds the draws of its stream under
-    its seed in ``seeds``, or under ``cfg.rng_seed`` for every row.
+    and records |E|^2.  With noise, a row adds the draws of
+    ``Generator(PCG64(SeedSequence(seed, spawn_key=(stream,))))``, its seed
+    from ``seeds`` (one, or one per row) or else ``cfg.rng_seed``.  A caller
+    that derived the rows' ``seed_words(seed, stream, 4)`` already passes
+    them as ``words`` instead.
     """
     phase = np.atleast_1d(np.asarray(pump_phase, dtype=np.float64))
     if not (np.isfinite(s_out).all() and np.isfinite(i_out).all()):
@@ -170,16 +295,14 @@ def synthesize_block(
     im *= im
     trace = np.add(re, im, out=re)
     if cfg.noise_sigma > 0.0:  # normal(0, sigma) is 0 + sigma*z: draw z into one block
-        seeds = (cfg.rng_seed,) if seeds is None else seeds
-        keys = draws = [(seed, stream) for seed in seeds]
-        if not isinstance(stream, (int, np.integer)):  # a stream per row
-            keys = list(zip(seeds if len(seeds) > 1 else list(seeds) * len(stream), stream))
-            draws = list(dict.fromkeys(keys))  # each distinct (seed, stream) is drawn once
-        noise = np.empty((len(draws), cfg.n_samples))
-        for (seed, row_stream), row in zip(draws, noise):
-            _rng_for(seed, row_stream).standard_normal(out=row)
-        if len(draws) < len(keys):  # rows that share a draw
-            noise = noise[[draws.index(key) for key in keys]]
+        if words is None:
+            seeds = cfg.rng_seed if seeds is None else seeds
+            for name, values in (("seeds", seeds), ("stream", stream)):
+                if np.ndim(values) and len(values) not in (1, phase.size):
+                    raise DomainError(f"{name}: expected one value or one per record row "
+                                      f"({phase.size}), got {len(values)}")
+            words = seed_words(seeds, stream, 4)
+        noise = _standard_normals(words, cfg.n_samples)
         trace += np.multiply(noise, cfg.noise_sigma, out=noise)
     return trace
 

@@ -22,7 +22,6 @@ which makes the implied maximum gain rho**2 agree exactly with the seeded one.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 
@@ -30,7 +29,7 @@ import numpy as np
 
 from . import __version__
 from .analyzer import DEFAULT_CLAMP_TOL, block_peaks, cos_readout, gain_ratio, unwrap_cos_scan
-from .beatnote import CELL_OFF, CELL_ON, DetectionConfig, synthesize_block
+from .beatnote import CELL_OFF, CELL_ON, DetectionConfig, seed_words, synthesize_block
 from .calibration import CalibrationMap, default_calibration, effective_r
 from .errors import DomainError, check_number
 from .squeezer import R_MAX, AmplifierParams, evolve_block, psa_max_from_pia, wrap_phase
@@ -214,10 +213,11 @@ class SweepResult:
                 raise DomainError(f"column {name!r} length {col.size} != grid length {self.x.size}")
 
 
-def point_seed(master_seed: int, index: int) -> int:
-    """Per-grid-point seed derived from the master seed and point index."""
-    ss = np.random.SeedSequence(master_seed, spawn_key=(index,))
-    return int(ss.generate_state(1, np.uint64)[0])
+def point_seed(master_seed: int, index):
+    """Per-grid-point seed, ``SeedSequence(master_seed, spawn_key=(index,))``'s first
+    64-bit word: an int, or a uint64 array of them for an array of indices."""
+    seeds = seed_words(master_seed, index, 1)[..., 0]
+    return seeds if np.ndim(index) else int(seeds)
 
 
 class _Pipeline:
@@ -226,7 +226,6 @@ class _Pipeline:
     def __init__(self, spec: ScanSpec):
         self.spec = spec
         self.a_s, self.a_i = spec.input_fields()
-        self._seed = functools.lru_cache(None)(point_seed)  # a seed per grid point and run
 
     def peaks(self, s_out, i_out, phases, delta: float, stream, points):
         """(dc, at_delta, at_two_delta) of the record at each pump phase, a row each; ``stream``
@@ -341,21 +340,25 @@ class _ModelPipeline(_Pipeline):
 class _BeatnotePipeline(_Pipeline):
     """Peaks read from synthesized records, seeded per grid point."""
 
+    def __init__(self, spec: ScanSpec):
+        super().__init__(spec)
+        if spec.detection.noise_sigma > 0.0:  # noiseless runs derive no seeds
+            seeds = point_seed(spec.master_seed, np.arange(len(spec.grid)))
+            # PCG64 seed words, indexed [stream, grid index]: CELL_ON is 0, CELL_OFF 1.
+            self._words = seed_words(seeds, np.array([[CELL_ON], [CELL_OFF]]), 4)
+
     def peaks(self, s_out, i_out, phases, delta, stream, points):
         """Records synthesized and read as (P, N) blocks of at most RECORD_BLOCK rows."""
         if len(phases) > RECORD_BLOCK:
             s, i, phi, k, st = np.broadcast_arrays(s_out, i_out, phases, points, stream)
             blocks = [
-                self.peaks(s[rows], i[rows], phi[rows], delta,
-                           stream if isinstance(stream, int) else st[rows], k[rows])
+                self.peaks(s[rows], i[rows], phi[rows], delta, st[rows], k[rows])
                 for rows in (slice(n, n + RECORD_BLOCK) for n in range(0, len(phi), RECORD_BLOCK))
             ]
             return tuple(np.concatenate(column) for column in zip(*blocks))
         cfg = self.spec.detection_for(delta)
-        seeds = None
-        if cfg.noise_sigma > 0.0:  # noiseless records draw none; a point's records share one
-            seeds = [self._seed(self.spec.master_seed, int(k)) for k in np.atleast_1d(points)]
-        block = synthesize_block(s_out, i_out, phases, delta, cfg, stream, seeds)
+        words = self._words[stream, points] if cfg.noise_sigma > 0.0 else None
+        block = synthesize_block(s_out, i_out, phases, delta, cfg, stream, words=words)
         return block_peaks(block, cfg.sample_rate, delta)
 
 

@@ -3,6 +3,7 @@ model, determinism and the serialisation round trips."""
 
 import cmath
 import math
+import random
 from dataclasses import replace
 
 import numpy as np
@@ -19,7 +20,7 @@ from psalab import (
     spectrum_peaks,
     synthesize_beatnote,
 )
-from psalab.beatnote import CELL_OFF, CELL_ON, _rng_for, synthesize_block
+from psalab.beatnote import CELL_OFF, CELL_ON, seed_words, synthesize_block
 from psalab.serialize import (
     record_from_binary,
     record_from_csv,
@@ -28,6 +29,11 @@ from psalab.serialize import (
 )
 
 DELTA = 2.0
+
+
+def _rng_for(seed: int, stream: int) -> np.random.Generator:
+    """numpy's own generator for one record's noise: the oracle of every noisy row."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream,)))
 
 
 def quiet_config(**overrides) -> DetectionConfig:
@@ -196,6 +202,86 @@ class TestBlockSynthesis:
             synthesize_block(self.S, self.I, [0.0, math.nan, 1.0], DELTA, quiet_config(), CELL_ON)
         with pytest.raises(DomainError, match="finite"):
             synthesize_block([1.0, math.inf], 1.0, [0.0, 1.0], DELTA, quiet_config(), CELL_ON)
+
+    @pytest.mark.parametrize(
+        "stream, seeds",
+        [(CELL_ON, [1, 2]), ((CELL_ON, CELL_OFF, CELL_ON), [1, 2]), (CELL_ON, [1, 2, 3, 4])],
+        ids=["two_seeds", "two_seeds_stream_per_row", "four_seeds"],
+    )
+    def test_seeds_neither_one_nor_one_per_row_refused(self, stream, seeds):
+        cfg = quiet_config(noise_sigma=0.1)
+        with pytest.raises(DomainError, match=r"^seeds: expected one value or one per record row"):
+            synthesize_block(1.0, 1.0, [0.0, 0.5, 1.0], DELTA, cfg, stream, seeds)
+
+    def test_streams_neither_one_nor_one_per_row_refused(self):
+        cfg = quiet_config(noise_sigma=0.1)
+        with pytest.raises(DomainError, match=r"^stream: expected one value or one per record row"):
+            synthesize_block(1.0, 1.0, [0.0, 0.5, 1.0], DELTA, cfg, (CELL_ON, CELL_OFF), [1])
+
+
+# numpy's own SeedSequence is the oracle: word counts 1 to 5, both sides of each boundary.
+MASTERS = [0, 7, 2**32 - 1, 2**32, 2**64 - 1, 2**64 + 1, 2**128 - 1, 2**130 + 5]
+MASTERS += [int(x) for x in np.random.default_rng(2016).integers(2**63, size=3)]
+MASTERS += [random.Random(1608).getrandbits(bits) for bits in (40, 96, 200)]
+# Spawn keys: the two streams and grid indices up to the largest single word.
+KEYS = [CELL_ON, CELL_OFF, 2, 256, 100_003, 2**31 + 7, 2**32 - 1]
+
+
+def _seed_sequence(entropy, key, n_words):
+    return np.random.SeedSequence(int(entropy), spawn_key=(int(key),)).generate_state(
+        n_words, np.uint64
+    )
+
+
+class TestSeedWords:
+    """``seed_words`` rows against numpy's SeedSequence, and the draws they seed."""
+
+    @pytest.mark.parametrize("n_words", [1, 4])
+    @pytest.mark.parametrize("master", MASTERS)
+    def test_rows_equal_seed_sequence_state(self, master, n_words):
+        expected = np.array([_seed_sequence(master, key, n_words) for key in KEYS])
+        assert np.array_equal(seed_words(master, np.array(KEYS), n_words), expected)
+        assert np.array_equal(seed_words(master, KEYS[-1], n_words), expected[-1])
+        # An array of entropy, as a run's point seeds, under either stream or both at once.
+        seeds = point_seed(master, np.arange(len(KEYS)))
+        assert seeds.tolist() == [int(_seed_sequence(master, k, 1)[0]) for k in range(len(KEYS))]
+        both = seed_words(seeds, np.array([[CELL_ON], [CELL_OFF]]), n_words)
+        for stream, rows in zip((CELL_ON, CELL_OFF), both):
+            assert np.array_equal(rows, [_seed_sequence(s, stream, n_words) for s in seeds])
+        one = seed_words(seeds[:1], CELL_OFF, n_words)
+        assert np.array_equal(one, [_seed_sequence(seeds[0], CELL_OFF, n_words)])
+
+    @pytest.mark.parametrize("keys", [[2**32], [2**32, 2**40 + 3, 2**64 - 1]])
+    def test_keys_of_two_words(self, keys):
+        expected = [_seed_sequence(2**130 + 5, key, 4) for key in keys]
+        assert np.array_equal(seed_words(2**130 + 5, np.array(keys, np.uint64), 4), expected)
+        assert point_seed(9, keys[0]) == int(_seed_sequence(9, keys[0], 1)[0])
+        assert point_seed(9, 2**70) == int(_seed_sequence(9, 2**70, 1)[0])
+
+    def test_keys_of_one_and_two_words_refused_together(self):
+        with pytest.raises(DomainError, match="spawn keys"):
+            seed_words(7, np.array([1, 2**32], np.uint64), 1)
+
+    @pytest.mark.parametrize("master", [7, 2**64 + 1, 2**130 + 5])
+    def test_drawn_rows_are_numpys_draws(self, master):
+        # No field and no pump: a row is its noise alone, at sigma 1.
+        cfg = quiet_config(noise_sigma=1.0, residual_pump_intensity=0.0)
+        points = range(4)
+        seeds = point_seed(master, np.array(points))
+        for stream in (CELL_ON, CELL_OFF):
+            block = synthesize_block(0.0, 0.0, np.zeros(len(points)), DELTA, cfg, stream, seeds)
+            for k in points:
+                seq = np.random.SeedSequence(point_seed(master, k), spawn_key=(stream,))
+                draws = np.random.default_rng(seq).standard_normal(cfg.n_samples)
+                assert np.array_equal(block[k], draws)
+
+    @pytest.mark.parametrize("seed", [0, 2**64 + 1, 2**130 + 5])
+    def test_single_records_draw_under_the_config_seed(self, seed):
+        cfg = quiet_config(noise_sigma=0.2, rng_seed=seed)
+        for stream, single in ((CELL_ON, synthesize_beatnote), (CELL_OFF, cell_off_record)):
+            quiet = single(1.0, 0.5j, 0.3, DELTA, quiet_config()).samples
+            noisy = single(1.0, 0.5j, 0.3, DELTA, cfg).samples
+            assert np.array_equal(noisy, quiet + _rng_for(seed, stream).normal(0.0, 0.2, 2000))
 
 
 class TestDeterminism:

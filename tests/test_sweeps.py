@@ -292,6 +292,11 @@ class TestTransferCurve:
         )
 
 
+# Master seeds of noisy oracle runs: one 32-bit word, three (2**64 + 1), and five
+# (2**130 + 5), whose fifth SeedSequence mixes in past its 4-word pool.
+NOISY_SEEDS = (7, 2**64 + 1, 2**130 + 5)
+
+
 class TestBeatnoteExtremumSearch:
     """The three-phase fitted search against a dense scan of the same gain.
 
@@ -305,8 +310,9 @@ class TestBeatnoteExtremumSearch:
     DENSE_PHASES = np.linspace(0.0, math.pi, 2048, endpoint=False)
     OVERRIDES = pytest.mark.parametrize(
         "overrides",
-        [{}, {"input_ratio": 1.78}, {"detection": DetectionConfig(noise_sigma=0.2, rng_seed=7)}],
-        ids=["equal_seeds", "mixed_seeds", "noisy"],
+        [{}, {"input_ratio": 1.78}]
+        + [{"detection": DetectionConfig(noise_sigma=0.2, rng_seed=seed)} for seed in NOISY_SEEDS],
+        ids=["equal_seeds", "mixed_seeds", "noisy", "noisy_seed_2^64+1", "noisy_seed_2^130+5"],
     )
     SIGNAL_PHASES = pytest.mark.parametrize(
         "signal_phase", [0.0, 0.37], ids=["real_seeds", "rotated_signal"]
@@ -330,8 +336,8 @@ class TestBeatnoteExtremumSearch:
         counts = Counter()
         synthesize = sweeps.synthesize_block
 
-        def counting(s_out, i_out, phases, delta, cfg, stream, seeds=None):
-            block = synthesize(s_out, i_out, phases, delta, cfg, stream, seeds)
+        def counting(s_out, i_out, phases, delta, cfg, stream, seeds=None, **words):
+            block = synthesize(s_out, i_out, phases, delta, cfg, stream, seeds, **words)
             for row_stream in np.broadcast_to(stream, len(block)):
                 counts["off" if row_stream == CELL_OFF else "gain"] += 1
             counts["calls"] += 1
@@ -476,7 +482,7 @@ class TestPeakSeam:
         seed = sweeps.point_seed
 
         def counting(master, k):
-            derived[k] += 1
+            derived.update(np.ravel(k).tolist())  # an index array counts each index
             return seed(master, k)
 
         monkeypatch.setattr(sweeps, "point_seed", counting)
@@ -540,19 +546,23 @@ class TestPipelineEquivalence:
 class TestBlockedScans:
     """Scans run RECORD_BLOCK points at a time; each point keeps its own records."""
 
-    @pytest.mark.parametrize("sigma", [0.0, 0.1], ids=["noiseless", "noisy"])
-    def test_transfer_rows_match_single_records(self, sigma):
+    @pytest.mark.parametrize(
+        "sigma, seed",
+        [(0.0, 19), (0.1, 19), (0.1, 2**64 + 1), (0.1, 2**130 + 5)],
+        ids=["noiseless", "noisy", "noisy_seed_2^64+1", "noisy_seed_2^130+5"],
+    )
+    def test_transfer_rows_match_single_records(self, sigma, seed):
         grid = tuple(np.linspace(-math.pi, math.pi, 2 * sweeps.RECORD_BLOCK + 3, endpoint=False))
         spec = ScanSpec(
             kind="transfer_curve",
             grid=grid,
             amplifier=AmplifierParams(r=R_53),
-            detection=DetectionConfig(noise_sigma=sigma, rng_seed=19),
+            detection=DetectionConfig(noise_sigma=sigma, rng_seed=seed),
             pipeline="full_beatnote",
         )
         res = run_scan(spec)
         for idx, phase in enumerate(grid):
-            cfg = replace(spec.detection, rng_seed=point_seed(19, idx))
+            cfg = replace(spec.detection, rng_seed=point_seed(seed, idx))
             amp = AmplifierParams(r=R_53, pump_phase=phase, detuning=2.0)
             on = synthesize_beatnote(*evolve_two_mode(1.0, 1.0, amp), phase, 2.0, cfg)
             gain = extract_gain(on, cell_off_record(1.0, 1.0, phase, 2.0, cfg))
