@@ -162,75 +162,65 @@ def extract_cos_phase(
     return float(cos_readout(signed, i_p, gain, i_s_in, clamp_tol))
 
 
-def _nearest_branch(principal: float, previous: float) -> float:
-    """The branch +-principal + 2*pi*k closest to ``previous``; +principal wins ties."""
-    up = principal + TWO_PI * round((previous - principal) / TWO_PI)
-    down = -principal + TWO_PI * round((previous + principal) / TWO_PI)
-    return down if abs(down - previous) < abs(up - previous) else up
+def reconstruct_phase(cos_phi: float) -> float:
+    """acos of one cosine readout, in [0, pi].
 
-
-def reconstruct_phase(
-    cos_phi: float,
-    branch: str = "principal",
-    previous: float | None = None,
-) -> float:
-    """Invert a cosine readout into a phase.
-
-    ``principal`` returns acos(cos_phi) in [0, pi].  ``continuity`` picks
-    the branch +-acos(cos_phi) + 2*pi*k closest to ``previous``, which is
-    how a scan is unwrapped across transitions.
+    A non-finite value, or one past DEFAULT_CLAMP_TOL outside [-1, 1], raises.
     """
     if not math.isfinite(cos_phi):
         raise DomainError(f"cos value must be finite, got {cos_phi}")
     if abs(cos_phi) > 1.0 + DEFAULT_CLAMP_TOL:
         raise DomainError(f"cos value {cos_phi} lies outside [-1, 1] beyond tolerance")
-    principal = math.acos(min(1.0, max(-1.0, cos_phi)))
-    if branch == "principal":
-        return principal
-    if branch != "continuity":
-        raise DomainError(f"branch must be 'principal' or 'continuity', got {branch!r}")
-    if previous is None:
-        raise DomainError("continuity branch needs the previously reconstructed phase")
-    return _nearest_branch(principal, float(previous))
+    return math.acos(min(1.0, max(-1.0, cos_phi)))
 
 
-def unwrap_cos_scan(cos_values: np.ndarray) -> np.ndarray:
-    """Reconstruct a continuous phase trajectory from a scan of cosines.
+def unwrap_cos_scan(cos_values, phi_in) -> np.ndarray:
+    """Continuous output phases of a transfer scan from its cosines and input phases.
 
-    The first point anchors on the principal branch in [0, pi]; each later
-    point picks the branch closest to the linear extrapolation of the two
-    previous points.  Trend continuation (rather than bare previous-point
-    distance) resolves the inherent cosine ambiguity where the phase
-    crosses a multiple of pi: a monotone curve keeps descending instead of
-    mirror-bouncing off the plateau.  A cosine readout stays blind to a
-    global sign, so scans should start near a plateau for the branch to be
-    physical, and the grid must keep consecutive phase steps well under
-    pi/2.
+    Each point's branch follows from its own input phase by the equal-seed
+    law tan(phi_out) = -exp(-2r)*tan(phi_in): sin(phi_out) has the sign of
+    -sin(phi_in), which picks +-acos, and |phi_out + phi_in| < pi/2, which
+    picks the whole turn.  No point looks at its neighbours, so any grid
+    spacing or order works and noise on a plateau cannot flip the rest of
+    the scan.  The rule is exact whenever tanh(r) < sqrt(input_ratio),
+    which covers every input_ratio >= 1.  Past that, the idler seed
+    dominates and the rule returns the global mirror, -phi_out up to a
+    whole turn: a cosine readout cannot tell the two apart.
     """
     values = np.asarray(cos_values, dtype=np.float64)
     if values.ndim != 1 or values.size == 0:
         raise DomainError("cosine scan must be a non-empty 1-D sequence")
     for bad in values[~(np.abs(values) <= 1.0 + DEFAULT_CLAMP_TOL)][:1]:
         reconstruct_phase(float(bad))  # raises the first bad point's own error
+    phi_in = np.asarray(phi_in, dtype=np.float64)
+    if phi_in.shape != values.shape:
+        raise DomainError(
+            f"phi_in must hold one phase per cosine: shape {phi_in.shape} for {values.size} cosines"
+        )
+    ok = np.isfinite(phi_in)
+    if not np.all(ok):
+        k, bad = _first_failure(ok, phi_in)
+        raise DomainError(f"phi_in must be finite, got {bad} at row {k}")
     # math.acos per value: np.arccos need not round like libm.
-    principal = list(map(math.acos, np.clip(values, -1.0, 1.0).tolist()))
-    out = principal[:1]
-    for k in range(1, len(principal)):
-        predicted = out[0] if k == 1 else 2.0 * out[k - 1] - out[k - 2]
-        out.append(_nearest_branch(principal[k], predicted))
-    return np.array(out)
+    principal = np.array(list(map(math.acos, np.clip(values, -1.0, 1.0).tolist())))
+    out = np.copysign(principal, -np.sin(phi_in))
+    return out + TWO_PI * np.round((-phi_in - out) / TWO_PI)
 
 
 def phase_histogram(phases, n_bins: int) -> tuple[np.ndarray, np.ndarray]:
     """Histogram of wrapped output phases over [-pi, pi).
 
-    ``phases`` is any array-like of angles; the total count equals its
-    length.  Returns (bin_edges, counts).
+    ``phases`` is any array-like of finite angles; the total count equals
+    its length, so a non-finite phase raises.  Returns (bin_edges, counts).
     """
     if int(n_bins) != n_bins or n_bins < 2:
         raise DomainError(f"n_bins must be an integer >= 2, got {n_bins}")
     edges = np.linspace(-math.pi, math.pi, int(n_bins) + 1)
     phases = np.asarray(phases, dtype=np.float64)
+    ok = np.isfinite(phases)
+    if not np.all(ok):
+        k, bad = _first_failure(ok, phases)
+        raise DomainError(f"phases must be finite, got {bad} at row {k}")
     if phases.size == 0:
         return edges, np.zeros(int(n_bins), dtype=np.int64)
     counts, _ = np.histogram(wrap_phase(phases), bins=edges)

@@ -411,13 +411,17 @@ def _spectrum(spec: ScanSpec, pipe: _Pipeline, metadata: dict) -> dict:
 def _transfer(spec: ScanSpec, pipe: _Pipeline, metadata: dict) -> dict:
     """Phase-to-phase transfer: signal gain and output phase per input phase.
 
-    The output phase is reconstructed from the cosine readout with branch
-    continuity along the scan (anchored on the principal branch at the
-    first point) and reported both unwrapped and wrapped to [-pi, pi).
+    The output phase is read from the cosine readout, each point on the
+    branch its input phase picks under the equal-seed law
+    tan(phi_out) = -exp(-2r)*tan(phi_in), on any grid spacing; see
+    ``unwrap_cos_scan``.  A mixed-seed curve whose idler dominates
+    (tanh(r) > sqrt(input_ratio)) comes out as its global mirror, the
+    cosine readout's blind spot.  The phase is reported both unwrapped and
+    wrapped to [-pi, pi).
     """
     ((r, loss, _),) = spec.operating_points()
     gains, gains_idler, cosines = pipe.scan_grid(r, loss, spec.grid, transfer=True)
-    unwrapped = unwrap_cos_scan(cosines)
+    unwrapped = unwrap_cos_scan(cosines, spec.grid)
     return {
         "gain": gains,
         "gain_idler": gains_idler,

@@ -255,24 +255,12 @@ class TestReconstructPhase:
         assert reconstruct_phase(1.0) == 0.0
         assert reconstruct_phase(-1.0) == pytest.approx(math.pi, rel=1e-15)
 
-    def test_continuity_picks_nearest_branch(self):
-        assert reconstruct_phase(0.5, "continuity", previous=-1.0) == pytest.approx(
-            -math.acos(0.5), rel=1e-12
-        )
-        assert reconstruct_phase(0.5, "continuity", previous=2 * math.pi) == pytest.approx(
-            2 * math.pi + math.acos(0.5), rel=1e-12
-        )
-
-    def test_continuity_needs_previous(self):
-        with pytest.raises(DomainError):
-            reconstruct_phase(0.5, "continuity")
-
     def test_scan_matches_model_across_transition(self):
         # noiseless scan across the 0 -> -pi transition of a strong squeezer
         r = 1.5
         grid = np.linspace(-0.5, math.pi - 0.5, 257)
         true_phase = np.array([signal_phase_direct(d, r) for d in grid])
-        reconstructed = unwrap_cos_scan(np.cos(true_phase))
+        reconstructed = unwrap_cos_scan(np.cos(true_phase), grid)
         assert np.max(np.abs(reconstructed - true_phase)) <= 0.02
         # monotone-continuous: steps never jump by more than the model's
         assert np.max(np.abs(np.diff(reconstructed))) <= 1.05 * np.max(
@@ -281,70 +269,84 @@ class TestReconstructPhase:
 
     def test_scan_rejects_empty(self):
         with pytest.raises(DomainError):
-            unwrap_cos_scan(np.array([]))
+            unwrap_cos_scan(np.array([]), np.array([]))
 
 
-def unwrap_by_points(cos_values) -> np.ndarray:
-    """``unwrap_cos_scan`` as one ``reconstruct_phase`` call per point: the oracle."""
-    values = np.asarray(cos_values, dtype=np.float64)
-    if values.ndim != 1 or values.size == 0:
-        raise DomainError("cosine scan must be a non-empty 1-D sequence")
-    out = np.empty_like(values)
-    out[0] = reconstruct_phase(float(values[0]), "principal")
-    for k in range(1, values.size):
-        predicted = out[k - 1] if k == 1 else 2.0 * out[k - 1] - out[k - 2]
-        out[k] = reconstruct_phase(float(values[k]), "continuity", previous=float(predicted))
-    return out
-
-
-def outcome(unwrap, values):
-    """The bits an unwrap returns, or the error it raises."""
-    try:
-        return unwrap(values).view(np.int64).tolist()
-    except DomainError as err:
-        return f"DomainError: {err}"
+def exact_phase(grid, r, input_ratio):
+    """The continuous output phase of a transfer scan, straight from the two-mode law."""
+    kappa = 1.0 / math.sqrt(input_ratio)
+    return np.unwrap([signal_phase_direct(d, r, kappa) for d in grid])
 
 
 EDGE_COSINES = [1.0, -1.0, 0.0, -0.0, 1.0 + DEFAULT_CLAMP_TOL / 2, -1.0 - DEFAULT_CLAMP_TOL / 2]
+STOCK_GRID = np.linspace(-math.pi, math.pi, 512, endpoint=False)
+ORACLE_GRIDS = {
+    "stock": STOCK_GRID,
+    "seven_points": np.linspace(-math.pi, math.pi, 7, endpoint=False),
+    "four_pi_from_0.3": np.linspace(0.3, 0.3 + 4.0 * math.pi, 300),
+    "decreasing": STOCK_GRID[::-1],
+}
 
 
 class TestUnwrapOracle:
-    """The bulk unwrap returns the per-point loop's bits and raises its errors."""
+    """The unwrap returns the exact continuous phase and raises per-point errors."""
 
-    @given(st.lists(st.one_of(st.sampled_from(EDGE_COSINES),
-                              st.floats(-1.0 - DEFAULT_CLAMP_TOL / 2, 1.0 + DEFAULT_CLAMP_TOL / 2)),
-                    min_size=1, max_size=40))
+    @pytest.mark.parametrize("grid", ORACLE_GRIDS.values(), ids=ORACLE_GRIDS.keys())
+    @pytest.mark.parametrize("input_ratio", [1.0, 1.78])
+    @pytest.mark.parametrize("r", [0.0, 0.4, 1.5, 3.0])
+    def test_exact_phase(self, r, input_ratio, grid):
+        true = exact_phase(grid, r, input_ratio)
+        assert np.max(np.abs(unwrap_cos_scan(np.cos(true), grid) - true)) <= 1e-11
+
+    def test_idler_dominated_curve_is_the_global_mirror(self):
+        # tanh(1.5) > sqrt(0.3): the cosines of phi and 2*pi - phi agree
+        true = exact_phase(STOCK_GRID, 1.5, 0.3)
+        mirrored = unwrap_cos_scan(np.cos(true), STOCK_GRID)
+        assert np.max(np.abs(mirrored - (2.0 * math.pi - true))) <= 1e-11
+
+    @given(st.lists(st.tuples(
+        st.one_of(st.sampled_from(EDGE_COSINES),
+                  st.floats(-1.0 - DEFAULT_CLAMP_TOL / 2, 1.0 + DEFAULT_CLAMP_TOL / 2)),
+        st.one_of(st.sampled_from([0.0, -0.0, math.pi, -math.pi]), st.floats(-10.0, 10.0)),
+    ), min_size=1, max_size=40))
     @settings(max_examples=200)
-    def test_drawn_scans_bit_equal(self, values):
-        assert outcome(unwrap_cos_scan, values) == outcome(unwrap_by_points, values)
-
-    @given(st.lists(st.floats(-0.7, 0.7), min_size=1, max_size=64), st.floats(-4.0, 4.0))
-    @settings(max_examples=100)
-    def test_smooth_scans_bit_equal(self, steps, start):
-        cosines = np.cos(start + np.cumsum(steps))
-        assert outcome(unwrap_cos_scan, cosines) == outcome(unwrap_by_points, cosines)
-
-    def test_stock_transfer_bit_equal(self):
-        for r in (0.5, 1.5):
-            grid = np.linspace(-math.pi, math.pi, 512, endpoint=False)
-            cosines = np.cos([signal_phase_direct(d, r) for d in grid])
-            assert outcome(unwrap_cos_scan, cosines) == outcome(unwrap_by_points, cosines)
+    def test_drawn_scans_keep_their_cosines(self, points):
+        values, phi_in = map(np.array, zip(*points))
+        out = unwrap_cos_scan(values, phi_in)
+        assert np.max(np.abs(np.cos(out) - np.clip(values, -1.0, 1.0))) <= 1e-12
+        assert np.all(np.abs(out + phi_in) <= math.pi + 1e-12)
 
     @pytest.mark.parametrize(
-        "values",
+        "values, message",
         [
-            [0.5, math.nan, 2.0],
-            [0.5, 0.2, 1.0 + 2.0 * DEFAULT_CLAMP_TOL, math.nan],
-            [-math.inf],
-            [],
-            [[0.5, 0.2], [0.1, 0.0]],
+            ([0.5, math.nan, 2.0], "cos value must be finite, got nan"),
+            ([0.5, 0.2, 1.0 + 2.0 * DEFAULT_CLAMP_TOL, math.nan],
+             "cos value 1.000002 lies outside [-1, 1] beyond tolerance"),
+            ([-math.inf], "cos value must be finite, got -inf"),
+            ([], "cosine scan must be a non-empty 1-D sequence"),
+            ([[0.5, 0.2], [0.1, 0.0]], "cosine scan must be a non-empty 1-D sequence"),
         ],
         ids=["nan", "past_tolerance", "infinite", "empty", "two_d"],
     )
-    def test_same_errors(self, values):
-        expected = outcome(unwrap_by_points, values)
-        assert expected.startswith("DomainError")
-        assert outcome(unwrap_cos_scan, values) == expected
+    def test_same_errors(self, values, message):
+        with pytest.raises(DomainError) as err:
+            unwrap_cos_scan(values, np.zeros(np.shape(values)))
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize(
+        "phi_in, message",
+        [
+            ([0.1, 0.2], "phi_in must hold one phase per cosine: shape (2,) for 3 cosines"),
+            ([[0.1, 0.2, 0.3]], "phi_in must hold one phase per cosine: shape (1, 3) for 3 cosines"),
+            ([0.1, math.nan, math.inf], "phi_in must be finite, got nan at row 1"),
+            ([0.1, 0.2, -math.inf], "phi_in must be finite, got -inf at row 2"),
+        ],
+        ids=["short", "two_d", "nan", "infinite"],
+    )
+    def test_refuses_bad_phi_in(self, phi_in, message):
+        with pytest.raises(DomainError) as err:
+            unwrap_cos_scan([0.5, 0.2, 1.0], phi_in)
+        assert str(err.value) == message
 
 
 class TestPhaseHistogram:
@@ -367,6 +369,12 @@ class TestPhaseHistogram:
     def test_rejects_single_bin(self):
         with pytest.raises(DomainError):
             phase_histogram([0.0], 1)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_refuses_non_finite_phases(self, bad):
+        # the count must equal the input length, so a phase no bin holds is refused
+        with pytest.raises(DomainError, match=f"phases must be finite, got {bad} at row 1"):
+            phase_histogram([0.1, bad, 0.2], 4)
 
     def test_strong_squeezer_localises_output_phase(self):
         # model-level oracle: at r = 2 at least 80% of a uniform scan sits

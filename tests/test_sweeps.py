@@ -677,6 +677,22 @@ class TestNoisyTransfer:
             cosines = run_scan(spec).columns["cos_phi_out"]
             assert np.all(np.abs(cosines) <= 1.0), seed
 
+    @pytest.mark.parametrize("sigma", [0.01, 0.05])
+    def test_noisy_curve_follows_the_noiseless_one(self, sigma):
+        # Plateau noise once mirrored the rest of a trend-continued scan;
+        # each point's branch now comes from its own input phase.
+        spec = ScanSpec(
+            kind="transfer_curve",
+            grid=tuple(np.linspace(-math.pi, math.pi, 128, endpoint=False)),
+            amplifier=AmplifierParams(r=R_53, detuning=2.0),
+            pipeline="full_beatnote",
+        )
+        clean = run_scan(spec).columns["phi_out_unwrapped"]
+        for seed in range(50):
+            noisy = replace(spec, detection=DetectionConfig(noise_sigma=sigma, rng_seed=seed))
+            phases = run_scan(noisy).columns["phi_out_unwrapped"]
+            assert np.max(np.abs(phases - clean)) <= 0.2, seed
+
 
 class TestReproducibility:
     NOISY = ScanSpec(
