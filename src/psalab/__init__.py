@@ -17,7 +17,6 @@ from .squeezer import (
     evolve_block,
     evolve_two_mode,
     gain_extrema,
-    output_relative_phase,
     pia_gain,
     psa_gain,
     psa_max_from_pia,
@@ -74,7 +73,6 @@ __all__ = [
     "extract_gain",
     "fitted_calibration",
     "gain_extrema",
-    "output_relative_phase",
     "parse_config",
     "phase_histogram",
     "pia_gain",

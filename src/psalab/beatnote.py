@@ -136,24 +136,8 @@ class BeatnoteRecord:
 
 
 def _chain(init: int, mult: int, n: int) -> np.ndarray:
-    """init * mult**j mod 2**32 for j < n: the hash constants SeedSequence steps through."""
-    consts = [init]
-    while len(consts) < n:
-        consts.append(consts[-1] * mult & 0xFFFFFFFF)
-    return np.array(consts, np.uint32)
-
-
-# Enough for a 2-word key after entropy below 2**128, and for four 64-bit words out.
-_CHAIN_A = _chain(_INIT_A, _MULT_A, 4 + 12 + 2 * 4 + 1)
-_CHAIN_B = _chain(_INIT_B, _MULT_B, 2 * 4 + 1)
-# The pool mix hashes word src into every other word dst, steps 4, 5, ... in
-# (src, dst) order; the src column repeats a step, and its word is put back.
-_MIX_STEPS = [[_POOL + (_POOL - 1) * src + dst - (dst > src) for dst in range(_POOL)]
-              for src in range(_POOL)]
-_MIX_CONSTS = [
-    (src, *(np.array([_CHAIN_A[step + out] for step in steps]) for out in (0, 1)))
-    for src, steps in enumerate(_MIX_STEPS)
-]
+    """init * mult**j mod 2**32 for j <= n: the hash constants SeedSequence steps through."""
+    return np.cumprod(np.array([init] + [mult] * n, np.uint32), dtype=np.uint32)
 
 
 def _hashmix(value, consts_in, consts_out):
@@ -172,19 +156,14 @@ def _mix(x, y):
     return out
 
 
-def _key_words(keys) -> np.ndarray:
-    """SeedSequence's little-endian uint32 words of a spawn key (0 is one word): an int
-    >= 0 of any size, or an array of ints below 2**64 that share one word count."""
-    if isinstance(keys, (int, np.integer)):
-        key = int(keys)
-        return np.frombuffer(key.to_bytes(4 * max(1, -(-key.bit_length() // 32)), "little"), "<u4")
-    words = np.asarray(keys, "<u8")[..., None].view("<u4")
-    if not words[..., 1].any():
-        return words[..., :1]
-    if not words[..., 1].all():
-        raise DomainError("spawn keys below and above 2**32 hash as 1 and 2 words; "
-                          "derive them in separate calls")
-    return words
+def _words(value) -> np.ndarray:
+    """SeedSequence's little-endian uint32 words of an int >= 0 of any size (0 is one
+    word), or of an array of ints below 2**64 along a last axis: two words if any needs two."""
+    if isinstance(value, (int, np.integer)):
+        n = int(value)
+        return np.frombuffer(n.to_bytes(4 * max(1, -(-n.bit_length() // 32)), "little"), "<u4")
+    words = np.asarray(value, "<u8")[..., None].view("<u4")
+    return words if words[..., 1].any() else words[..., :1]
 
 
 def seed_words(entropy, keys, n_words: int) -> np.ndarray:
@@ -193,35 +172,31 @@ def seed_words(entropy, keys, n_words: int) -> np.ndarray:
 
     Each is an int >= 0 of any size or an array of ints below 2**64; the words
     come out along a last axis of ``n_words``.  SeedSequence pads a spawned
-    entropy to its pool, hashes the pool, then mixes in each word past it: the
-    entropy's above 2**128, then the key's.  Up to the key, the pool is that of
-    the unspawned ``SeedSequence(e)``, whose short entropy hashes as if padded:
-    a single entropy takes numpy's pool (cheaper for one row), shared by every
-    key, and an array of them is hashed here, a row each.
+    entropy's words to its pool, hashes them in and mixes the pool, then mixes
+    in each later word: the entropy's above 2**128, then the key's.
     """
-    key, shape = _key_words(keys), np.shape(entropy)
-    if math.prod(shape) == 1:
-        value = int(np.reshape(entropy, -1)[0])
-        pool = np.random.SeedSequence(value).pool.reshape(*shape, _POOL)
-        start = max(_POOL, -(-value.bit_length() // 32))  # entropy words hashed
-    else:
-        run = np.zeros((*shape, _POOL), np.uint32)
-        run[..., :2] = np.asarray(entropy, "<u8")[..., None].view("<u4")
-        pool = _hashmix(run, _CHAIN_A[:_POOL], _CHAIN_A[1:_POOL + 1])
-        for src, consts_in, consts_out in _MIX_CONSTS:
-            mixed = _mix(pool, _hashmix(pool[..., src, None], consts_in, consts_out))
-            mixed[..., src] = pool[..., src]
-            pool = mixed
-        start = _POOL
-    end = 4 * (start + key.shape[-1]) + 1  # one past the last hash constant the key takes
-    a = _CHAIN_A if _CHAIN_A.size >= end else _chain(_INIT_A, _MULT_A, end)
-    for j in range(key.shape[-1]):
-        step = 4 * (start + j)
-        pool = _mix(pool, _hashmix(key[..., j, None], a[step:step + 4], a[step + 1:step + 5]))
+    words, key = _words(entropy), _words(keys)
+    if key.shape[-1] == 2 and not key[..., 1].all():
+        raise DomainError("spawn keys below and above 2**32 hash as 1 and 2 words; "
+                          "derive them in separate calls")
+    pad = max(0, _POOL - words.shape[-1])
+    words = np.concatenate([words, np.zeros((*words.shape[:-1], pad), np.uint32)], -1)
+    later = [words[..., j, None] for j in range(_POOL, words.shape[-1])]
+    later += [key[..., j, None] for j in range(key.shape[-1])]
+    a = _chain(_INIT_A, _MULT_A, 4 * (_POOL + len(later)))
+    pool = _hashmix(words[..., :_POOL], a[:_POOL], a[1:_POOL + 1])
+    # Word src is hashed into each other word, steps 4, 5, ... in order; it keeps its own.
+    dst = np.arange(_POOL)
+    steps = _POOL + (_POOL - 1) * dst[:, None] + dst - (dst >= dst[:, None])
+    for src, c_in, c_out in zip(range(_POOL), a[steps], a[steps + 1]):
+        pool = np.where(dst == src, pool, _mix(pool, _hashmix(pool[..., src, None], c_in, c_out)))
+    for j, word in enumerate(later):
+        step = 4 * (_POOL + j)
+        pool = _mix(pool, _hashmix(word, a[step:step + 4], a[step + 1:step + 5]))
     n = 2 * n_words
-    b = _CHAIN_B if _CHAIN_B.size > n else _chain(_INIT_B, _MULT_B, n + 1)
+    b = _chain(_INIT_B, _MULT_B, n)
     cycled = np.concatenate([pool] * -(-n // _POOL), -1)[..., :n]  # pool words, cycled to n
-    state = _hashmix(cycled, b[:n], b[1:n + 1])
+    state = _hashmix(cycled, b[:n], b[1:])
     return np.ascontiguousarray(state, "<u4").view("<u8").astype(np.uint64, copy=False)
 
 
@@ -238,15 +213,18 @@ class _SeedWords:
         return self.words
 
 
-def _standard_normals(words: np.ndarray, n_samples: int) -> np.ndarray:
-    """Rows of standard normals, one per row of PCG64 seed words; equal rows are drawn once."""
+def _standard_normals(words: np.ndarray, cfg: DetectionConfig) -> np.ndarray:
+    """``cfg.noise_sigma`` times rows of ``cfg.n_samples`` standard normals, one per row of
+    PCG64 seed words; equal rows are drawn once.  ``normal(0, sigma)`` computes 0 + sigma*z:
+    these are its bits."""
     np.random.bit_generator.ISeedSequence.register(_SeedWords)  # once; then a cached no-op
     words = np.ascontiguousarray(words, np.uint64).reshape(-1, 4)
     rows = [row.tobytes() for row in words]
     distinct = dict(zip(rows, words))
-    noise = np.empty((len(distinct), n_samples))
+    noise = np.empty((len(distinct), cfg.n_samples))
     for out, row in zip(noise, distinct.values()):
         np.random.Generator(np.random.PCG64(_SeedWords(row))).standard_normal(out=out)
+    noise *= cfg.noise_sigma
     if len(distinct) < len(rows):  # rows that share a draw
         index = {row: j for j, row in enumerate(distinct)}
         noise = noise[[index[row] for row in rows]]
@@ -262,19 +240,13 @@ def _trig_rows(n_samples: int, sample_rate: float, delta: float) -> np.ndarray:
     return rows
 
 
-def synthesize_block(
-    s_out, i_out, pump_phase, delta: float, cfg: DetectionConfig, stream, seeds=None, *,
-    words=None,
-) -> np.ndarray:
+def synthesize_block(s_out, i_out, pump_phase, delta: float, cfg: DetectionConfig,
+                     noise=None) -> np.ndarray:
     """Detected intensity traces of P records as a (P, n_samples) block.
 
-    One row per ``pump_phase`` entry; ``s_out``, ``i_out`` and ``stream``
-    are scalars or one value per row.  Each row forms E(t) sample by sample
-    and records |E|^2.  With noise, a row adds the draws of
-    ``Generator(PCG64(SeedSequence(seed, spawn_key=(stream,))))``, its seed
-    from ``seeds`` (one, or one per row) or else ``cfg.rng_seed``.  A caller
-    that derived the rows' ``seed_words(seed, stream, 4)`` already passes
-    them as ``words`` instead.
+    One row per ``pump_phase`` entry; ``s_out`` and ``i_out`` are scalars or
+    one value per row.  Each row forms E(t) sample by sample and records
+    |E|^2, then adds ``noise``: one row of ``n_samples``, or one per record.
     """
     phase = np.atleast_1d(np.asarray(pump_phase, dtype=np.float64))
     if not (np.isfinite(s_out).all() and np.isfinite(i_out).all()):
@@ -282,29 +254,32 @@ def synthesize_block(
     if not np.isfinite(phase).all():
         raise DomainError(f"pump_phase must be finite, got {pump_phase}")
     cfg.validate_for_delta(delta)
+    n = cfg.n_samples
+    if noise is not None and np.shape(noise) not in ((n,), (1, n), (phase.size, n)):
+        raise DomainError(f"noise: expected 1 or {phase.size} rows of {n} samples, "
+                          f"got shape {np.shape(noise)}")
     # E(t) = lo + (s + i)*cos(wt) + j*(s - i)*sin(wt).
     coef = np.empty((3, phase.size), dtype=np.complex128)
     coef[0] = math.sqrt(cfg.residual_pump_intensity) * np.exp(1j * phase)
     coef[1] = np.add(s_out, i_out)
     coef[2] = 1j * np.subtract(s_out, i_out)
-    rows = _trig_rows(cfg.n_samples, cfg.sample_rate, delta)
+    rows = _trig_rows(n, cfg.sample_rate, delta)
     re = coef.real.T @ rows
     im = coef.imag.T @ rows
     # In place: fresh (P, N) temporaries cost more than the arithmetic.
     re *= re
     im *= im
     trace = np.add(re, im, out=re)
-    if cfg.noise_sigma > 0.0:  # normal(0, sigma) is 0 + sigma*z: draw z into one block
-        if words is None:
-            seeds = cfg.rng_seed if seeds is None else seeds
-            for name, values in (("seeds", seeds), ("stream", stream)):
-                if np.ndim(values) and len(values) not in (1, phase.size):
-                    raise DomainError(f"{name}: expected one value or one per record row "
-                                      f"({phase.size}), got {len(values)}")
-            words = seed_words(seeds, stream, 4)
-        noise = _standard_normals(words, cfg.n_samples)
-        trace += np.multiply(noise, cfg.noise_sigma, out=noise)
+    if noise is not None:
+        trace += noise
     return trace
+
+
+def _record(s, i, pump_phase, delta, cfg: DetectionConfig, stream: int) -> BeatnoteRecord:
+    """One record, its noise drawn under ``SeedSequence(cfg.rng_seed, spawn_key=(stream,))``."""
+    noise = _standard_normals(seed_words(cfg.rng_seed, stream, 4), cfg) if cfg.noise_sigma else None
+    trace = synthesize_block(s, i, pump_phase, delta, cfg, noise)[0]
+    return BeatnoteRecord(trace, cfg.sample_rate, delta, cfg)
 
 
 def synthesize_beatnote(
@@ -315,8 +290,7 @@ def synthesize_beatnote(
     cfg: DetectionConfig,
 ) -> BeatnoteRecord:
     """Detected intensity trace for given amplified output amplitudes."""
-    trace = synthesize_block(s_out, i_out, pump_phase, delta, cfg, CELL_ON)[0]
-    return BeatnoteRecord(trace, cfg.sample_rate, delta, cfg)
+    return _record(s_out, i_out, pump_phase, delta, cfg, CELL_ON)
 
 
 def cell_off_record(
@@ -331,5 +305,4 @@ def cell_off_record(
     Uses the same noise model as ``synthesize_beatnote`` but a distinct
     seed stream, so on/off pairs of one acquisition have independent noise.
     """
-    trace = synthesize_block(s_in, i_in, pump_phase, delta, cfg, CELL_OFF)[0]
-    return BeatnoteRecord(trace, cfg.sample_rate, delta, cfg)
+    return _record(s_in, i_in, pump_phase, delta, cfg, CELL_OFF)

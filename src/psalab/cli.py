@@ -15,6 +15,8 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .analyzer import phase_histogram, spectrum_peaks
 from .beatnote import cell_off_record, synthesize_beatnote
@@ -141,6 +143,10 @@ def _cmd_sweep(args: argparse.Namespace, kind: str) -> int:
 def _cmd_histogram(args: argparse.Namespace) -> int:
     if args.bins < 2:
         raise ConfigError(f"--bins must be an integer >= 2, got {args.bins}")
+    try:  # bin edges numpy can hold
+        np.empty(args.bins + 1)
+    except (ValueError, MemoryError) as err:  # numpy's _ArrayMemoryError: too many bins
+        raise ConfigError(f"--bins: numpy cannot hold {args.bins} bins: {err}") from None
     names, data = read_sweep_csv(args.input)
     if args.column not in names:
         raise ConfigError(
@@ -215,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     common = argparse.ArgumentParser(add_help=False)  # the run flags, declared once
     common.add_argument("--config", metavar="PATH", help="JSON run configuration")
-    common.add_argument("--seed", type=int, metavar="U64", help="override the master RNG seed")
+    common.add_argument("--seed", type=int, metavar="INT", help="master RNG seed, any integer >= 0")
     common.add_argument("--out", metavar="DIR", help="output directory")
     common.add_argument(
         "--emit", metavar="LIST", help="comma-separated output formats: csv,json,binary"

@@ -159,17 +159,3 @@ def psa_max_from_pia(g_pia: float) -> float:
     """
     return gain_extrema(g_pia).g_max
 
-
-def output_relative_phase(s_in: complex, i_in: complex, params: AmplifierParams) -> float:
-    """Phase of the amplified signal relative to the pump, in [-pi, pi).
-
-    For equal input magnitudes and large r this approaches 0 where
-    cos(pump-signal input phase) > 0 and pi where it is negative: the
-    square-wave transfer characteristic of a strong squeezer.
-    """
-    if s_in == 0:
-        raise DomainError("zero signal input carries no defined phase")
-    s_out, _ = evolve_two_mode(s_in, i_in, params)
-    if s_out == 0:
-        raise DomainError("amplified signal vanished; output phase undefined")
-    return float(wrap_phase(cmath.phase(s_out) - params.pump_phase))

@@ -29,7 +29,8 @@ import numpy as np
 
 from . import __version__
 from .analyzer import DEFAULT_CLAMP_TOL, block_peaks, cos_readout, gain_ratio, unwrap_cos_scan
-from .beatnote import CELL_OFF, CELL_ON, DetectionConfig, seed_words, synthesize_block
+from .beatnote import (CELL_OFF, CELL_ON, DetectionConfig, _standard_normals, seed_words,
+                       synthesize_block)
 from .calibration import CalibrationMap, default_calibration, effective_r
 from .errors import DomainError, check_number
 from .squeezer import R_MAX, AmplifierParams, evolve_block, psa_max_from_pia, wrap_phase
@@ -357,8 +358,8 @@ class _BeatnotePipeline(_Pipeline):
             ]
             return tuple(np.concatenate(column) for column in zip(*blocks))
         cfg = self.spec.detection_for(delta)
-        words = self._words[stream, points] if cfg.noise_sigma > 0.0 else None
-        block = synthesize_block(s_out, i_out, phases, delta, cfg, stream, words=words)
+        noise = _standard_normals(self._words[stream, points], cfg) if cfg.noise_sigma else None
+        block = synthesize_block(s_out, i_out, phases, delta, cfg, noise)
         return block_peaks(block, cfg.sample_rate, delta)
 
 

@@ -20,7 +20,13 @@ from psalab import (
     spectrum_peaks,
     synthesize_beatnote,
 )
-from psalab.beatnote import CELL_OFF, CELL_ON, seed_words, synthesize_block
+from psalab.beatnote import (
+    CELL_OFF,
+    CELL_ON,
+    _standard_normals,
+    seed_words,
+    synthesize_block,
+)
 from psalab.serialize import (
     record_from_binary,
     record_from_csv,
@@ -156,8 +162,8 @@ class TestBlockSynthesis:
 
     def test_rows_match_single_records(self):
         cfg = quiet_config()
-        on = synthesize_block(self.S, self.I, self.PHASES, DELTA, cfg, CELL_ON)
-        off = synthesize_block(1.0, 0.5j, self.PHASES, DELTA, cfg, CELL_OFF)
+        on = synthesize_block(self.S, self.I, self.PHASES, DELTA, cfg)
+        off = synthesize_block(1.0, 0.5j, self.PHASES, DELTA, cfg)
         assert on.shape == off.shape == (3, cfg.n_samples)
         for k, phase in enumerate(self.PHASES):
             on_k = synthesize_beatnote(self.S[k], self.I[k], phase, DELTA, cfg)
@@ -166,57 +172,68 @@ class TestBlockSynthesis:
 
     def test_noisy_rows_carry_their_point_seed_draws(self):
         cfg = quiet_config(noise_sigma=0.3, rng_seed=5)
-        seeds = [point_seed(11, k) for k in range(len(self.PHASES))]
+        seeds = point_seed(11, np.arange(len(self.PHASES)))
+        quiet = synthesize_block(self.S, self.I, self.PHASES, DELTA, cfg)
         for stream, single in ((CELL_ON, synthesize_beatnote), (CELL_OFF, cell_off_record)):
-            quiet = synthesize_block(self.S, self.I, self.PHASES, DELTA, quiet_config(), stream)
-            noisy = synthesize_block(self.S, self.I, self.PHASES, DELTA, cfg, stream, seeds)
+            noise = _standard_normals(seed_words(seeds, stream, 4), cfg)
+            noisy = synthesize_block(self.S, self.I, self.PHASES, DELTA, cfg, noise)
             for k, seed in enumerate(seeds):
                 draws = _rng_for(seed, stream).normal(0.0, 0.3, cfg.n_samples)
                 assert np.array_equal(noisy[k], quiet[k] + draws)
-                seeded = replace(cfg, rng_seed=seed)
+                seeded = replace(cfg, rng_seed=int(seed))
                 record = single(self.S[k], self.I[k], self.PHASES[k], DELTA, seeded)
                 self.assert_rows_close(noisy[k], record.samples)
 
-    def test_rows_without_seeds_share_the_config_seed(self):
-        cfg = quiet_config(noise_sigma=0.3, rng_seed=5)
-        quiet = synthesize_block(1.0, 1.0, self.PHASES, DELTA, quiet_config(), CELL_OFF)
-        noisy = synthesize_block(1.0, 1.0, self.PHASES, DELTA, cfg, CELL_OFF)
+    @pytest.mark.parametrize("shape", [(1, 2000), (2000,)])
+    def test_one_noise_row_is_added_to_every_record(self, shape):
+        cfg = quiet_config(noise_sigma=0.3)
+        quiet = synthesize_block(1.0, 1.0, self.PHASES, DELTA, cfg)
+        noise = _standard_normals(seed_words(5, CELL_OFF, 4), cfg)
+        noisy = synthesize_block(1.0, 1.0, self.PHASES, DELTA, cfg, noise.reshape(shape))
         draws = _rng_for(5, CELL_OFF).normal(0.0, 0.3, cfg.n_samples)
         assert np.array_equal(noisy, quiet + draws)
 
-    @pytest.mark.parametrize("sigma", [0.0, 0.05, 0.2])
+    def test_noise_is_not_scaled_in_place(self):
+        cfg = quiet_config(noise_sigma=0.3)
+        noise = np.ones((len(self.PHASES), cfg.n_samples))
+        synthesize_block(1.0, 1.0, self.PHASES, DELTA, cfg, noise)
+        assert np.array_equal(noise, np.ones_like(noise))
+
+    @pytest.mark.parametrize("sigma", [0.05, 0.2])
     def test_stream_per_row_equals_single_stream_blocks(self, sigma):
-        cfg = quiet_config(noise_sigma=sigma, rng_seed=5)
+        cfg = quiet_config(noise_sigma=sigma)
         s_out, i_out = np.r_[1.0, self.S], np.r_[0.5j, self.I]
-        phases, streams = np.r_[0.0, self.PHASES], (CELL_OFF, CELL_ON, CELL_ON, CELL_ON)
+        phases, streams = np.r_[0.0, self.PHASES], np.array([CELL_OFF, CELL_ON, CELL_ON, CELL_ON])
         one, two = point_seed(11, 3), point_seed(11, 4)
-        for seeds in ([one], [one, one, two, two]):
-            mixed = synthesize_block(s_out, i_out, phases, DELTA, cfg, streams, seeds)
+        for seeds in (np.array([one], np.uint64), np.array([one, one, two, two], np.uint64)):
+            noise = _standard_normals(seed_words(seeds, streams, 4), cfg)
+            mixed = synthesize_block(s_out, i_out, phases, DELTA, cfg, noise)
             for stream in (CELL_OFF, CELL_ON):
-                single = synthesize_block(s_out, i_out, phases, DELTA, cfg, stream, seeds)
-                rows = np.equal(streams, stream)
+                noise = _standard_normals(seed_words(seeds, stream, 4), cfg)
+                single = synthesize_block(s_out, i_out, phases, DELTA, cfg, noise)
+                rows = streams == stream
                 assert np.array_equal(mixed[rows], single[rows])
+
+    def test_equal_seed_words_draw_once(self, monkeypatch):
+        made, pcg64 = [], np.random.PCG64
+        monkeypatch.setattr(np.random, "PCG64", lambda seed: made.append(seed) or pcg64(seed))
+        cfg = quiet_config(noise_sigma=0.5)
+        noise = _standard_normals(seed_words(np.array([7, 7, 8, 7], np.uint64), 0, 4), cfg)
+        assert len(made) == 2
+        for k, seed in enumerate([7, 7, 8, 7]):
+            assert np.array_equal(noise[k], _rng_for(seed, 0).normal(0.0, 0.5, cfg.n_samples))
 
     def test_non_finite_row_rejected(self):
         with pytest.raises(DomainError, match="finite"):
-            synthesize_block(self.S, self.I, [0.0, math.nan, 1.0], DELTA, quiet_config(), CELL_ON)
+            synthesize_block(self.S, self.I, [0.0, math.nan, 1.0], DELTA, quiet_config())
         with pytest.raises(DomainError, match="finite"):
-            synthesize_block([1.0, math.inf], 1.0, [0.0, 1.0], DELTA, quiet_config(), CELL_ON)
+            synthesize_block([1.0, math.inf], 1.0, [0.0, 1.0], DELTA, quiet_config())
 
-    @pytest.mark.parametrize(
-        "stream, seeds",
-        [(CELL_ON, [1, 2]), ((CELL_ON, CELL_OFF, CELL_ON), [1, 2]), (CELL_ON, [1, 2, 3, 4])],
-        ids=["two_seeds", "two_seeds_stream_per_row", "four_seeds"],
-    )
-    def test_seeds_neither_one_nor_one_per_row_refused(self, stream, seeds):
-        cfg = quiet_config(noise_sigma=0.1)
-        with pytest.raises(DomainError, match=r"^seeds: expected one value or one per record row"):
-            synthesize_block(1.0, 1.0, [0.0, 0.5, 1.0], DELTA, cfg, stream, seeds)
-
-    def test_streams_neither_one_nor_one_per_row_refused(self):
-        cfg = quiet_config(noise_sigma=0.1)
-        with pytest.raises(DomainError, match=r"^stream: expected one value or one per record row"):
-            synthesize_block(1.0, 1.0, [0.0, 0.5, 1.0], DELTA, cfg, (CELL_ON, CELL_OFF), [1])
+    @pytest.mark.parametrize("shape", [(2, 2000), (4, 2000), (3, 1999), (1, 1, 2000)])
+    def test_noise_neither_one_row_nor_one_per_record_refused(self, shape):
+        message = r"^noise: expected 1 or 3 rows of 2000 samples, got shape"
+        with pytest.raises(DomainError, match=message):
+            synthesize_block(1.0, 1.0, [0.0, 0.5, 1.0], DELTA, quiet_config(), np.zeros(shape))
 
 
 # numpy's own SeedSequence is the oracle: word counts 1 to 5, both sides of each boundary.
@@ -233,6 +250,7 @@ def _seed_sequence(entropy, key, n_words):
     )
 
 
+@pytest.mark.filterwarnings("error")  # uint32 arithmetic on numpy scalars warns on overflow
 class TestSeedWords:
     """``seed_words`` rows against numpy's SeedSequence, and the draws they seed."""
 
@@ -258,6 +276,20 @@ class TestSeedWords:
         assert point_seed(9, keys[0]) == int(_seed_sequence(9, keys[0], 1)[0])
         assert point_seed(9, 2**70) == int(_seed_sequence(9, 2**70, 1)[0])
 
+    @pytest.mark.parametrize("n_words", [1, 4])
+    def test_entropy_of_one_and_two_words_together(self, n_words):
+        entropy = np.array([0, 5, 2**40, 2**64 - 1], np.uint64)
+        both = seed_words(entropy, np.array([[CELL_ON], [CELL_OFF]]), n_words)
+        for stream, rows in zip((CELL_ON, CELL_OFF), both):
+            assert np.array_equal(rows, [_seed_sequence(e, stream, n_words) for e in entropy])
+
+    @pytest.mark.parametrize("n_words", [1, 4])
+    @pytest.mark.parametrize("entropy", [0, 2**32 + 3, 2**64 - 1])
+    def test_zero_dimensional_entropy_and_key(self, entropy, n_words):
+        got = seed_words(np.array(entropy, np.uint64), np.array(CELL_OFF), n_words)
+        assert got.shape == (n_words,)
+        assert np.array_equal(got, _seed_sequence(entropy, CELL_OFF, n_words))
+
     def test_keys_of_one_and_two_words_refused_together(self):
         with pytest.raises(DomainError, match="spawn keys"):
             seed_words(7, np.array([1, 2**32], np.uint64), 1)
@@ -269,7 +301,8 @@ class TestSeedWords:
         points = range(4)
         seeds = point_seed(master, np.array(points))
         for stream in (CELL_ON, CELL_OFF):
-            block = synthesize_block(0.0, 0.0, np.zeros(len(points)), DELTA, cfg, stream, seeds)
+            noise = _standard_normals(seed_words(seeds, stream, 4), cfg)
+            block = synthesize_block(0.0, 0.0, np.zeros(len(points)), DELTA, cfg, noise)
             for k in points:
                 seq = np.random.SeedSequence(point_seed(master, k), spawn_key=(stream,))
                 draws = np.random.default_rng(seq).standard_normal(cfg.n_samples)

@@ -592,6 +592,16 @@ class TestCliTransferAndHistogram:
         assert "--bins" in capsys.readouterr().err
         assert not (tmp_path / "one_hist.csv").exists()
 
+    # Only counts far past any memory: numpy refuses them before allocating.
+    @pytest.mark.parametrize("bins", [10**13, 2**63, 10**30])
+    def test_histogram_refuses_bins_numpy_cannot_hold(self, tmp_path, capsys, bins):
+        sweep = tmp_path / "one.csv"
+        sweep.write_text("phi_out_wrapped,gain\n0.5,1\n")
+        assert main(["histogram", str(sweep), "--bins", str(bins)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"psalab: config error: --bins: numpy cannot hold {bins} bins" in err
+        assert not (tmp_path / "one_hist.csv").exists()
+
     @pytest.mark.parametrize(
         "body, message",
         [
@@ -796,6 +806,14 @@ def test_run_commands_take_the_common_flags(command):
     if command == "synth":
         assert defaults["cell_off"] is False
         assert parser.parse_args(["synth", "--cell-off"]).cell_off is True
+
+
+def test_seed_help_takes_any_integer(capsys):
+    with pytest.raises(SystemExit):
+        main(["synth", "--help"])
+    assert re.search(r"--seed INT\s+master RNG seed, any integer >= 0",
+                     capsys.readouterr().out)
+    assert build_parser().parse_args(["synth", "--seed", str(2**70)]).seed == 2**70
 
 
 @pytest.mark.parametrize("command", ["phase-scan", "power-sweep", "pia-compare", "spectrum",

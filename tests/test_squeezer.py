@@ -1,4 +1,4 @@
-"""Core amplifier laws: evolution, gain formulas, output phase."""
+"""Core amplifier laws: evolution and gain formulas."""
 
 import cmath
 import math
@@ -14,14 +14,13 @@ from psalab import (
     evolve_block,
     evolve_two_mode,
     gain_extrema,
-    output_relative_phase,
     pia_gain,
     psa_gain,
     psa_max_from_pia,
     wrap_phase,
 )
 
-from conftest import bogoliubov_direct, signal_phase_direct
+from conftest import bogoliubov_direct
 
 R_GMAX_7 = math.log(7.0) / 2.0  # maximum gain e**(2r) = 7
 G_FOR_GMAX_7 = (7.0 + 2.0 + 1.0 / 7.0) / 4.0  # inverts 2g-1+2*sqrt(g(g-1)) = 7
@@ -228,72 +227,3 @@ class TestGainLaws:
         )
         assert abs(s_lo) ** 2 == pytest.approx(g_min, rel=1e-12)
         assert abs(s_hi) ** 2 == pytest.approx(g_max, rel=1e-12)
-
-
-class TestOutputPhase:
-    def test_all_real_amplitudes_give_zero(self):
-        for r in (0.0, 0.5, 3.0):
-            phi = output_relative_phase(
-                complex(1.0), complex(1.0), AmplifierParams(r=r, pump_phase=0.0)
-            )
-            assert phi == 0.0
-
-    def test_large_r_square_wave_limit(self):
-        # frozen from direct evaluation of arg(cosh3 + sinh3*exp(j*pi/2)) - pi/4
-        phi = output_relative_phase(
-            complex(1.0), complex(1.0), AmplifierParams(r=3.0, pump_phase=math.pi / 4)
-        )
-        direct = cmath.phase(math.cosh(3.0) + math.sinh(3.0) * cmath.exp(1j * math.pi / 2))
-        assert phi == pytest.approx(direct - math.pi / 4, abs=1e-12)
-        assert abs(phi) < 0.05
-
-    def test_mixed_seeds_leave_larger_residual_phase(self):
-        pure = output_relative_phase(
-            complex(1.0), complex(1.0), AmplifierParams(r=3.0, pump_phase=math.pi / 4)
-        )
-        mixed = output_relative_phase(
-            complex(1.0),
-            complex(1.0 / math.sqrt(1.78)),
-            AmplifierParams(r=3.0, pump_phase=math.pi / 4),
-        )
-        assert abs(mixed) > abs(pure)
-
-    def test_rejects_zero_signal(self):
-        with pytest.raises(DomainError):
-            output_relative_phase(
-                complex(0.0), complex(1.0), AmplifierParams(r=1.0)
-            )
-
-    @given(st.floats(min_value=-1.5, max_value=1.5, allow_nan=False),
-           st.floats(min_value=0.2, max_value=3.0, allow_nan=False))
-    def test_odd_symmetry_in_input_phase(self, dphi, r):
-        plus = output_relative_phase(
-            complex(1.0), complex(1.0), AmplifierParams(r=r, pump_phase=dphi)
-        )
-        minus = output_relative_phase(
-            complex(1.0), complex(1.0), AmplifierParams(r=r, pump_phase=-dphi)
-        )
-        assert plus == pytest.approx(-minus, abs=1e-12)
-
-    @given(st.floats(min_value=-math.pi, max_value=math.pi, allow_nan=False),
-           st.floats(min_value=0.2, max_value=3.0, allow_nan=False))
-    def test_half_turn_periodicity_modulo_pi(self, dphi, r):
-        """Advancing the input phase by pi reproduces the output phase
-        modulo pi (the pattern repeats; the absolute phase gains a
-        half-turn, which a binary phase code rides along with)."""
-        base = output_relative_phase(
-            complex(1.0), complex(1.0), AmplifierParams(r=r, pump_phase=dphi)
-        )
-        shifted = output_relative_phase(
-            complex(1.0), complex(1.0), AmplifierParams(r=r, pump_phase=dphi + math.pi)
-        )
-        residue = (base - shifted) % math.pi
-        assert min(residue, math.pi - residue) <= 1e-9
-
-    def test_matches_direct_evaluation_across_scan(self):
-        r = 1.1
-        for dphi in np.linspace(-3.0, 3.0, 61):
-            got = output_relative_phase(
-                complex(1.0), complex(1.0), AmplifierParams(r=r, pump_phase=dphi)
-            )
-            assert got == pytest.approx(wrap_phase(signal_phase_direct(dphi, r)), abs=1e-12)

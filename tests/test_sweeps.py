@@ -332,18 +332,18 @@ class TestBeatnoteExtremumSearch:
     @staticmethod
     def count_rows(monkeypatch, method="gain_extrema", calls=None) -> list[dict]:
         """Records synthesized per seed stream, one entry per call of ``method`` (one per
-        grid point); ``calls``, if given, gets the ``synthesize_block`` calls of each."""
+        grid point); ``calls``, if given, gets the blocks synthesized in each."""
         counts = Counter()
-        synthesize = sweeps.synthesize_block
+        peaks = sweeps._BeatnotePipeline.peaks
 
-        def counting(s_out, i_out, phases, delta, cfg, stream, seeds=None, **words):
-            block = synthesize(s_out, i_out, phases, delta, cfg, stream, seeds, **words)
-            for row_stream in np.broadcast_to(stream, len(block)):
-                counts["off" if row_stream == CELL_OFF else "gain"] += 1
-            counts["calls"] += 1
-            return block
+        def counting(pipe, s_out, i_out, phases, delta, stream, points):
+            if len(phases) <= sweeps.RECORD_BLOCK:  # one block; a longer call splits
+                for row_stream in np.broadcast_to(stream, len(phases)):
+                    counts["off" if row_stream == CELL_OFF else "gain"] += 1
+                counts["calls"] += 1
+            return peaks(pipe, s_out, i_out, phases, delta, stream, points)
 
-        monkeypatch.setattr(sweeps, "synthesize_block", counting)
+        monkeypatch.setattr(sweeps._BeatnotePipeline, "peaks", counting)
         measured = getattr(sweeps._BeatnotePipeline, method)
         per_point = []
 
@@ -471,7 +471,7 @@ class TestPeakSeam:
         phases = rng.uniform(-2.0 * math.pi, 2.0 * math.pi, rows)
 
         model = sweeps._ModelPipeline(spec).peaks(s_out, i_out, phases, delta, CELL_ON, 0)
-        block = synthesize_block(s_out, i_out, phases, delta, detection, CELL_ON)
+        block = synthesize_block(s_out, i_out, phases, delta, detection)
         read = block_peaks(block, detection.sample_rate, delta)
         scale = (math.sqrt(detection.residual_pump_intensity) + np.abs(s_out) + np.abs(i_out)) ** 2
         for name, a, b in zip(("dc", "at_delta", "at_two_delta"), model, read):
