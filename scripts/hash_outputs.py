@@ -23,6 +23,12 @@ A campaign that raises is hashed as its error message.  Run it on two
 checkouts and diff the output; an empty diff means identical bytes:
 
     PYTHONPATH=src python scripts/hash_outputs.py --seed 7
+
+``--seed`` repeats or takes a comma-separated list; with more than one seed
+every line starts with ``seed=S``, so one command covers the five-seed check:
+
+    PYTHONPATH=src python scripts/hash_outputs.py \
+        --seed 3,7,11,18446744073709551617,1361129467683753853853498429727072845829
 """
 
 from __future__ import annotations
@@ -136,11 +142,19 @@ def hash_lines(seed: int) -> list[str]:
         ]
 
 
+def _seeds(text: str) -> list[int]:
+    return [int(seed) for seed in text.split(",")]
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seed", type=int, default=7, help="master RNG seed (default 7)")
-    args = parser.parse_args()
-    print("\n".join(hash_lines(args.seed)))
+    parser.add_argument("--seed", type=_seeds, action="extend",
+                        help="master RNG seed(s), repeatable or comma-separated (default 7)")
+    seeds = parser.parse_args().seed or [7]
+    if len(seeds) == 1:
+        print("\n".join(hash_lines(seeds[0])))
+        return
+    print("\n".join(f"seed={seed} {line}" for seed in seeds for line in hash_lines(seed)))
 
 
 if __name__ == "__main__":

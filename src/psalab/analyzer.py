@@ -77,7 +77,10 @@ def block_peaks(
     # kernel sums the N terms an order of magnitude more accurately than
     # against C-ordered (N, 5) columns (gain ratios: 1e-15 vs 1.6e-14).
     bins = block @ _bin_rows(block.shape[1], sample_rate, delta).T
-    return bins[:, 0], bins[:, 1] + 1j * bins[:, 2], bins[:, 3] + 1j * bins[:, 4]
+    # The (cos, -sin) column pairs are (re, im) of complex amplitudes.  Copied out, as
+    # numpy.linalg misreads a complex view whose row stride (40 bytes) is not 16's multiple.
+    amplitudes = np.ascontiguousarray(bins[:, 1:].view(np.complex128).T)
+    return bins[:, 0], amplitudes[0], amplitudes[1]
 
 
 def spectrum_peaks(rec: BeatnoteRecord) -> tuple[float, complex, complex]:

@@ -156,9 +156,13 @@ def _mix(x, y):
     return out
 
 
-def _words(value) -> np.ndarray:
+def _words(value, name: str) -> np.ndarray:
     """SeedSequence's little-endian uint32 words of an int >= 0 of any size (0 is one
-    word), or of an array of ints below 2**64 along a last axis: two words if any needs two."""
+    word), or of an array of ints below 2**64 along a last axis: two words if any needs two.
+    A negative value raises, naming it as ``name``."""
+    values = np.asarray(value)
+    if (values < 0).any():
+        raise DomainError(f"{name}: expected an integer >= 0, got {int(values[values < 0][0])}")
     if isinstance(value, (int, np.integer)):
         n = int(value)
         return np.frombuffer(n.to_bytes(4 * max(1, -(-n.bit_length() // 32)), "little"), "<u4")
@@ -170,12 +174,13 @@ def seed_words(entropy, keys, n_words: int) -> np.ndarray:
     """``SeedSequence(e, spawn_key=(k,)).generate_state(n_words, np.uint64)`` for every
     (e, k) of ``entropy`` and ``keys`` broadcast together, in one numpy pass.
 
-    Each is an int >= 0 of any size or an array of ints below 2**64; the words
+    Each is an int >= 0 of any size or an array of ints below 2**64 (a negative
+    one raises ``DomainError``, naming ``entropy`` or ``spawn key``); the words
     come out along a last axis of ``n_words``.  SeedSequence pads a spawned
     entropy's words to its pool, hashes them in and mixes the pool, then mixes
     in each later word: the entropy's above 2**128, then the key's.
     """
-    words, key = _words(entropy), _words(keys)
+    words, key = _words(entropy, "entropy"), _words(keys, "spawn key")
     if key.shape[-1] == 2 and not key[..., 1].all():
         raise DomainError("spawn keys below and above 2**32 hash as 1 and 2 words; "
                           "derive them in separate calls")

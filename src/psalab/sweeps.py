@@ -18,6 +18,9 @@ model_exact runs one.  Phase-insensitive gain is read from the delta-peak
 ratio rho = |on|/|off| (pump-signal beat, the only beat present without an
 idler seed) inverted through cosh^2 - sinh^2 = 1: g_pia = ((rho + 1/rho)/2)**2,
 which makes the implied maximum gain rho**2 agree exactly with the seeded one.
+Under full_beatnote an extremum point reads two record blocks: the fit block
+at fixed pump phases (which also holds a PIA comparison's two records) and
+the block measured at the phases the search found.
 """
 
 from __future__ import annotations
@@ -52,6 +55,16 @@ BANDWIDTH_TOLERANCE = 0.05
 # At 2,000 samples an 8-row array is 125 kB; larger temporaries, mapped and
 # page-faulted afresh on each allocation, measured slower and cost memory.
 RECORD_BLOCK = 8
+
+# The extremum search's fit block: the cell-off row, the on-rows at phi_p = 0, pi/3 and
+# 2*pi/3, then for a PIA comparison the on-row with an unseeded idler and its cell-off row.
+_FIT_PHASES = np.arange(3) * (math.pi / 3.0)
+_FIT_BLOCK_PHASES = np.concatenate(([0.0], _FIT_PHASES, [0.0, 0.0]))
+_FIT_BLOCK_STREAMS = np.array((CELL_OFF, CELL_ON, CELL_ON, CELL_ON, CELL_ON, CELL_OFF))
+# Its quartic's companion matrix (as np.roots builds it) before the first row is set.
+_COMPANION = np.diag(np.ones(3, complex), -1)
+for _constant in (_FIT_PHASES, _FIT_BLOCK_PHASES, _FIT_BLOCK_STREAMS, _COMPANION):
+    _constant.setflags(write=False)
 
 # Noisy cosine readouts may overshoot the unit circle by this many standard
 # deviations of their propagated bin noise before extraction errors out.
@@ -239,8 +252,9 @@ class _Pipeline:
         phases = wrap_phase(np.asarray(phases, dtype=np.float64))
         return tuple(z * scale for z in evolve_block(self.a_s, idler, r, phases))
 
-    def gain_extrema(self, r: float, loss: float, index: int, delta: float) -> tuple[float, float]:
-        """Measured gains at the pump phases of largest and smallest gain.
+    def gain_extrema(self, r: float, loss: float, index: int, delta: float) -> tuple:
+        """(g_max, g_min, rho): measured gains at the pump phases of largest and smallest
+        gain, and for a ``pia_compare`` spec the PIA ratio (else None).
 
         The 2*delta on-peak is affine in z = exp(2j*phi_p) and conj(z), noise
         included: on = A + B*z + C*conj(z), fixed by one block at phi_p = 0,
@@ -250,26 +264,35 @@ class _Pipeline:
         + c1*z**3 - conj(c1)*z - 2*conj(c2) (Boyd, J. Eng. Math. 56:203, 2006);
         the gain is measured again at the largest and smallest.  One cell-off row,
         whose 2*delta peak ignores the pump phase, leads the fit block: two blocks a point.
+        rho, the delta-peak on/off amplitude ratio with an unseeded idler, reads the
+        fit block's last two rows at phi_p = 0, so it does not depend on the search.
         """
-        fit = np.arange(3) * (math.pi / 3.0)
-        s_out, i_out = self._outputs(r, loss, fit, self.a_i)
-        streams = (CELL_OFF, CELL_ON, CELL_ON, CELL_ON)
-        dc, _, two_delta = self.peaks(np.r_[self.a_s, s_out], np.r_[self.a_i, i_out],
-                                      np.r_[0.0, fit], delta, streams, index)
-        off_dc, reference, on = dc[:1], two_delta[:1], two_delta[1:]
+        pia = self.spec.kind == "pia_compare"
+        rows = 6 if pia else 4
+        s_out, i_out = np.empty(rows, complex), np.empty(rows, complex)
+        s_out[0], i_out[0] = self.a_s, self.a_i
+        s_out[1:4], i_out[1:4] = self._outputs(r, loss, _FIT_PHASES, self.a_i)
+        if pia:  # the on-row with an unseeded idler, then its cell-off row
+            s_out[4:5], i_out[4:5] = self._outputs(r, loss, (0.0,), 0j)
+            s_out[5], i_out[5] = self.a_s, 0j
+        dc, at_delta, two_delta = self.peaks(s_out, i_out, _FIT_BLOCK_PHASES[:rows], delta,
+                                             _FIT_BLOCK_STREAMS[:rows], index)
+        # ScanSpec refuses a beatnote PIA without the pump, so the off delta-peak is not 0.
+        rho = abs(at_delta[4]) / abs(at_delta[5]) if pia else None
+        off_dc, reference, on = dc[:1], two_delta[:1], two_delta[1:4]
         a, b, c = np.fft.fft(on) / 3.0
         if abs(b) + abs(c) <= EXTREMA_FLAT_RTOL * abs(a):  # r = 0: c1 = c2 = 0, no roots
             gains = gain_ratio(on, reference, off_dc)
-            return float(gains.max()), float(gains.min())
+            return float(gains.max()), float(gains.min()), rho
         c1, c2 = a.conjugate() * b + a * c.conjugate(), b * c.conjugate()
-        companion = np.diag(np.ones(3, complex), -1)  # np.roots' matrix of the quartic
+        companion = _COMPANION.copy()  # np.roots' matrix of the quartic
         companion[0] = -np.array((c1, 0.0, -c1.conjugate(), -2.0 * c2.conjugate())) / (2.0 * c2)
         x = np.angle(np.linalg.eigvals(companion))
         shape = (c1 * np.exp(1j * x) + c2 * np.exp(2j * x)).real
         phases = 0.5 * x[[np.argmax(shape), np.argmin(shape)]] % math.pi
         s_out, i_out = self._outputs(r, loss, phases, self.a_i)
         on = self.peaks(s_out, i_out, phases, delta, CELL_ON, index)[2]
-        return tuple(gain_ratio(on, reference, off_dc))
+        return (*gain_ratio(on, reference, off_dc), rho)
 
     def scan_grid(self, r: float, loss: float, phases, transfer: bool) -> tuple[np.ndarray, ...]:
         """Columns (gain,) or, for a transfer curve, (gain, gain_idler, cos_out) over the grid;
@@ -306,13 +329,6 @@ class _Pipeline:
             clamp_tol = np.maximum(clamp_tol, COS_CLAMP_SIGMAS * sigma)
         return cos_readout(on_delta, cfg.residual_pump_intensity, gain, i_s, clamp_tol)
 
-    def pia_rho(self, r: float, loss: float, index: int, delta: float) -> float:
-        """delta-peak on/off amplitude ratio with an unseeded idler, read as one block."""
-        s_out, i_out = self._outputs(r, loss, (0.0,), 0j)
-        _, on_off, _ = self.peaks(np.r_[s_out, self.a_s], np.r_[i_out, 0j], (0.0, 0.0), delta,
-                                  (CELL_ON, CELL_OFF), index)
-        return abs(on_off[0]) / abs(on_off[1])  # ScanSpec refuses a beatnote PIA without the pump
-
 
 class _ModelPipeline(_Pipeline):
     """Closed-form peaks of noiseless records, plus closed-form extrema and PIA
@@ -325,17 +341,15 @@ class _ModelPipeline(_Pipeline):
         at_delta = 2.0 * math.sqrt(i_p) * (s_out * lo.conjugate() + np.conjugate(i_out) * lo)
         return dc, at_delta, 2.0 * s_out * np.conjugate(i_out)
 
-    def gain_extrema(self, r: float, loss: float, index: int, delta: float) -> tuple[float, float]:
-        if self.spec.input_ratio == 1.0:
-            return loss * math.exp(2.0 * r), loss * math.exp(-2.0 * r)
+    def gain_extrema(self, r: float, loss: float, index: int, delta: float) -> tuple:
         c, s = math.cosh(r), math.sinh(r)
+        rho = math.sqrt(loss) * (c + s) if self.spec.kind == "pia_compare" else None
+        if self.spec.input_ratio == 1.0:
+            return loss * math.exp(2.0 * r), loss * math.exp(-2.0 * r), rho
         kappa = abs(self.a_i) / abs(self.a_s)
         top = (c + s * kappa) * (c + s / kappa)
         bottom = abs(c - s * kappa) * abs(c - s / kappa)
-        return loss * top, loss * bottom
-
-    def pia_rho(self, r: float, loss: float, index: int, delta: float) -> float:
-        return math.sqrt(loss) * (math.cosh(r) + math.sinh(r))
+        return loss * top, loss * bottom, rho
 
 
 class _BeatnotePipeline(_Pipeline):
@@ -371,11 +385,11 @@ def _gain_vs_phase(spec: ScanSpec, pipe: _Pipeline, metadata: dict) -> dict:
 
 def _extrema(spec: ScanSpec, pipe: _Pipeline, metadata: dict) -> dict:
     """Extremal gains versus pump power through the calibration map, or versus detuning."""
-    extrema = [
+    g_max, g_min, _ = zip(*(
         pipe.gain_extrema(r, loss, k, delta)
         for k, (r, loss, delta) in enumerate(spec.operating_points())
-    ]
-    g_max, g_min = map(np.array, zip(*extrema))
+    ))
+    g_max, g_min = np.array(g_max), np.array(g_min)
     return {"g_max": g_max, "g_min": g_min, "inv_g_max": 1.0 / g_max}
 
 
@@ -383,8 +397,7 @@ def _pia_compare(spec: ScanSpec, pipe: _Pipeline, metadata: dict) -> dict:
     """Seeded-idler maximum gain versus unseeded (phase-insensitive) gain."""
     rows = []
     for k, (r, loss, delta) in enumerate(spec.operating_points()):
-        top, _ = pipe.gain_extrema(r, loss, k, delta)
-        rho = pipe.pia_rho(r, loss, k, delta)
+        top, _, rho = pipe.gain_extrema(r, loss, k, delta)
         c = 0.5 * (rho + 1.0 / rho)  # g_pia = c**2 inverts rho through cosh^2 - sinh^2 = 1
         rows.append((top, c * c, psa_max_from_pia(c * c)))
     g_max, g_pia, g_from_pia = map(np.array, zip(*rows))

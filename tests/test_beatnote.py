@@ -290,6 +290,19 @@ class TestSeedWords:
         assert got.shape == (n_words,)
         assert np.array_equal(got, _seed_sequence(entropy, CELL_OFF, n_words))
 
+    @pytest.mark.parametrize(
+        "entropy, key, name",
+        [(-1, 0, "entropy"), (-(2**70), 3, "entropy"), (1, -1, "spawn key"),
+         (np.array([3, -2]), 0, "entropy"), (1, np.array([1, -5]), "spawn key"),
+         (np.array([5], np.uint64), [[0], [-1]], "spawn key")],
+        ids=["entropy", "entropy_2^70", "key", "entropy_array", "key_array", "key_list"],
+    )
+    def test_negative_entropy_or_key_refused_by_name(self, entropy, key, name):
+        with pytest.raises(DomainError, match=f"^{name}: expected an integer >= 0, got -"):
+            seed_words(entropy, key, 4)
+        with pytest.raises(DomainError, match=f"^{name}: "):
+            point_seed(entropy, key)
+
     def test_keys_of_one_and_two_words_refused_together(self):
         with pytest.raises(DomainError, match="spawn keys"):
             seed_words(7, np.array([1, 2**32], np.uint64), 1)

@@ -35,11 +35,16 @@ def test_campaign_histogram_matches_cli_histogram(tmp_path, pipeline):
     assert (out / "transfer_pure_hist.csv").read_bytes() == expected
 
 
-def test_hash_outputs_is_stable_within_a_process():
+def _hash_outputs():
     path = ROOT / "scripts" / "hash_outputs.py"
     spec = importlib.util.spec_from_file_location("hash_outputs", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    return module
+
+
+def test_hash_outputs_is_stable_within_a_process():
+    module = _hash_outputs()
     first = module.hash_lines(5)
     assert first == module.hash_lines(5)
     names = [line.split("  ", 1)[1] for line in first]
@@ -53,3 +58,19 @@ def test_hash_outputs_is_stable_within_a_process():
     assert "campaign_full_beatnote_sigma0.05_transfer_pure.csv" in names
     assert "campaign_full_beatnote_sigma0.05_gain_spectrum_beatnote.csv" in names
     assert "campaign_full_beatnote_sigma0.05_gain_vs_power_mixed.csv" in names
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [([], ["h7  a", "h7  b"]), (["--seed", "3"], ["h3  a", "h3  b"]),
+     (["--seed", "3,2", "--seed", str(2**64 + 1)],
+      ["seed=3 h3  a", "seed=3 h3  b", "seed=2 h2  a", "seed=2 h2  b",
+       f"seed={2**64 + 1} h{2**64 + 1}  a", f"seed={2**64 + 1} h{2**64 + 1}  b"])],
+    ids=["default", "one_seed", "several_seeds"],
+)
+def test_hash_outputs_prefixes_lines_only_for_several_seeds(argv, expected, monkeypatch, capsys):
+    module = _hash_outputs()
+    monkeypatch.setattr(module, "hash_lines", lambda seed: [f"h{seed}  a", f"h{seed}  b"])
+    monkeypatch.setattr(sys, "argv", ["hash_outputs.py", *argv])
+    module.main()
+    assert capsys.readouterr().out.splitlines() == expected

@@ -330,8 +330,8 @@ class TestBeatnoteExtremumSearch:
         return spec, signal, idler
 
     @staticmethod
-    def count_rows(monkeypatch, method="gain_extrema", calls=None) -> list[dict]:
-        """Records synthesized per seed stream, one entry per call of ``method`` (one per
+    def count_rows(monkeypatch, calls=None) -> list[dict]:
+        """Records synthesized per seed stream, one entry per ``gain_extrema`` call (one per
         grid point); ``calls``, if given, gets the blocks synthesized in each."""
         counts = Counter()
         peaks = sweeps._BeatnotePipeline.peaks
@@ -344,7 +344,7 @@ class TestBeatnoteExtremumSearch:
             return peaks(pipe, s_out, i_out, phases, delta, stream, points)
 
         monkeypatch.setattr(sweeps._BeatnotePipeline, "peaks", counting)
-        measured = getattr(sweeps._BeatnotePipeline, method)
+        measured = sweeps._BeatnotePipeline.gain_extrema
         per_point = []
 
         def recorded(pipe, *args, **kwargs):
@@ -355,7 +355,7 @@ class TestBeatnoteExtremumSearch:
                 calls.append(counts["calls"] - before["calls"])
             return result
 
-        monkeypatch.setattr(sweeps._BeatnotePipeline, method, recorded)
+        monkeypatch.setattr(sweeps._BeatnotePipeline, "gain_extrema", recorded)
         return per_point
 
     @SIGNAL_PHASES
@@ -378,13 +378,41 @@ class TestBeatnoteExtremumSearch:
         assert calls == [1, 2, 2]
 
     @OVERRIDES
-    def test_pia_reads_one_block_per_point(self, overrides, monkeypatch):
+    def test_pia_rows_ride_in_the_fit_block(self, overrides, monkeypatch):
         spec = ScanSpec(kind="pia_compare", grid=self.POWERS, pipeline="full_beatnote", **overrides)
         calls = []
-        per_point = self.count_rows(monkeypatch, "pia_rho", calls)
+        per_point = self.count_rows(monkeypatch, calls)
         run_scan(spec)
-        assert per_point == [{"off": 1, "gain": 1}] * len(self.POWERS)
-        assert calls == [1] * len(self.POWERS)
+        # The fit block gains the PIA on-row and its cell-off row; a flat point reads it alone.
+        assert per_point == [{"off": 2, "gain": 4}, {"off": 2, "gain": 6}, {"off": 2, "gain": 6}]
+        assert calls == [1, 2, 2]
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.05])
+    def test_fit_block_rho_equals_a_standalone_pia_block(self, sigma):
+        detection = DetectionConfig(noise_sigma=sigma, rng_seed=11)
+        spec = ScanSpec(kind="pia_compare", grid=self.POWERS, pipeline="full_beatnote",
+                        detection=detection)
+        pipe = sweeps._BeatnotePipeline(spec)
+        for index, (r, loss, delta) in enumerate(spec.operating_points()):
+            s_out, i_out = pipe._outputs(r, loss, (0.0,), 0j)
+            _, on_off, _ = pipe.peaks(np.append(s_out, pipe.a_s), np.append(i_out, 0j),
+                                      (0.0, 0.0), delta, np.array([CELL_ON, CELL_OFF]), index)
+            assert pipe.gain_extrema(r, loss, index, delta)[2] == abs(on_off[0]) / abs(on_off[1])
+
+    @pytest.mark.parametrize("kind", ["power_sweep", "pia_compare"])
+    def test_noisy_point_draws_each_row_once_per_block(self, kind, monkeypatch):
+        drawn = []
+        draw = sweeps._standard_normals
+
+        def counting(words, cfg):
+            drawn.append(len({row.tobytes() for row in np.reshape(words, (-1, 4))}))
+            return draw(words, cfg)
+
+        monkeypatch.setattr(sweeps, "_standard_normals", counting)
+        detection = DetectionConfig(noise_sigma=0.05, rng_seed=7)
+        run_scan(ScanSpec(kind=kind, grid=(40.0,), pipeline="full_beatnote", detection=detection))
+        # The fit block's cell-on and cell-off rows, then the measured block's cell-on row.
+        assert drawn == [2, 1]
 
     @pytest.mark.parametrize("sigma", [0.0, 0.05, 0.2])
     @pytest.mark.parametrize("seed", range(4))
@@ -453,7 +481,7 @@ class TestPeakSeam:
             return {name for name in vars(cls) if not name.startswith("__")}
 
         assert own(sweeps._BeatnotePipeline) == {"peaks"}
-        assert own(sweeps._ModelPipeline) == {"peaks", "gain_extrema", "pia_rho"}
+        assert own(sweeps._ModelPipeline) == {"peaks", "gain_extrema"}
 
     @pytest.mark.parametrize("seed", range(6))
     def test_model_peaks_equal_read_records(self, seed):
@@ -504,10 +532,10 @@ class TestPeakSeam:
         for index, power in enumerate((0.0, 5.0, 30.0, 80.0)):
             for delta in (2.0, 140.0):
                 point = (*effective_r(power, delta, spec.calibration), index, delta)
-                measured = sweeps._Pipeline.gain_extrema(pipe, *point)
-                assert measured == pytest.approx(pipe.gain_extrema(*point), rel=1e-12, abs=0.0)
-                rho = sweeps._Pipeline.pia_rho(pipe, *point)
-                assert rho == pytest.approx(pipe.pia_rho(*point), rel=1e-12, abs=0.0)
+                *measured, rho = sweeps._Pipeline.gain_extrema(pipe, *point)
+                *exact, exact_rho = pipe.gain_extrema(*point)
+                assert measured == pytest.approx(exact, rel=1e-12, abs=0.0)
+                assert rho == pytest.approx(exact_rho, rel=1e-12, abs=0.0)
 
 
 class TestPipelineEquivalence:
