@@ -25,9 +25,12 @@ checkouts and diff the output; an empty diff means identical bytes:
     PYTHONPATH=src python scripts/hash_outputs.py --seed 7
 
 ``--seed`` repeats or takes a comma-separated list; with more than one seed
-every line starts with ``seed=S``, so one command covers the five-seed check:
+every line starts with ``seed=S``.  ``--against REV`` makes the comparison one
+command: it also runs this script, with the same campaigns and seeds, on the
+``src/`` of a ``git archive`` of REV, prints the diff and exits 1 if any line
+differs:
 
-    PYTHONPATH=src python scripts/hash_outputs.py \
+    PYTHONPATH=src python scripts/hash_outputs.py --against HEAD \
         --seed 3,7,11,18446744073709551617,1361129467683753853853498429727072845829
 """
 
@@ -35,11 +38,15 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import difflib
 import hashlib
 import importlib.util
 import io
 import json
 import os
+import subprocess
+import sys
+import tarfile
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -146,15 +153,46 @@ def _seeds(text: str) -> list[int]:
     return [int(seed) for seed in text.split(",")]
 
 
+def output_lines(seeds: list[int]) -> list[str]:
+    """``hash_lines`` of each seed; with several, each line starts with ``seed=S``."""
+    if len(seeds) == 1:
+        return hash_lines(seeds[0])
+    return [f"seed={seed} {line}" for seed in seeds for line in hash_lines(seed)]
+
+
+def lines_at(rev: str, seeds: list[int]) -> list[str]:
+    """``output_lines`` of this script run on the ``src/`` of a ``git archive`` of REV."""
+    root = Path(__file__).resolve().parent.parent
+    archive = subprocess.run(["git", "archive", rev, "src"], cwd=root, capture_output=True)
+    if archive.returncode:
+        sys.exit(f"git archive {rev}: {archive.stderr.decode(errors='replace').strip()}")
+    with tempfile.TemporaryDirectory() as tmp:
+        with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+            tar.extractall(tmp, filter="data")
+        env = {**os.environ, "PYTHONPATH": str(Path(tmp) / "src")}
+        argv = [sys.executable, __file__, "--seed", ",".join(map(str, seeds))]
+        run = subprocess.run(argv, env=env, capture_output=True, text=True)
+    if run.returncode:
+        sys.exit(f"hashing {rev} failed:\n{run.stderr}")
+    return run.stdout.splitlines()
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=_seeds, action="extend",
                         help="master RNG seed(s), repeatable or comma-separated (default 7)")
-    seeds = parser.parse_args().seed or [7]
-    if len(seeds) == 1:
-        print("\n".join(hash_lines(seeds[0])))
+    parser.add_argument("--against", metavar="REV",
+                        help="diff against the outputs of git revision REV; exit 1 if any differ")
+    args = parser.parse_args()
+    seeds = args.seed or [7]
+    lines = output_lines(seeds)
+    if args.against is None:
+        print("\n".join(lines))
         return
-    print("\n".join(f"seed={seed} {line}" for seed in seeds for line in hash_lines(seed)))
+    diff = list(difflib.unified_diff(lines_at(args.against, seeds), lines,
+                                     args.against, "this tree", lineterm=""))
+    print("\n".join(diff) if diff else f"no difference against {args.against}")
+    sys.exit(1 if diff else 0)
 
 
 if __name__ == "__main__":

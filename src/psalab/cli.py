@@ -20,7 +20,8 @@ import numpy as np
 from . import __version__
 from .analyzer import phase_histogram, spectrum_peaks
 from .beatnote import cell_off_record, synthesize_beatnote
-from .config import ENV_OUTPUT_DIR, RunConfig, parse_config_document, to_document
+from .config import (ENV_OUTPUT_DIR, RunConfig, decode_document, parse_config_document,
+                     to_document)
 from .errors import ConfigError, DomainError, PsalabError
 from .serialize import (
     default_basename,
@@ -66,11 +67,9 @@ def _load_document(path: str | None) -> dict:
     if path is None:
         return {}
     try:
-        return json.loads(read_text(path))
+        return decode_document(read_text(path), path)
     except OSError as err:
         raise ConfigError(f"cannot read config {path}: {err}") from None
-    except json.JSONDecodeError as err:
-        raise ConfigError(f"{path} is not valid JSON: {err}") from None
 
 
 def _overlay(doc, flags: dict):

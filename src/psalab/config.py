@@ -21,13 +21,13 @@ Every key is optional except scan.kind.  Each section fills one library
 dataclass (the calibration section goes through ``fitted_calibration``),
 whose defaults fill omitted keys and whose checks bound the values given;
 a field's DomainError comes back as a ConfigError that names the key path.
-This module checks only what a dataclass cannot: JSON types, unknown keys
-(errors that name the full key path) and grid forms.  It supplies the two
-defaults that belong to the document, the kind's grid (DEFAULT_GRIDS) and
-DEFAULT_PUMP_POWER_MW while ``r`` is unset, so a minimal pure-PSA phase
-scan needs nothing but the kind.  A grid is given in one form: explicit
-``values``, or ``start``/``stop`` plus ``num`` (inclusive linspace) or
-``step``; a mixture of forms is an error.
+This module checks only what a dataclass cannot: JSON types, unknown or
+repeated keys (errors that name the full key path) and grid forms.  It
+supplies the two defaults that belong to the document, the kind's grid
+(DEFAULT_GRIDS) and DEFAULT_PUMP_POWER_MW while ``r`` is unset, so a minimal
+pure-PSA phase scan needs nothing but the kind.  A grid is given in one form:
+explicit ``values``, or ``start``/``stop`` plus ``num`` (inclusive linspace)
+or ``step``; a mixture of forms is an error.
 """
 
 from __future__ import annotations
@@ -259,13 +259,35 @@ def parse_config_document(doc: dict, *, default_kind: str | None = None) -> RunC
     return _build(RunConfig, doc, "", scan=spec, output_dir=Path(output_dir))
 
 
+class _Pairs(list):
+    """One JSON object's (key, value) pairs, in file order."""
+
+
+def _objects(value, path: str):
+    """``value`` with each _Pairs made a dict; a key one object sets twice is refused."""
+    if isinstance(value, _Pairs):
+        doc = {}
+        for key, item in value:
+            if key in doc:
+                raise ConfigError(f"{_join(path, key)}: set twice in the run document")
+            doc[key] = _objects(item, _join(path, key))
+        return doc
+    return [_objects(item, path) for item in value] if isinstance(value, list) else value
+
+
+def decode_document(text: str, source: str = "config"):
+    """The JSON value of a run document's text, ``source`` naming it in errors."""
+    try:
+        return _objects(json.loads(text, object_pairs_hook=_Pairs), "")
+    except json.JSONDecodeError as err:
+        raise ConfigError(f"{source} is not valid JSON: {err}") from None
+    except RecursionError:
+        raise ConfigError(f"{source}: nests arrays or objects too deeply to decode") from None
+
+
 def parse_config(text: str, *, default_kind: str | None = None) -> RunConfig:
     """Parse a JSON config document into a validated RunConfig."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as err:
-        raise ConfigError(f"config is not valid JSON: {err}") from None
-    return parse_config_document(doc, default_kind=default_kind)
+    return parse_config_document(decode_document(text), default_kind=default_kind)
 
 
 def to_document(cfg: RunConfig) -> dict:

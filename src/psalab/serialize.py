@@ -48,6 +48,8 @@ SWEEP_MAGIC = b"PSSW"
 FORMAT_VERSION = 1
 RECORD_VERSION = 2
 _TITLE = "psalab beatnote record v"  # a record CSV's first line, then its version
+# A record CSV's time_ms may stray from k / sample_rate by this fraction of a sample period.
+RECORD_TIME_TOL = 1e-3
 EMIT_FORMATS = ("csv", "json", "binary")
 
 
@@ -236,8 +238,16 @@ def record_to_csv(rec: BeatnoteRecord, path: str | Path) -> Path:
     return _write(path, record_csv_bytes(rec))
 
 
+def _time(cell: str) -> float:
+    try:
+        return float(cell)
+    except ValueError:
+        return float("nan")
+
+
 def record_from_csv(path: str | Path) -> BeatnoteRecord:
-    header, samples = [], []
+    """Read a record written by ``record_to_csv``; row k's time_ms must be k / sample_rate."""
+    header, rows = [], []
     for line in read_text(path).splitlines():
         line = line.strip()
         if line.startswith("#"):
@@ -246,14 +256,22 @@ def record_from_csv(path: str | Path) -> BeatnoteRecord:
             cells = line.split(",")
             if len(cells) != 2:
                 raise ConfigError(f"{path}: malformed record CSV line {line!r}")
-            samples.append(cells[1])
+            rows.append(cells)
     try:
-        samples = [float(value) for value in samples]
+        samples = [float(value) for _, value in rows]
     except ValueError as err:
         raise ConfigError(f"{path}: malformed record CSV: {err}") from None
     if not header or not header[0].strip().startswith(_TITLE):
         raise ConfigError(f"{path}: the record CSV does not open with '# {_TITLE}N'")
-    return _record(path, samples, _header_values(path, header[1:]))
+    record = _record(path, samples, _header_values(path, header[1:]))
+    slip = np.abs(np.array([_time(t) for t, _ in rows]) - record.times)
+    late = np.flatnonzero(~(slip <= RECORD_TIME_TOL / record.sample_rate))  # NaN fails too
+    if late.size:
+        k = late[0]
+        raise ConfigError(f"{path}: time_ms: data row {k + 1} reads {rows[k][0].strip()!r}; "
+                          f"sample {k} is at k / sample_rate = {record.times[k]!r} ms, "
+                          f"to within {RECORD_TIME_TOL} of a sample period")
+    return record
 
 
 def record_binary_bytes(rec: BeatnoteRecord) -> bytes:

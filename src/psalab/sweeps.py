@@ -1,11 +1,11 @@
 """The campaign runner that produces the figure-shaped datasets.
 
-``run_scan`` walks a ScanSpec's ordered grid (input phase, pump power or
-detuning), evaluates the amplifier plus detection chain at every point, and
-collects its kind's named columns into a SweepResult whose metadata suffices
-to reproduce it bit for bit.  Grid points are independent work items: every
-point derives its own RNG seed from (master seed, point index), so results
-cannot depend on evaluation order.
+``run_scan`` is the one place a scan kind turns into columns.  It walks a
+ScanSpec's ordered grid (input phase, pump power or detuning): the phase kinds
+read the whole grid through ``_Pipeline.scan_grid``, the three extremum kinds
+call ``_Pipeline.gain_extrema`` once per point, and the metadata suffices to
+reproduce the result bit for bit.  Every grid point derives its own RNG seed
+from (master seed, point index), so results cannot depend on evaluation order.
 
 The two pipelines differ only in how they obtain the DC, delta and 2*delta
 spectrum peaks: ``model_exact`` in closed form, ``full_beatnote`` from
@@ -294,26 +294,31 @@ class _Pipeline:
         on = self.peaks(s_out, i_out, phases, delta, CELL_ON, index)[2]
         return (*gain_ratio(on, reference, off_dc), rho)
 
-    def scan_grid(self, r: float, loss: float, phases, transfer: bool) -> tuple[np.ndarray, ...]:
-        """Columns (gain,) or, for a transfer curve, (gain, gain_idler, cos_out) over the grid;
-        each grid point keeps its own on/off record pair and noise seed."""
-        phases = np.asarray(phases, dtype=np.float64)
+    def scan_grid(self) -> dict[str, np.ndarray]:
+        """The phase grid's columns: gain, plus gain_idler and cos_phi_out for a transfer
+        curve; each grid point keeps its own on/off record pair and noise seed."""
+        spec = self.spec
+        ((r, loss, delta),) = spec.operating_points()
+        phases = np.asarray(spec.grid)
         s_out, i_out = self._outputs(r, loss, phases, self.a_i)
-        if transfer and self.spec.input_ratio != 1.0:
+        transfer = spec.kind == "transfer_curve"
+        if transfer and spec.input_ratio != 1.0:
             # No peak ratio gives G_s, G_i or the signal phase of unequal seeds.
             # hypot and float_power round as Python's abs(complex) and float ** 2.
             gain, gain_idler = (
                 np.float_power(np.hypot(z.real, z.imag), 2.0) / abs(a) ** 2
                 for z, a in ((s_out, self.a_s), (i_out, self.a_i))
             )
-            return gain, gain_idler, np.cos(wrap_phase(np.angle(s_out) - phases))
-        delta, points = self.spec.amplifier.detuning, np.arange(phases.size)
+            cos_out = np.cos(wrap_phase(np.angle(s_out) - phases))
+            return {"gain": gain, "gain_idler": gain_idler, "cos_phi_out": cos_out}
+        points = np.arange(phases.size)
         _, on_delta, on_two_delta = self.peaks(s_out, i_out, phases, delta, CELL_ON, points)
         off_dc, _, reference = self.peaks(self.a_s, self.a_i, phases, delta, CELL_OFF, points)
         gain = gain_ratio(on_two_delta, reference, off_dc)
         if not transfer:
-            return (gain,)
-        return gain, gain, self._cos_out(on_delta, gain, on_two_delta, reference)
+            return {"gain": gain}
+        cos_out = self._cos_out(on_delta, gain, on_two_delta, reference)
+        return {"gain": gain, "gain_idler": gain, "cos_phi_out": cos_out}
 
     def _cos_out(self, on_delta, gain, on_two_delta, reference) -> np.ndarray:
         cfg = self.spec.detection
@@ -377,94 +382,48 @@ class _BeatnotePipeline(_Pipeline):
         return block_peaks(block, cfg.sample_rate, delta)
 
 
-def _gain_vs_phase(spec: ScanSpec, pipe: _Pipeline, metadata: dict) -> dict:
-    """Gain versus the scanned pump-signal input phase (piezo emulation)."""
-    ((r, loss, _),) = spec.operating_points()
-    return {"gain": pipe.scan_grid(r, loss, spec.grid, transfer=False)[0]}
-
-
-def _extrema(spec: ScanSpec, pipe: _Pipeline, metadata: dict) -> dict:
-    """Extremal gains versus pump power through the calibration map, or versus detuning."""
-    g_max, g_min, _ = zip(*(
-        pipe.gain_extrema(r, loss, k, delta)
-        for k, (r, loss, delta) in enumerate(spec.operating_points())
-    ))
-    g_max, g_min = np.array(g_max), np.array(g_min)
-    return {"g_max": g_max, "g_min": g_min, "inv_g_max": 1.0 / g_max}
-
-
-def _pia_compare(spec: ScanSpec, pipe: _Pipeline, metadata: dict) -> dict:
-    """Seeded-idler maximum gain versus unseeded (phase-insensitive) gain."""
-    rows = []
-    for k, (r, loss, delta) in enumerate(spec.operating_points()):
-        top, _, rho = pipe.gain_extrema(r, loss, k, delta)
-        c = 0.5 * (rho + 1.0 / rho)  # g_pia = c**2 inverts rho through cosh^2 - sinh^2 = 1
-        rows.append((top, c * c, psa_max_from_pia(c * c)))
-    g_max, g_pia, g_from_pia = map(np.array, zip(*rows))
-    return {"g_max": g_max, "g_pia": g_pia, "g_max_from_pia": g_from_pia}
-
-
-def _spectrum(spec: ScanSpec, pipe: _Pipeline, metadata: dict) -> dict:
-    """Extremal gains versus pump-signal detuning, plus the bandwidth.
-
-    The bandwidth is the largest grid detuning for which g_min stays within
-    BANDWIDTH_TOLERANCE of its pure-squeezer value 1/g_max; it is stored in
-    the metadata.  The detuning response is a calibrated, phenomenological
-    reproduction and the metadata flags it as such.
-    """
-    columns = _extrema(spec, pipe, metadata)
-    ideal = columns["inv_g_max"]
-    pure = np.abs(columns["g_min"] - ideal) <= BANDWIDTH_TOLERANCE * ideal
-    deltas = np.asarray(spec.grid)
-    metadata["bandwidth_khz"] = float(deltas[pure].max()) if pure.any() else None
-    metadata["bandwidth_tolerance"] = BANDWIDTH_TOLERANCE
-    metadata["detuning_model"] = "phenomenological (Lorentzian window + Gaussian loss)"
-    return columns
-
-
-def _transfer(spec: ScanSpec, pipe: _Pipeline, metadata: dict) -> dict:
-    """Phase-to-phase transfer: signal gain and output phase per input phase.
-
-    The output phase is read from the cosine readout, each point on the
-    branch its input phase picks under the equal-seed law
-    tan(phi_out) = -exp(-2r)*tan(phi_in), on any grid spacing; see
-    ``unwrap_cos_scan``.  A mixed-seed curve whose idler dominates
-    (tanh(r) > sqrt(input_ratio)) comes out as its global mirror, the
-    cosine readout's blind spot.  The phase is reported both unwrapped and
-    wrapped to [-pi, pi).
-    """
-    ((r, loss, _),) = spec.operating_points()
-    gains, gains_idler, cosines = pipe.scan_grid(r, loss, spec.grid, transfer=True)
-    unwrapped = unwrap_cos_scan(cosines, spec.grid)
-    return {
-        "gain": gains,
-        "gain_idler": gains_idler,
-        "cos_phi_out": cosines,
-        "phi_out_wrapped": wrap_phase(unwrapped),
-        "phi_out_unwrapped": unwrapped,
-    }
-
-
-# Scan kind -> (x column name, its columns from the spec, its pipeline and the metadata).
-_SCANS = {
-    "phase_scan": ("phi_in", _gain_vs_phase),
-    "power_sweep": ("power_mw", _extrema),
-    "pia_compare": ("power_mw", _pia_compare),
-    "detuning_spectrum": ("delta_khz", _spectrum),
-    "transfer_curve": ("phi_in", _transfer),
-}
-SCAN_KINDS = tuple(_SCANS)
+# Scan kind -> the name of its x column.
+_X_NAMES = {"phase_scan": "phi_in", "power_sweep": "power_mw", "pia_compare": "power_mw",
+            "detuning_spectrum": "delta_khz", "transfer_curve": "phi_in"}
+SCAN_KINDS = tuple(_X_NAMES)
 
 
 def run_scan(spec: ScanSpec) -> SweepResult:
-    """Run a ScanSpec through its pipeline into the figure-shaped dataset of its kind."""
-    x_name, columns = _SCANS[spec.kind]
+    """Run a ScanSpec through its pipeline into the figure-shaped dataset of its kind.
+
+    A phase scan is the gain per pump-signal input phase (piezo emulation).  A transfer
+    curve adds the idler gain and the output phase, each point on the branch its input
+    phase picks (``unwrap_cos_scan``); a mixed-seed curve whose idler dominates
+    (tanh(r) > sqrt(input_ratio)) comes out as its global mirror.  The other kinds
+    measure extremal gains per grid point.  A PIA comparison adds the unseeded gain; a
+    spectrum's metadata adds the bandwidth, the largest detuning whose g_min is within
+    BANDWIDTH_TOLERANCE of 1/g_max, and flags the detuning model as phenomenological.
+    """
     pipe = _ModelPipeline(spec) if spec.pipeline == "model_exact" else _BeatnotePipeline(spec)
-    metadata = {
-        "kind": spec.kind,
-        "x_name": x_name,
-        "scan_spec": spec.as_dict(),
-        "master_seed": spec.master_seed,
-        "version": __version__,
-    }
-    return SweepResult(np.asarray(spec.grid), columns(spec, pipe, metadata), metadata)
+    metadata = {"kind": spec.kind, "x_name": _X_NAMES[spec.kind], "scan_spec": spec.as_dict(),
+                "master_seed": spec.master_seed, "version": __version__}
+    grid = np.asarray(spec.grid)
+    if spec.kind in ("phase_scan", "transfer_curve"):
+        columns = pipe.scan_grid()
+        if spec.kind == "transfer_curve":
+            unwrapped = unwrap_cos_scan(columns["cos_phi_out"], spec.grid)
+            columns.update(phi_out_wrapped=wrap_phase(unwrapped), phi_out_unwrapped=unwrapped)
+        return SweepResult(grid, columns, metadata)
+    g_max, g_min, rho = zip(*(
+        pipe.gain_extrema(r, loss, k, delta)
+        for k, (r, loss, delta) in enumerate(spec.operating_points())
+    ))
+    if spec.kind == "pia_compare":  # g_pia = c**2 inverts rho through cosh^2 - sinh^2 = 1
+        g_pia = [c * c for c in (0.5 * (ratio + 1.0 / ratio) for ratio in rho)]
+        from_pia = [psa_max_from_pia(g) for g in g_pia]
+        columns = {"g_max": g_max, "g_pia": g_pia, "g_max_from_pia": from_pia}
+        return SweepResult(grid, columns, metadata)
+    g_max, g_min = np.array(g_max), np.array(g_min)
+    ideal = 1.0 / g_max  # g_min of the pure squeezer
+    columns = {"g_max": g_max, "g_min": g_min, "inv_g_max": ideal}
+    if spec.kind == "detuning_spectrum":
+        pure = np.abs(g_min - ideal) <= BANDWIDTH_TOLERANCE * ideal
+        metadata["bandwidth_khz"] = float(grid[pure].max()) if pure.any() else None
+        metadata["bandwidth_tolerance"] = BANDWIDTH_TOLERANCE
+        metadata["detuning_model"] = "phenomenological (Lorentzian window + Gaussian loss)"
+    return SweepResult(grid, columns, metadata)

@@ -1,9 +1,11 @@
 """The campaign script, run as a separate process the way a user runs it."""
 
 import importlib.util
+import io
 import os
 import subprocess
 import sys
+import tarfile
 from pathlib import Path
 
 import pytest
@@ -74,3 +76,47 @@ def test_hash_outputs_prefixes_lines_only_for_several_seeds(argv, expected, monk
     monkeypatch.setattr(sys, "argv", ["hash_outputs.py", *argv])
     module.main()
     assert capsys.readouterr().out.splitlines() == expected
+
+
+@pytest.mark.parametrize(
+    "theirs, code, expected",
+    [(["h3  a", "h3  b"], 0, ["no difference against abc123"]),
+     (["h3  a", "old  b"], 1,
+      ["--- abc123", "+++ this tree", "@@ -1,2 +1,2 @@", " h3  a", "-old  b", "+h3  b"])],
+    ids=["same", "differs"],
+)
+def test_hash_outputs_against_prints_the_diff_and_exits_1_on_any(theirs, code, expected,
+                                                                  monkeypatch, capsys):
+    module = _hash_outputs()
+    monkeypatch.setattr(module, "hash_lines", lambda seed: [f"h{seed}  a", f"h{seed}  b"])
+    calls = []
+    monkeypatch.setattr(module, "lines_at", lambda rev, seeds: calls.append((rev, seeds)) or theirs)
+    monkeypatch.setattr(sys, "argv", ["hash_outputs.py", "--against", "abc123", "--seed", "3"])
+    with pytest.raises(SystemExit) as stop:
+        module.main()
+    assert stop.value.code == code
+    assert calls == [("abc123", [3])]
+    assert capsys.readouterr().out.splitlines() == expected
+
+
+def test_hash_outputs_runs_itself_on_the_archived_src(monkeypatch):
+    module = _hash_outputs()
+    archive, init = io.BytesIO(), b"OLD = True\n"
+    with tarfile.open(fileobj=archive, mode="w") as tar:
+        info = tarfile.TarInfo("src/psalab/__init__.py")
+        info.size = len(init)
+        tar.addfile(info, io.BytesIO(init))
+    seen = {}
+
+    def run(argv, **kwargs):
+        if argv[:2] == ["git", "archive"]:
+            seen["archive"] = argv
+            return subprocess.CompletedProcess(argv, 0, archive.getvalue(), b"")
+        seen["init"] = (Path(kwargs["env"]["PYTHONPATH"]) / "psalab" / "__init__.py").read_bytes()
+        seen["argv"] = argv
+        return subprocess.CompletedProcess(argv, 0, "seed=3 h3  a\nseed=5 h5  a\n", "")
+
+    monkeypatch.setattr(module.subprocess, "run", run)
+    assert module.lines_at("abc123", [3, 5]) == ["seed=3 h3  a", "seed=5 h5  a"]
+    assert seen == {"archive": ["git", "archive", "abc123", "src"], "init": init,
+                    "argv": [sys.executable, module.__file__, "--seed", "3,5"]}

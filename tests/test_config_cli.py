@@ -100,6 +100,29 @@ class TestParseConfig:
             parse_config(json.dumps(doc))
 
     @pytest.mark.parametrize(
+        "text, key",
+        [
+            ('{"scan": {"kind": "phase_scan", "detection": {"noise_sigma": 0.05, '
+             '"noise_sigma": 0.0}}}', "scan.detection.noise_sigma"),
+            ('{"scan": {"kind": "phase_scan"}, "scan": {"kind": "power_sweep"}}', "scan"),
+            ('{"scan": {"kind": "power_sweep", "grid": {"values": [0, 1], "values": [2]}}}',
+             "scan.grid.values"),
+            ('{"scan": {"kind": "phase_scan", "calibration": {"anchor": {"power": 30, '
+             '"power": 40}}}}', "scan.calibration.anchor.power"),
+        ],
+        ids=["detection", "root", "grid", "anchor"],
+    )
+    def test_repeated_key_is_refused(self, text, key):
+        message = rf"^{re.escape(key)}: set twice in the run document$"
+        with pytest.raises(ConfigError, match=message):
+            parse_config(text)
+
+    @pytest.mark.parametrize("depth", [600, 5000])
+    def test_deep_nesting_is_a_config_error(self, depth):
+        with pytest.raises(ConfigError, match="^config: nests arrays or objects too deeply"):
+            parse_config('{"scan": %s%s}' % ("[" * depth, "]" * depth))
+
+    @pytest.mark.parametrize(
         "scan, key",
         [
             ('"grid": {"start": -4, "stop": 4, "num": Infinity}', "scan.grid.num"),
@@ -679,6 +702,27 @@ class TestCliSynthAnalyze:
         assert captured.out == ""
         assert str(path) in captured.err and message in captured.err
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda rows: [rows[1], rows[0], *rows[2:]], "time_ms: data row 1 reads '0.01'"),
+            (lambda rows: [f"abc,{rows[0].split(',')[1]}", *rows[1:]],
+             "time_ms: data row 1 reads 'abc'"),
+        ],
+        ids=["swapped_rows", "not_a_number"],
+    )
+    def test_analyze_rejects_csv_times_off_the_sample_grid(self, tmp_path, capsys, edit, message):
+        main(["synth", "--out", str(tmp_path), "--name", "rec", "--emit", "csv", "--quiet"])
+        path = tmp_path / "rec.csv"
+        lines = path.read_text().splitlines()
+        head = lines.index("time_ms,intensity") + 1
+        path.write_text("\n".join([*lines[:head], *edit(lines[head:])]) + "\n")
+        capsys.readouterr()
+        assert main(["analyze", str(path)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"psalab: config error: {path}: {message}; sample 0 ")
+
     @staticmethod
     def _one_sample_binary(blob: bytes) -> bytes:
         return v1_record(blob, n=1)
@@ -814,6 +858,20 @@ def test_seed_help_takes_any_integer(capsys):
     assert re.search(r"--seed INT\s+master RNG seed, any integer >= 0",
                      capsys.readouterr().out)
     assert build_parser().parse_args(["synth", "--seed", str(2**70)]).seed == 2**70
+
+
+@pytest.mark.parametrize("command", ["phase-scan", "power-sweep", "pia-compare", "spectrum",
+                                     "transfer", "synth"])
+def test_repeated_key_exits_config_and_writes_nothing(tmp_path, capsys, command):
+    path = tmp_path / "twice.json"
+    path.write_text('{"scan": {"detection": {"noise_sigma": 0.05, "noise_sigma": 0.0}}}')
+    out = tmp_path / "out"
+    assert main([command, "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("psalab: config error: scan.detection.noise_sigma: "
+                            "set twice in the run document\n")
+    assert sorted(tmp_path.iterdir()) == [path]
 
 
 @pytest.mark.parametrize("command", ["phase-scan", "power-sweep", "pia-compare", "spectrum",

@@ -2,6 +2,7 @@
 formats, and the readers under fuzzed input."""
 
 import math
+import re
 import struct
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from psalab import BeatnoteRecord, DetectionConfig, synthesize_beatnote
 from psalab.errors import ConfigError
 from psalab.serialize import (
+    RECORD_TIME_TOL,
     fmt17,
     histogram_to_csv,
     read_record,
@@ -219,3 +221,54 @@ def test_binary_record_with_extreme_header_raises_config_error(tmp_path, sample_
     path.write_bytes(b"PSAB" + struct.pack("<IddQ", 1, sample_rate, delta, 8) + samples.tobytes())
     with pytest.raises(ConfigError, match="delta: "):
         record_from_binary(path)
+
+
+# ---------------------------------------------------------------------------
+# record CSVs: each time_ms is its sample's k / sample_rate
+
+
+def with_rows(path, edit):
+    """FUZZ_RECORD's CSV at ``path``, its ``[time, sample]`` data rows passed through ``edit``."""
+    lines = record_csv_bytes(FUZZ_RECORD).decode("utf-8").splitlines()
+    head = lines.index("time_ms,intensity") + 1
+    rows = edit([line.split(",") for line in lines[head:]])
+    path.write_text("\n".join([*lines[:head], *(",".join(row) for row in rows)]) + "\n")
+    return path
+
+
+def set_time(k: int, text: str):
+    def edit(rows):
+        rows[k][0] = text
+        return rows
+    return edit
+
+
+PERIOD = 1.0 / FUZZ_RECORD.sample_rate
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (set_time(3, "abc"), "time_ms: data row 4 reads 'abc'"),
+        (lambda rows: [[fmt17(k * PERIOD / 2.0), v] for k, (_, v) in enumerate(rows)],
+         "time_ms: data row 2 reads '0.00125'"),
+        (lambda rows: [rows[k] for k in np.random.default_rng(5).permutation(len(rows))],
+         "time_ms: data row 1 "),
+        (set_time(7, "inf"), "time_ms: data row 8 reads 'inf'"),
+        (set_time(7, "nan"), "time_ms: data row 8 reads 'nan'"),
+        (set_time(7, fmt17(7 * PERIOD + 2e-3 * PERIOD)), "time_ms: data row 8 "),
+    ],
+    ids=["not_a_number", "twice_the_rate", "shuffled", "infinite", "nan", "off_by_2e-3_period"],
+)
+def test_record_csv_refuses_times_off_the_sample_grid(tmp_path, edit, message):
+    path = with_rows(tmp_path / "rec.csv", edit)
+    with pytest.raises(ConfigError, match=f"^{re.escape(f'{path}: {message}')}"):
+        record_from_csv(path)
+
+
+def test_record_csv_reads_times_within_the_tolerance(tmp_path):
+    tol = RECORD_TIME_TOL * PERIOD / 2.0
+    path = with_rows(tmp_path / "rec.csv",
+                     lambda rows: [[fmt17(float(t) + (-tol if k % 2 else tol)), v]
+                                   for k, (t, v) in enumerate(rows)])
+    assert np.array_equal(record_from_csv(path).samples, FUZZ_RECORD.samples)

@@ -292,6 +292,47 @@ class TestTransferCurve:
         )
 
 
+# Each kind's CSV header, x column first, in SCAN_KINDS order.
+HEADERS = {
+    "phase_scan": ["phi_in", "gain"],
+    "power_sweep": ["power_mw", "g_max", "g_min", "inv_g_max"],
+    "pia_compare": ["power_mw", "g_max", "g_pia", "g_max_from_pia"],
+    "detuning_spectrum": ["delta_khz", "g_max", "g_min", "inv_g_max"],
+    "transfer_curve": ["phi_in", "gain", "gain_idler", "cos_phi_out", "phi_out_wrapped",
+                       "phi_out_unwrapped"],
+}
+METADATA_KEYS = {"kind", "x_name", "scan_spec", "master_seed", "version"}
+BANDWIDTH_KEYS = {"bandwidth_khz", "bandwidth_tolerance", "detuning_model"}
+# Small specs both pipelines accept: a full_beatnote spectrum starts above 0 kHz.
+SHAPE_SPECS = {
+    "phase_scan": dict(grid=tuple(np.linspace(-math.pi, math.pi, 9)),
+                       amplifier=AmplifierParams(r=0.5)),
+    "power_sweep": dict(grid=(0.0, 40.0, 80.0)),
+    "pia_compare": dict(grid=(0.0, 40.0, 80.0)),
+    "detuning_spectrum": dict(grid=(10.0, 100.0, 1000.0),
+                              amplifier=AmplifierParams(pump_power=30.0)),
+    "transfer_curve": dict(grid=tuple(np.linspace(-math.pi, math.pi, 8, endpoint=False)),
+                           amplifier=AmplifierParams(r=0.5)),
+}
+
+
+def test_scan_kinds_keep_their_order():
+    assert sweeps.SCAN_KINDS == tuple(HEADERS)
+
+
+@pytest.mark.parametrize("pipeline", sweeps.PIPELINES)
+@pytest.mark.parametrize("kind", sweeps.SCAN_KINDS)
+def test_every_kind_pins_its_header_and_metadata_keys(kind, pipeline):
+    result = run_scan(ScanSpec(kind=kind, pipeline=pipeline, **SHAPE_SPECS[kind]))
+    assert sweep_csv_bytes(result).decode("utf-8").splitlines()[0].split(",") == HEADERS[kind]
+    keys = METADATA_KEYS | (BANDWIDTH_KEYS if kind == "detuning_spectrum" else set())
+    assert set(result.metadata) == keys
+    sidecar = json.loads(sweep_json_bytes(result))
+    assert sidecar["columns"] == HEADERS[kind]
+    assert set(sidecar) == keys | {"columns", "n_points"}
+    assert sidecar["n_points"] == len(SHAPE_SPECS[kind]["grid"])
+
+
 # Master seeds of noisy oracle runs: one 32-bit word, three (2**64 + 1), and five
 # (2**130 + 5), whose fifth SeedSequence mixes in past its 4-word pool.
 NOISY_SEEDS = (7, 2**64 + 1, 2**130 + 5)
