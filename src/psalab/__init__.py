@@ -24,7 +24,6 @@ from .squeezer import (
 )
 from .calibration import (
     CalibrationMap,
-    default_calibration,
     effective_r,
     fitted_calibration,
     r_for_max_gain,
@@ -39,7 +38,6 @@ from .analyzer import (
     extract_cos_phase,
     extract_gain,
     phase_histogram,
-    reconstruct_phase,
     spectrum_peaks,
     unwrap_cos_scan,
 )
@@ -65,7 +63,6 @@ __all__ = [
     "ScanSpec",
     "SweepResult",
     "cell_off_record",
-    "default_calibration",
     "effective_r",
     "evolve_block",
     "evolve_two_mode",
@@ -80,7 +77,6 @@ __all__ = [
     "psa_gain",
     "psa_max_from_pia",
     "r_for_max_gain",
-    "reconstruct_phase",
     "run_scan",
     "spectrum_peaks",
     "synthesize_beatnote",

@@ -165,18 +165,6 @@ def extract_cos_phase(
     return float(cos_readout(signed, i_p, gain, i_s_in, clamp_tol))
 
 
-def reconstruct_phase(cos_phi: float) -> float:
-    """acos of one cosine readout, in [0, pi].
-
-    A non-finite value, or one past DEFAULT_CLAMP_TOL outside [-1, 1], raises.
-    """
-    if not math.isfinite(cos_phi):
-        raise DomainError(f"cos value must be finite, got {cos_phi}")
-    if abs(cos_phi) > 1.0 + DEFAULT_CLAMP_TOL:
-        raise DomainError(f"cos value {cos_phi} lies outside [-1, 1] beyond tolerance")
-    return math.acos(min(1.0, max(-1.0, cos_phi)))
-
-
 def unwrap_cos_scan(cos_values, phi_in) -> np.ndarray:
     """Continuous output phases of a transfer scan from its cosines and input phases.
 
@@ -193,8 +181,10 @@ def unwrap_cos_scan(cos_values, phi_in) -> np.ndarray:
     values = np.asarray(cos_values, dtype=np.float64)
     if values.ndim != 1 or values.size == 0:
         raise DomainError("cosine scan must be a non-empty 1-D sequence")
-    for bad in values[~(np.abs(values) <= 1.0 + DEFAULT_CLAMP_TOL)][:1]:
-        reconstruct_phase(float(bad))  # raises the first bad point's own error
+    for bad in values[~(np.abs(values) <= 1.0 + DEFAULT_CLAMP_TOL)][:1].tolist():
+        if not math.isfinite(bad):
+            raise DomainError(f"cos value must be finite, got {bad}")
+        raise DomainError(f"cos value {bad} lies outside [-1, 1] beyond tolerance")
     phi_in = np.asarray(phi_in, dtype=np.float64)
     if phi_in.shape != values.shape:
         raise DomainError(

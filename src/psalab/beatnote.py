@@ -100,7 +100,6 @@ class BeatnoteRecord:
     """One simulated oscilloscope trace plus its sampling metadata."""
 
     samples: np.ndarray
-    sample_rate: float
     delta: float
     config_echo: DetectionConfig = field(default_factory=DetectionConfig)
 
@@ -113,17 +112,16 @@ class BeatnoteRecord:
                 f"n_samples: record length {arr.size} does not match configured n_samples "
                 f"{self.config_echo.n_samples}"
             )
-        if self.sample_rate != self.config_echo.sample_rate:
-            raise DomainError(
-                f"sample_rate: record rate {self.sample_rate} kHz does not match configured "
-                f"sample_rate {self.config_echo.sample_rate} kHz"
-            )
         if not np.isfinite(arr).all():
             raise DomainError("record samples must be finite")
         arr.setflags(write=False)
         object.__setattr__(self, "samples", arr)
-        object.__setattr__(self, "sample_rate", float(self.sample_rate))
         object.__setattr__(self, "delta", float(self.delta))
+
+    @property
+    def sample_rate(self) -> float:
+        """Sampling rate in kHz, as the detection config sets it."""
+        return self.config_echo.sample_rate
 
     @property
     def n_samples(self) -> int:
@@ -284,7 +282,7 @@ def _record(s, i, pump_phase, delta, cfg: DetectionConfig, stream: int) -> Beatn
     """One record, its noise drawn under ``SeedSequence(cfg.rng_seed, spawn_key=(stream,))``."""
     noise = _standard_normals(seed_words(cfg.rng_seed, stream, 4), cfg) if cfg.noise_sigma else None
     trace = synthesize_block(s, i, pump_phase, delta, cfg, noise)[0]
-    return BeatnoteRecord(trace, cfg.sample_rate, delta, cfg)
+    return BeatnoteRecord(trace, delta, cfg)
 
 
 def synthesize_beatnote(

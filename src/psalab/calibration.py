@@ -114,11 +114,6 @@ def fitted_calibration(
     return replace(cal, slope=slope, r_sat=r_sat)
 
 
-def default_calibration() -> CalibrationMap:
-    """The stock saturating map, anchored at 40 mW -> measured gain 7."""
-    return fitted_calibration()
-
-
 def r_for_max_gain(g_max: float) -> float:
     """Squeezing parameter of an ideal amplifier with the given maximum gain."""
     if not math.isfinite(g_max) or g_max < 1.0:

@@ -74,9 +74,11 @@ class RunConfig:
         emit = tuple(self.emit)
         if not emit:
             raise ConfigError("emit: at least one output format is required")
-        for fmt in emit:
+        for k, fmt in enumerate(emit):
             if fmt not in EMIT_FORMATS:
                 raise ConfigError(f"emit: unknown format {fmt!r}, expected subset of {EMIT_FORMATS}")
+            if fmt in emit[:k]:
+                raise ConfigError(f"emit: format {fmt!r} is named twice, got {list(emit)}")
         object.__setattr__(self, "emit", emit)
         if int(self.verbosity) != self.verbosity or not 0 <= self.verbosity <= 2:
             raise ConfigError(f"verbosity: expected integer in [0, 2], got {self.verbosity!r}")

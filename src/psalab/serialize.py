@@ -217,7 +217,7 @@ def _record(path, samples, header: dict) -> BeatnoteRecord:
     delta = detection.pop("delta")
     try:
         cfg = DetectionConfig(**detection)
-        record = BeatnoteRecord(samples, cfg.sample_rate, delta, cfg)
+        record = BeatnoteRecord(samples, delta, cfg)
     except DomainError as err:
         raise ConfigError(f"{path}: {err}") from None
     try:  # the analyzer reads the delta and 2*delta tones: each needs a usable bin

@@ -24,6 +24,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -69,18 +70,11 @@ class AmplifierParams:
         object.__setattr__(self, "detuning", check_number("detuning", self.detuning, 0.0))
 
 
-@dataclass(frozen=True)
-class GainPair:
+class GainPair(NamedTuple):
     """Extremal gains of a pure phase-sensitive amplifier."""
 
     g_max: float
     g_min: float
-
-    def __post_init__(self) -> None:
-        if not (self.g_max >= 1.0 >= self.g_min > 0.0):
-            raise DomainError(
-                f"gain pair must satisfy g_max >= 1 >= g_min > 0, got ({self.g_max}, {self.g_min})"
-            )
 
 
 def evolve_block(s_in: complex, i_in: complex, r: float, pump_phase) -> tuple[np.ndarray, ...]:

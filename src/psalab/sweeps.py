@@ -34,7 +34,7 @@ from . import __version__
 from .analyzer import DEFAULT_CLAMP_TOL, block_peaks, cos_readout, gain_ratio, unwrap_cos_scan
 from .beatnote import (CELL_OFF, CELL_ON, DetectionConfig, _standard_normals, seed_words,
                        synthesize_block)
-from .calibration import CalibrationMap, default_calibration, effective_r
+from .calibration import CalibrationMap, effective_r, fitted_calibration
 from .errors import DomainError, check_number
 from .squeezer import R_MAX, AmplifierParams, evolve_block, psa_max_from_pia, wrap_phase
 
@@ -78,7 +78,7 @@ class ScanSpec:
     kind: str
     grid: tuple[float, ...]
     amplifier: AmplifierParams = field(default_factory=AmplifierParams)
-    calibration: CalibrationMap = field(default_factory=default_calibration)
+    calibration: CalibrationMap = field(default_factory=fitted_calibration)
     detection: DetectionConfig = field(default_factory=DetectionConfig)
     input_ratio: float = 1.0
     pipeline: str = "model_exact"
@@ -201,10 +201,6 @@ class ScanSpec:
         """``dataclasses.asdict``, shallow: the grid is shared, nested dataclasses hold scalars."""
         values = {f.name: getattr(self, f.name) for f in fields(self)}
         return {key: dict(vars(v)) if is_dataclass(v) else v for key, v in values.items()}
-
-    @property
-    def master_seed(self) -> int:
-        return self.detection.rng_seed
 
     def input_fields(self) -> tuple[complex, complex]:
         """Unit signal seed plus idler seed at 1/sqrt(input_ratio)."""
@@ -363,7 +359,7 @@ class _BeatnotePipeline(_Pipeline):
     def __init__(self, spec: ScanSpec):
         super().__init__(spec)
         if spec.detection.noise_sigma > 0.0:  # noiseless runs derive no seeds
-            seeds = point_seed(spec.master_seed, np.arange(len(spec.grid)))
+            seeds = point_seed(spec.detection.rng_seed, np.arange(len(spec.grid)))
             # PCG64 seed words, indexed [stream, grid index]: CELL_ON is 0, CELL_OFF 1.
             self._words = seed_words(seeds, np.array([[CELL_ON], [CELL_OFF]]), 4)
 
@@ -401,7 +397,7 @@ def run_scan(spec: ScanSpec) -> SweepResult:
     """
     pipe = _ModelPipeline(spec) if spec.pipeline == "model_exact" else _BeatnotePipeline(spec)
     metadata = {"kind": spec.kind, "x_name": _X_NAMES[spec.kind], "scan_spec": spec.as_dict(),
-                "master_seed": spec.master_seed, "version": __version__}
+                "master_seed": spec.detection.rng_seed, "version": __version__}
     grid = np.asarray(spec.grid)
     if spec.kind in ("phase_scan", "transfer_curve"):
         columns = pipe.scan_grid()

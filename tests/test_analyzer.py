@@ -17,7 +17,6 @@ from psalab import (
     extract_cos_phase,
     extract_gain,
     phase_histogram,
-    reconstruct_phase,
     spectrum_peaks,
     synthesize_beatnote,
     unwrap_cos_scan,
@@ -39,7 +38,7 @@ def tone_record(dc=0.0, a1=0.0, th1=0.0, a2=0.0, th2=0.0, cfg=CFG, delta=DELTA):
     t = np.arange(cfg.n_samples) / cfg.sample_rate
     w = 2.0 * math.pi * delta * t
     samples = dc + a1 * np.cos(w + th1) + a2 * np.cos(2.0 * w + th2)
-    return BeatnoteRecord(samples, cfg.sample_rate, delta, cfg)
+    return BeatnoteRecord(samples, delta, cfg)
 
 
 def equal_seed_pair(gain, dphi_out, cfg=CFG, delta=DELTA):
@@ -98,7 +97,7 @@ class TestSpectrumPeaks:
             samples += rng.uniform(0.1, 3.0) * np.cos(2.0 * math.pi * k * m / n + rng.uniform(0, 7))
         cfg = DetectionConfig(sample_rate=float(n), n_samples=n)
         dc, at_delta, at_two_delta = spectrum_peaks(
-            BeatnoteRecord(samples, cfg.sample_rate, float(k1), cfg)
+            BeatnoteRecord(samples, float(k1), cfg)
         )
         spectrum = np.fft.rfft(samples)
         tol = 1e-12 * math.sqrt(np.mean(samples**2))
@@ -116,7 +115,7 @@ class TestSpectrumPeaks:
         tol = 1e-12 * math.sqrt(np.mean(block**2))
         for k, row in enumerate(block):
             row_dc, row_delta, row_two_delta = spectrum_peaks(
-                BeatnoteRecord(row, CFG.sample_rate, DELTA, CFG)
+                BeatnoteRecord(row, DELTA, CFG)
             )
             assert abs(dc[k] - row_dc) <= tol
             assert abs(at_delta[k] - row_delta) <= tol
@@ -126,7 +125,7 @@ class TestSpectrumPeaks:
         cfg = DetectionConfig(sample_rate=100.0, n_samples=2000)
         t = np.arange(cfg.n_samples) / cfg.sample_rate
         samples = np.cos(2.0 * math.pi * 2.025 * t)
-        rec = BeatnoteRecord(samples, cfg.sample_rate, 2.025, cfg)
+        rec = BeatnoteRecord(samples, 2.025, cfg)
         with pytest.raises(DomainError, match="off the FFT bin grid"):
             spectrum_peaks(rec)
 
@@ -154,8 +153,8 @@ class TestExtractGain:
 
     def test_scaling_invariance(self):
         on, off = equal_seed_pair(4.0, 0.7)
-        scaled_on = BeatnoteRecord(on.samples * 3.7, on.sample_rate, on.delta, on.config_echo)
-        scaled_off = BeatnoteRecord(off.samples * 3.7, off.sample_rate, off.delta, off.config_echo)
+        scaled_on = BeatnoteRecord(on.samples * 3.7, on.delta, on.config_echo)
+        scaled_off = BeatnoteRecord(off.samples * 3.7, off.delta, off.config_echo)
         assert extract_gain(scaled_on, scaled_off) == pytest.approx(
             extract_gain(on, off), rel=1e-12
         )
@@ -171,7 +170,7 @@ class TestExtractGain:
     def test_nan_record_raises_instead_of_nan_gain(self, nan_first):
         good = synthesize_beatnote(1.0, 1.0, 0.0, DELTA, CFG)
         with pytest.raises(DomainError, match="finite"):
-            bad = BeatnoteRecord(np.full(CFG.n_samples, np.nan), CFG.sample_rate, DELTA, CFG)
+            bad = BeatnoteRecord(np.full(CFG.n_samples, np.nan), DELTA, CFG)
             extract_gain(*((bad, good) if nan_first else (good, bad)))
 
     @pytest.mark.parametrize(
@@ -202,7 +201,7 @@ class TestExtractCosPhase:
 
     def test_intensity_normalised_out(self):
         on, _ = equal_seed_pair(3.0, 1.0)
-        scaled = BeatnoteRecord(on.samples * 2.5, on.sample_rate, on.delta, on.config_echo)
+        scaled = BeatnoteRecord(on.samples * 2.5, on.delta, on.config_echo)
         base = extract_cos_phase(on, 0.25, 3.0, 1.0)
         rescaled = extract_cos_phase(scaled, 0.25 * 2.5, 3.0, 1.0 * 2.5)
         assert rescaled == pytest.approx(base, rel=1e-12)
@@ -251,10 +250,6 @@ class TestErrorsNameOneRow:
 
 
 class TestReconstructPhase:
-    def test_principal_endpoints(self):
-        assert reconstruct_phase(1.0) == 0.0
-        assert reconstruct_phase(-1.0) == pytest.approx(math.pi, rel=1e-15)
-
     def test_scan_matches_model_across_transition(self):
         # noiseless scan across the 0 -> -pi transition of a strong squeezer
         r = 1.5

@@ -387,19 +387,15 @@ class TestConfigInvariants:
         samples = np.ones(quiet_config().n_samples)
         samples[17] = bad
         with pytest.raises(DomainError, match="finite"):
-            BeatnoteRecord(samples, 100.0, DELTA, quiet_config())
+            BeatnoteRecord(samples, DELTA, quiet_config())
 
     def test_record_length_mismatch_rejected(self):
         with pytest.raises(DomainError):
-            BeatnoteRecord(np.zeros(10), 100.0, DELTA, quiet_config())
+            BeatnoteRecord(np.zeros(10), DELTA, quiet_config())
 
     def test_record_length_mismatch_names_n_samples(self):
         with pytest.raises(DomainError, match="^n_samples: record length 10 does not match"):
-            BeatnoteRecord(np.zeros(10), 100.0, DELTA, quiet_config())
-
-    def test_record_sample_rate_mismatch_rejected(self):
-        with pytest.raises(DomainError, match="^sample_rate: record rate 50.0 kHz"):
-            BeatnoteRecord(np.zeros(2000), 50.0, DELTA, quiet_config())
+            BeatnoteRecord(np.zeros(10), DELTA, quiet_config())
 
 
 class TestRecordSerialisation:

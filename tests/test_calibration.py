@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from psalab import (
     CalibrationMap,
     DomainError,
-    default_calibration,
     effective_r,
     fitted_calibration,
     r_for_max_gain,
@@ -20,7 +19,7 @@ detunings = st.floats(min_value=0.0, max_value=2000.0, allow_nan=False)
 
 
 def test_zero_power_gives_zero_r():
-    cal = default_calibration()
+    cal = fitted_calibration()
     r_eff, loss = effective_r(0.0, 150.0, cal)
     assert r_eff == 0.0
     assert loss == pytest.approx(math.exp(-cal.loss_exponent_scale * (150.0 / cal.bandwidth_hwhm) ** 2))
@@ -34,7 +33,7 @@ def test_half_saturation_point():
 
 
 def test_lorentzian_half_width():
-    cal = default_calibration()
+    cal = fitted_calibration()
     r_at_zero, _ = effective_r(30.0, 0.0, cal)
     r_at_hwhm, _ = effective_r(30.0, cal.bandwidth_hwhm, cal)
     assert r_at_hwhm == pytest.approx(0.5 * r_at_zero, rel=1e-12)
@@ -48,7 +47,7 @@ def test_linear_mode_is_proportional():
 
 def test_default_anchor_measured_gain_seven():
     # loss * exp(2 r_eff) at (40 mW, 2 kHz) is the fitted anchor
-    cal = default_calibration()
+    cal = fitted_calibration()
     r_eff, loss = effective_r(40.0, 2.0, cal)
     assert loss * math.exp(2.0 * r_eff) == pytest.approx(7.0, rel=1e-13)
 
@@ -76,7 +75,7 @@ def test_invalid_map_rejected():
 
 
 def test_effective_r_rejects_bad_inputs():
-    cal = default_calibration()
+    cal = fitted_calibration()
     with pytest.raises(DomainError):
         effective_r(-1.0, 0.0, cal)
     with pytest.raises(DomainError):
@@ -85,14 +84,14 @@ def test_effective_r_rejects_bad_inputs():
 
 @given(powers, powers, detunings)
 def test_monotone_in_power(p1, p2, delta):
-    cal = default_calibration()
+    cal = fitted_calibration()
     lo, hi = sorted((p1, p2))
     assert effective_r(lo, delta, cal)[0] <= effective_r(hi, delta, cal)[0] + 1e-15
 
 
 @given(powers, detunings, detunings)
 def test_monotone_in_detuning(power, d1, d2):
-    cal = default_calibration()
+    cal = fitted_calibration()
     lo, hi = sorted((d1, d2))
     r_lo, loss_lo = effective_r(power, lo, cal)
     r_hi, loss_hi = effective_r(power, hi, cal)

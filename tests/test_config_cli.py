@@ -478,6 +478,20 @@ class TestCliSweeps:
     def test_bad_emit_value(self, tmp_path):
         assert main(["power-sweep", "--out", str(tmp_path), "--emit", "parquet"]) == EXIT_CONFIG
 
+    def test_emit_format_named_twice_exits_config(self, tmp_path, capsys):
+        out = tmp_path / "newdir"
+        assert main(["power-sweep", "--out", str(out), "--emit", "csv,json,json"]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(
+            "psalab: config error: emit: format 'json' is named twice")
+        assert not out.exists()
+
+    def test_missing_config_exits_io(self, tmp_path, capsys):
+        out = tmp_path / "newdir"
+        argv = ["power-sweep", "--config", str(tmp_path / "nope.json"), "--out", str(out)]
+        assert main(argv) == EXIT_IO
+        assert capsys.readouterr().err.startswith("psalab: I/O error: ")
+        assert not out.exists()
+
     def test_bad_seed_flag(self, tmp_path, capsys):
         assert main(["power-sweep", "--out", str(tmp_path), "--seed", "-1"]) == EXIT_CONFIG
         assert "scan.detection.rng_seed: expected an integer >= 0" in capsys.readouterr().err
@@ -681,6 +695,26 @@ class TestCliSynthAnalyze:
 
     def test_analyze_missing_file(self, tmp_path):
         assert main(["analyze", str(tmp_path / "nope.bin")]) == EXIT_IO
+
+    @pytest.mark.parametrize(
+        "scan, key",
+        [
+            ({"detection": {"n_samples": 1999}}, "scan.detection.n_samples: "),
+            ({"detection": {"n_samples": 10**14}}, "scan.detection.n_samples: "),
+            ({"amplifier": {"detuning": 0}}, "scan.amplifier.detuning: "),
+            ({"amplifier": {"detuning": 10}}, "scan.detection.sample_rate: "),
+        ],
+        ids=["off_period_grid", "unallocatable", "zero_detuning", "nyquist_margin"],
+    )
+    def test_synth_checks_record_sampling_before_creating_output_dir(
+        self, tmp_path, capsys, scan, key
+    ):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"scan": scan}))
+        out = tmp_path / "newdir"
+        assert main(["synth", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"psalab: config error: {key}")
+        assert not out.exists()
 
     def test_synth_refuses_emit_list_before_creating_output_dir(self, tmp_path, capsys):
         out = tmp_path / "newdir"

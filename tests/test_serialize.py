@@ -79,7 +79,7 @@ def test_histogram_csv_matches_per_value_rendering(tmp_path, edges, data):
 @settings(max_examples=100)
 def test_record_csv_matches_per_value_rendering(samples, sample_rate):
     cfg = DetectionConfig(sample_rate=sample_rate, n_samples=len(samples))
-    rec = BeatnoteRecord(samples, sample_rate, 2.0, cfg)
+    rec = BeatnoteRecord(samples, 2.0, cfg)
     lines = record_csv_bytes(rec).decode("utf-8").splitlines()
     expected = lines[: lines.index("time_ms,intensity") + 1]
     expected += [f"{fmt17(t)},{fmt17(v)}" for t, v in zip(rec.times, rec.samples)]
@@ -99,7 +99,7 @@ def test_record_round_trips_in_both_formats(tmp_path, n_samples, sample_rate, no
     cfg = DetectionConfig(sample_rate=sample_rate, n_samples=n_samples, noise_sigma=noise_sigma,
                           rng_seed=seed, residual_pump_intensity=pump)
     # delta on bin 1, so the delta and 2*delta tones both sit on usable bins
-    rec = BeatnoteRecord(samples, sample_rate, sample_rate / n_samples, cfg)
+    rec = BeatnoteRecord(samples, sample_rate / n_samples, cfg)
     for write, name in [(record_to_csv, "rec.csv"), (record_to_binary, "rec.bin")]:
         back = read_record(write(rec, tmp_path / name))
         assert back.samples.view(np.int64).tolist() == rec.samples.view(np.int64).tolist()

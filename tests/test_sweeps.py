@@ -21,11 +21,11 @@ from psalab import (
     DomainError,
     ScanSpec,
     cell_off_record,
-    default_calibration,
     effective_r,
     evolve_two_mode,
     extract_cos_phase,
     extract_gain,
+    fitted_calibration,
     point_seed,
     run_scan,
     synthesize_beatnote,
@@ -115,7 +115,7 @@ class TestOperatingPoints:
         assert any(entry.name == "__post_init__" for entry in err.traceback)
 
     def test_oracle_on_every_kind(self):
-        cal = default_calibration()
+        cal = fitted_calibration()
         power = AmplifierParams(pump_power=30.0, detuning=140.0)
         powers, deltas = (0.0, 5.0, 40.0, 80.0), (0.5, 2.0, 200.0, 1000.0)
         cases = [
@@ -501,7 +501,7 @@ class TestBeatnoteExtremumSearch:
         for idx, power in enumerate(self.POWERS):
             r, loss = effective_r(power, delta, spec.calibration)
             # The single-record path, with the search's per-point seed.
-            cfg = replace(spec.detection, rng_seed=point_seed(spec.master_seed, idx))
+            cfg = replace(spec.detection, rng_seed=point_seed(spec.detection.rng_seed, idx))
             off = cell_off_record(signal, idler, 0.0, delta, cfg)
             dense = []
             for p in self.DENSE_PHASES:
