@@ -10,8 +10,8 @@ per file, sorted by name:
   since records refuse delta = 0, and the power sweep at input ratio 1.78,
   whose g_min comes off the quartic's roots; all at noise_sigma 0 and 0.05,
   as csv, json and binary;
-- the five sweep subcommands run through the CLI (csv and binary, plus
-  their summary lines on stdout);
+- the five sweep subcommands run through the CLI (csv, json and binary,
+  plus their summary lines on stdout);
 - ``psalab synth`` records: cell-on, cell-off and a noisy mixed-seed
   record, as csv and binary;
 - ``psalab analyze`` of the noisy record through each record reader: its
@@ -21,6 +21,7 @@ per file, sorted by name:
   before it writes anything (its stderr and exit code);
 - the ``--help`` text of ``psalab`` and of every subcommand.
 
+The temporary directory reads ``<out>`` in the CLI sidecars and stdout.
 A campaign that raises is hashed as its error message.  Run it on two
 checkouts and diff the output; an empty diff means identical bytes:
 
@@ -121,7 +122,10 @@ def write_outputs(seed: int, outdir: Path) -> None:
     common = ["--seed", str(seed), "--out", str(outdir)]
     stdout = {}
     for sub in SWEEPS:
-        stdout[f"cli_{sub}"] = _cli([sub, *common, "--emit", "csv,binary", "--name", f"cli_{sub}"])
+        argv = [sub, *common, "--emit", "csv,json,binary", "--name", f"cli_{sub}"]
+        stdout[f"cli_{sub}"] = _cli(argv)
+        sidecar = outdir / f"cli_{sub}.json"  # its config_echo names the output directory
+        sidecar.write_text(sidecar.read_text().replace(str(outdir), "<out>"))
     noisy = outdir / "noisy.json"
     noisy_scan = {"input_ratio": 1.78, "detection": {"noise_sigma": 0.05}}
     noisy.write_text(json.dumps({"scan": noisy_scan}))

@@ -244,12 +244,14 @@ def _trig_rows(n_samples: int, sample_rate: float, delta: float) -> np.ndarray:
 
 
 def synthesize_block(s_out, i_out, pump_phase, delta: float, cfg: DetectionConfig,
-                     noise=None) -> np.ndarray:
+                     noise=None, out=None) -> np.ndarray:
     """Detected intensity traces of P records as a (P, n_samples) block.
 
     One row per ``pump_phase`` entry; ``s_out`` and ``i_out`` are scalars or
     one value per row.  Each row forms E(t) sample by sample and records
     |E|^2, then adds ``noise``: one row of ``n_samples``, or one per record.
+    ``out``, a pair of (P, n_samples) float64 planes, takes Re E and Im E, and
+    the block is written into its first; by default both are fresh arrays.
     """
     phase = np.atleast_1d(np.asarray(pump_phase, dtype=np.float64))
     if not (np.isfinite(s_out).all() and np.isfinite(i_out).all()):
@@ -267,8 +269,9 @@ def synthesize_block(s_out, i_out, pump_phase, delta: float, cfg: DetectionConfi
     coef[1] = np.add(s_out, i_out)
     coef[2] = 1j * np.subtract(s_out, i_out)
     rows = _trig_rows(n, cfg.sample_rate, delta)
-    re = coef.real.T @ rows
-    im = coef.imag.T @ rows
+    re, im = (None, None) if out is None else out
+    re = np.matmul(coef.real.T, rows, out=re)
+    im = np.matmul(coef.imag.T, rows, out=im)
     # In place: fresh (P, N) temporaries cost more than the arithmetic.
     re *= re
     im *= im

@@ -181,7 +181,12 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     record = read_record(args.record)
-    dc, at_delta, at_two_delta = spectrum_peaks(record)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite peak is refused below
+        dc, at_delta, at_two_delta = spectrum_peaks(record)
+    sizes = {"dc": dc, "at_delta": abs(at_delta), "at_two_delta": abs(at_two_delta)}
+    for name, size in sizes.items():
+        if not math.isfinite(size):  # finite samples can still sum past the largest float
+            raise DomainError(f"{args.record}: {name}: peak amplitude {size} is not finite")
 
     def tone(z: complex) -> dict:
         return {"re": z.real, "im": z.imag, "abs": abs(z)}

@@ -43,7 +43,7 @@ import numpy as np
 from .beatnote import DetectionConfig
 from .calibration import CalibrationMap, fitted_calibration
 from .errors import ConfigError, DomainError
-from .serialize import EMIT_FORMATS
+from .serialize import check_emit
 from .squeezer import AmplifierParams
 from .sweeps import POWER_RANGE_MW, SCAN_KINDS, ScanSpec
 
@@ -71,15 +71,7 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "output_dir", Path(self.output_dir))
-        emit = tuple(self.emit)
-        if not emit:
-            raise ConfigError("emit: at least one output format is required")
-        for k, fmt in enumerate(emit):
-            if fmt not in EMIT_FORMATS:
-                raise ConfigError(f"emit: unknown format {fmt!r}, expected subset of {EMIT_FORMATS}")
-            if fmt in emit[:k]:
-                raise ConfigError(f"emit: format {fmt!r} is named twice, got {list(emit)}")
-        object.__setattr__(self, "emit", emit)
+        object.__setattr__(self, "emit", check_emit(self.emit))
         if int(self.verbosity) != self.verbosity or not 0 <= self.verbosity <= 2:
             raise ConfigError(f"verbosity: expected integer in [0, 2], got {self.verbosity!r}")
         object.__setattr__(self, "verbosity", int(self.verbosity))

@@ -146,16 +146,29 @@ def default_basename(kind: str, seed: int) -> str:
     return f"{kind}_{stamp}_{seedhash}"
 
 
+def check_emit(emit) -> tuple[str, ...]:
+    """``emit`` as a tuple of output formats: at least one, each of EMIT_FORMATS, none
+    named twice; anything else raises ConfigError naming ``emit``."""
+    emit = tuple(emit)
+    if not emit:
+        raise ConfigError("emit: at least one output format is required")
+    for k, fmt in enumerate(emit):
+        if fmt not in EMIT_FORMATS:
+            raise ConfigError(f"emit: unknown format {fmt!r}, expected subset of {EMIT_FORMATS}")
+        if fmt in emit[:k]:
+            raise ConfigError(f"emit: format {fmt!r} is named twice, got {list(emit)}")
+    return emit
+
+
 def write_sweep(
     result,
     outdir: str | Path,
     emit: tuple[str, ...] = ("csv", "json"),
     basename: str | None = None,
 ) -> list[Path]:
-    """Write the requested formats and return the created paths."""
-    for fmt in emit:
-        if fmt not in EMIT_FORMATS:
-            raise ConfigError(f"unknown emit format {fmt!r}; expected subset of {EMIT_FORMATS}")
+    """Write the requested formats and return the created paths; ``emit`` is checked
+    (``check_emit``) before anything is written."""
+    emit = check_emit(emit)
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     base = basename or default_basename(

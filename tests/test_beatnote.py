@@ -223,6 +223,16 @@ class TestBlockSynthesis:
         for k, seed in enumerate([7, 7, 8, 7]):
             assert np.array_equal(noise[k], _rng_for(seed, 0).normal(0.0, 0.5, cfg.n_samples))
 
+    @pytest.mark.parametrize("sigma", [0.0, 0.3])
+    def test_out_planes_hold_the_block_bit_for_bit(self, sigma):
+        cfg = quiet_config(noise_sigma=sigma)
+        noise = _standard_normals(seed_words(5, CELL_ON, 4), cfg) if sigma else None
+        fresh = synthesize_block(self.S, self.I, self.PHASES, DELTA, cfg, noise)
+        planes = np.full((2, len(self.PHASES), cfg.n_samples), np.nan)  # stale contents
+        block = synthesize_block(self.S, self.I, self.PHASES, DELTA, cfg, noise, planes)
+        assert np.shares_memory(block, planes[0])
+        assert np.array_equal(block, fresh)
+
     def test_non_finite_row_rejected(self):
         with pytest.raises(DomainError, match="finite"):
             synthesize_block(self.S, self.I, [0.0, math.nan, 1.0], DELTA, quiet_config())

@@ -11,6 +11,7 @@ import pytest
 
 from psalab import (
     AmplifierParams,
+    BeatnoteRecord,
     CalibrationMap,
     ConfigError,
     DetectionConfig,
@@ -23,7 +24,7 @@ from psalab import (
 from psalab.calibration import effective_r, fitted_calibration
 from psalab.cli import EXIT_CONFIG, EXIT_DOMAIN, EXIT_IO, EXIT_OK, build_parser, main
 from psalab.config import DEFAULT_GRIDS, DEFAULT_PUMP_POWER_MW
-from psalab.serialize import read_sweep_csv
+from psalab.serialize import read_sweep_csv, record_to_binary
 from psalab.sweeps import SCAN_KINDS
 
 
@@ -825,6 +826,18 @@ class TestCliSynthAnalyze:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert str(path) in captured.err and "must be finite" in captured.err
+
+    def test_analyze_refuses_a_peak_that_overflows(self, tmp_path, capsys):
+        # Finite samples of +-1.79e308 on the 2*delta tone: their peak sums past the largest float.
+        cfg = DetectionConfig()
+        t_ms = np.arange(cfg.n_samples) / cfg.sample_rate
+        samples = 1.79e308 * np.sign(np.cos(2.0 * math.pi * 4.0 * t_ms))
+        path = record_to_binary(BeatnoteRecord(samples, 2.0, cfg), tmp_path / "rec.bin")
+        assert main(["analyze", str(path)]) == EXIT_DOMAIN
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"psalab: domain error: {path}: at_two_delta: peak amplitude inf is not finite\n")
 
 
 class TestCliBadInputFiles:

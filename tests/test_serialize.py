@@ -25,6 +25,7 @@ from psalab.serialize import (
     record_to_binary,
     record_to_csv,
     sweep_csv_bytes,
+    write_sweep,
 )
 from psalab.sweeps import SweepResult
 
@@ -272,3 +273,26 @@ def test_record_csv_reads_times_within_the_tolerance(tmp_path):
                      lambda rows: [[fmt17(float(t) + (-tol if k % 2 else tol)), v]
                                    for k, (t, v) in enumerate(rows)])
     assert np.array_equal(record_from_csv(path).samples, FUZZ_RECORD.samples)
+
+
+# ---------------------------------------------------------------------------
+# write_sweep checks its formats before it writes
+
+
+@pytest.mark.parametrize(
+    "emit, message",
+    [
+        (("csv", "csv"), "emit: format 'csv' is named twice, got ['csv', 'csv']"),
+        (("csv", "json", "json"),
+         "emit: format 'json' is named twice, got ['csv', 'json', 'json']"),
+        (("csv", "xml"), "emit: unknown format 'xml', expected subset of "),
+        ((), "emit: at least one output format is required"),
+    ],
+    ids=["csv_twice", "json_twice", "unknown", "none"],
+)
+def test_write_sweep_refuses_bad_emit_before_writing(tmp_path, emit, message):
+    result = SweepResult([0.0, 1.0], {"gain": [1.0, 2.0]}, {"x_name": "phi_in"})
+    outdir = tmp_path / "out"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
+        write_sweep(result, outdir, emit, "x")
+    assert not outdir.exists()

@@ -615,6 +615,20 @@ class TestPipelineEquivalence:
 class TestBlockedScans:
     """Scans run RECORD_BLOCK points at a time; each point keeps its own records."""
 
+    @staticmethod
+    def assert_rows_match_single_records(spec, seed):
+        res = run_scan(spec)
+        for idx, phase in enumerate(spec.grid):
+            cfg = replace(spec.detection, rng_seed=point_seed(seed, idx))
+            amp = AmplifierParams(r=R_53, pump_phase=phase, detuning=2.0)
+            on = synthesize_beatnote(*evolve_two_mode(1.0, 1.0, amp), phase, 2.0, cfg)
+            gain = extract_gain(on, cell_off_record(1.0, 1.0, phase, 2.0, cfg))
+            assert res.columns["gain"][idx] == pytest.approx(gain, rel=1e-12)
+            if spec.kind == "transfer_curve":
+                cos_out = extract_cos_phase(on, 0.25, gain, 1.0, clamp_tol=1.0)
+                got = res.columns["cos_phi_out"][idx]
+                assert got == pytest.approx(cos_out, rel=1e-12, abs=1e-12)
+
     @pytest.mark.parametrize(
         "sigma, seed",
         [(0.0, 19), (0.1, 19), (0.1, 2**64 + 1), (0.1, 2**130 + 5)],
@@ -629,15 +643,46 @@ class TestBlockedScans:
             detection=DetectionConfig(noise_sigma=sigma, rng_seed=seed),
             pipeline="full_beatnote",
         )
-        res = run_scan(spec)
-        for idx, phase in enumerate(grid):
-            cfg = replace(spec.detection, rng_seed=point_seed(seed, idx))
-            amp = AmplifierParams(r=R_53, pump_phase=phase, detuning=2.0)
-            on = synthesize_beatnote(*evolve_two_mode(1.0, 1.0, amp), phase, 2.0, cfg)
-            gain = extract_gain(on, cell_off_record(1.0, 1.0, phase, 2.0, cfg))
-            cos_out = extract_cos_phase(on, 0.25, gain, 1.0, clamp_tol=1.0)
-            assert res.columns["gain"][idx] == pytest.approx(gain, rel=1e-12)
-            assert res.columns["cos_phi_out"][idx] == pytest.approx(cos_out, rel=1e-12, abs=1e-12)
+        self.assert_rows_match_single_records(spec, seed)
+
+    # Grids at the block edges: one full block, a full block then a 1-row block in the same
+    # planes, and a descending grid whose last block is partial.
+    GRIDS = {
+        "one_block": np.linspace(-math.pi, math.pi, sweeps.RECORD_BLOCK),
+        "block_plus_one": np.linspace(-math.pi, math.pi, sweeps.RECORD_BLOCK + 1),
+        "descending": np.linspace(math.pi, -math.pi, 2 * sweeps.RECORD_BLOCK + 5),
+    }
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.1], ids=["noiseless", "noisy"])
+    @pytest.mark.parametrize("grid", GRIDS.values(), ids=GRIDS.keys())
+    @pytest.mark.parametrize("kind", ["phase_scan", "transfer_curve"])
+    def test_rows_at_block_edges_match_single_records(self, kind, grid, sigma):
+        spec = ScanSpec(
+            kind=kind,
+            grid=tuple(grid),
+            amplifier=AmplifierParams(r=R_53),
+            detection=DetectionConfig(noise_sigma=sigma, rng_seed=23),
+            pipeline="full_beatnote",
+        )
+        self.assert_rows_match_single_records(spec, 23)
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.1], ids=["noiseless", "noisy"])
+    def test_a_run_synthesizes_every_block_into_one_pair_of_planes(self, sigma, monkeypatch):
+        blocks = []
+        synthesize = sweeps.synthesize_block
+
+        def recording(s_out, i_out, phases, delta, cfg, noise=None, out=None):
+            addresses = tuple(plane.__array_interface__["data"][0] for plane in out)
+            blocks.append((len(phases), addresses))
+            return synthesize(s_out, i_out, phases, delta, cfg, noise, out)
+
+        monkeypatch.setattr(sweeps, "synthesize_block", recording)
+        detection = DetectionConfig(noise_sigma=sigma, rng_seed=5)
+        run_scan(phase_spec(grid=tuple(self.GRIDS["block_plus_one"]), detection=detection,
+                            pipeline="full_beatnote"))
+        block = sweeps.RECORD_BLOCK
+        assert [rows for rows, _ in blocks] == [block, 1, block, 1]  # on-rows, then off-rows
+        assert len({addresses for _, addresses in blocks}) == 1
 
 
 @st.composite
