@@ -15,7 +15,7 @@ per file, sorted by name:
 - ``psalab synth`` records: cell-on, cell-off and a noisy mixed-seed
   record, as csv and binary;
 - ``psalab analyze`` of the noisy record through each record reader: its
-  binary, its csv and a copy of it in binary layout version 1;
+  binary and its csv;
 - a transfer histogram written by ``psalab histogram``;
 - a phase scan whose ``--config`` misspells ``noise_sigma``, refused
   before it writes anything (its stderr and exit code);
@@ -47,7 +47,6 @@ import importlib.util
 import io
 import json
 import os
-import struct
 import subprocess
 import sys
 import tarfile
@@ -88,18 +87,6 @@ def _cli(argv: list[str]) -> str:
     return f"{out.getvalue()}exit {code}\n"
 
 
-def _v1_copy(record: Path, target: Path) -> Path:
-    """The binary record at ``record`` rewritten in layout version 1: sample rate,
-    delta and count, then the samples."""
-    blob = record.read_bytes()
-    start = 12 + int.from_bytes(blob[8:12], "little")
-    header = dict(line.split("=", 1) for line in blob[12:start].decode("utf-8").splitlines())
-    rate, delta = float(header["sample_rate_khz"]), float(header["delta_khz"])
-    samples = blob[start:]
-    target.write_bytes(b"PSAB" + struct.pack("<IddQ", 1, rate, delta, len(samples) // 8) + samples)
-    return target
-
-
 def write_outputs(seed: int, outdir: Path) -> None:
     """Every hashed output of one seed, as files in ``outdir``."""
     for pipeline in PIPELINES:
@@ -136,9 +123,6 @@ def write_outputs(seed: int, outdir: Path) -> None:
     stdout["cli_histogram"] = _cli(["histogram", str(transfer), "--quiet"])
     stdout["cli_analyze"] = _cli(["analyze", str(outdir / "synth_noisy.bin")])
     stdout["cli_analyze_csv"] = _cli(["analyze", str(outdir / "synth_noisy.csv")])
-    v1 = _v1_copy(outdir / "synth_noisy.bin", outdir / "synth_noisy_v1.bin")
-    stdout["cli_analyze_v1"] = _cli(["analyze", str(v1)])
-    v1.unlink()
     typo = outdir / "typo.json"
     typo.write_text(json.dumps({"scan": {"pipeline": "full_beatnote",
                                          "detection": {"noise_sigm": 0.05}}}))

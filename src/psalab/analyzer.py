@@ -99,7 +99,8 @@ def gain_ratio(on_two_delta, off_two_delta, off_dc) -> np.ndarray:
     """Cell-on / cell-off ratios of 2*delta peak amplitudes, elementwise.
 
     An off reference at or below DEFAULT_REFERENCE_FLOOR of its DC level,
-    or a non-finite one, means no reference beat and raises.
+    or a NaN one, means no reference beat and raises; so does an infinite
+    on or off peak, which would read as a gain of inf or 0.
     """
     reference = np.abs(off_two_delta)
     ok = reference > DEFAULT_REFERENCE_FLOOR * np.abs(off_dc)
@@ -109,7 +110,13 @@ def gain_ratio(on_two_delta, off_two_delta, off_dc) -> np.ndarray:
             f"no reference beat: off-record 2*delta amplitude {ref} is below "
             f"{DEFAULT_REFERENCE_FLOOR} of its DC level {dc} at row {k}"
         )
-    return np.abs(on_two_delta) / reference
+    on = np.abs(on_two_delta)
+    ok = np.isfinite(on) & np.isfinite(reference)
+    if not np.all(ok):
+        k, on_k, ref = _first_failure(ok, on, reference)
+        raise DomainError(f"2*delta peak amplitudes must be finite, got on {on_k} "
+                          f"and off {ref} at row {k}")
+    return on / reference
 
 
 def extract_gain(on: BeatnoteRecord, off: BeatnoteRecord) -> float:

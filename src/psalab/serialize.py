@@ -15,9 +15,7 @@ Beatnote record binary layout, version 2 (little-endian):
 
 The header holds delta_khz and every DetectionConfig field.  Any but the
 two frequencies may be left out: it takes its DetectionConfig default, and
-n_samples the sample count.  Version 1 is still read: f64 sample_rate, f64
-delta and u64 count stand in for the header, so noise_sigma, rng_seed and
-residual_pump_intensity read as their defaults (0, 0 and 0.25).
+n_samples the sample count.
 
 Sweep binary layout (little-endian):
 
@@ -298,22 +296,17 @@ def record_to_binary(rec: BeatnoteRecord, path: str | Path) -> Path:
 
 
 def record_from_binary(path: str | Path) -> BeatnoteRecord:
-    """Read a record written by ``record_to_binary``, in either layout version."""
+    """Read a record written by ``record_to_binary``."""
     blob = Path(path).read_bytes()
     if blob[:4] != RECORD_MAGIC:
         raise ConfigError(f"{path}: not a psalab beatnote record (bad magic)")
     version = int.from_bytes(blob[4:8], "little")
-    heads = {1: 32, RECORD_VERSION: 12 + int.from_bytes(blob[8:12], "little")}
-    if version not in heads:
+    if version != RECORD_VERSION:
         raise ConfigError(f"{path}: unsupported record format version {version}")
-    start = heads[version]
+    start = 12 + int.from_bytes(blob[8:12], "little")
     if len(blob) < start or (len(blob) - start) % 8:
         raise ConfigError(f"{path}: truncated record ({len(blob)} bytes)")
-    if version == 1:  # sample_rate, delta and count; every other field keeps its default
-        rate, delta, count = struct.unpack_from("<ddQ", blob, 8)
-        header = {"sample_rate": rate, "delta": delta, "n_samples": count}
-    else:
-        header = _header_values(path, read_text(path, blob[12:start]).splitlines())
+    header = _header_values(path, read_text(path, blob[12:start]).splitlines())
     return _record(path, np.frombuffer(blob, dtype="<f8", offset=start), header)
 
 

@@ -46,9 +46,9 @@ def wrap_phase(phi):
 class AmplifierParams:
     """Operating point of the parametric amplifier.
 
-    Exactly one of ``r`` (dimensionless squeezing parameter, used as-is)
-    or ``pump_power`` (milliwatts, mapped to r through a CalibrationMap)
-    must be provided before the amplifier can be evaluated.  ``detuning``
+    ``r`` (dimensionless squeezing parameter, used as-is) or ``pump_power``
+    (milliwatts, mapped to r through a CalibrationMap) must be provided
+    before the amplifier can be evaluated; if both are set, r wins.  ``detuning``
     is the pump-signal frequency offset in kHz.  ``pump_phase`` is stored
     wrapped to [-pi, pi).
     """

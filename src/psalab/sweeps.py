@@ -51,9 +51,8 @@ EXTREMA_FLAT_RTOL = 1e-13
 # this fraction of 1/g_max; the largest such detuning is the bandwidth.
 BANDWIDTH_TOLERANCE = 0.05
 
-# full_beatnote synthesizes and reads at most this many records per block.  A run
-# synthesizes every block into the same two planes (500 kB each at 2,000 samples):
-# fresh planes this large are mapped and page-faulted afresh on each allocation.
+# full_beatnote synthesizes and reads at most this many records per block, every block
+# of a run into the (2, RECORD_BLOCK, n_samples) planes its pipeline allocates once.
 RECORD_BLOCK = 32
 
 # The extremum search's fit block: the cell-off row, the on-rows at phi_p = 0, pi/3 and
@@ -150,8 +149,8 @@ class ScanSpec:
                     self.detection_for(delta).validate_for_delta(delta)
             except DomainError as err:  # it names the detection field it bounds
                 raise DomainError(f"detection.{err}") from None
-            try:  # a synthesis plane of the shape the run allocates, if numpy can hold it
-                np.empty((_block_rows(self), self.detection.n_samples))
+            try:  # the synthesis planes the run allocates, if numpy can hold them
+                np.empty((2, RECORD_BLOCK, self.detection.n_samples))
             except (ValueError, MemoryError) as err:  # numpy's _ArrayMemoryError: too many samples
                 raise DomainError(f"detection.n_samples: {err}") from None
         self._validate_operating_points()
@@ -223,14 +222,6 @@ class SweepResult:
                 raise DomainError(f"column {name!r} length {col.size} != grid length {self.x.size}")
 
 
-def _block_rows(spec: ScanSpec) -> int:
-    """Rows of the largest record block a full_beatnote run of ``spec`` reads: a phase
-    grid's first RECORD_BLOCK points, or an extremum point's fit block."""
-    if spec.kind in ("phase_scan", "transfer_curve"):
-        return min(len(spec.grid), RECORD_BLOCK)
-    return 6 if spec.kind == "pia_compare" else 4
-
-
 def point_seed(master_seed: int, index):
     """Per-grid-point seed, ``SeedSequence(master_seed, spawn_key=(index,))``'s first
     64-bit word: an int, or a uint64 array of them for an array of indices."""
@@ -272,7 +263,7 @@ class _Pipeline:
         fit block's last two rows at phi_p = 0, so it does not depend on the search.
         """
         pia = self.spec.kind == "pia_compare"
-        rows = _block_rows(self.spec)
+        rows = 6 if pia else 4
         s_out, i_out = np.empty(rows, complex), np.empty(rows, complex)
         s_out[0], i_out[0] = self.a_s, self.a_i
         s_out[1:4], i_out[1:4] = self._outputs(r, loss, _FIT_PHASES, self.a_i)
@@ -366,8 +357,8 @@ class _BeatnotePipeline(_Pipeline):
 
     def __init__(self, spec: ScanSpec):
         super().__init__(spec)
-        # The Re E and Im E planes every block is synthesized into; peaks sizes them.
-        self._re = self._im = np.empty((0, spec.detection.n_samples))
+        # The Re E and Im E planes every block of the run is synthesized into.
+        self._planes = np.empty((2, RECORD_BLOCK, spec.detection.n_samples))
         if spec.detection.noise_sigma > 0.0:  # noiseless runs derive no seeds
             seeds = point_seed(spec.detection.rng_seed, np.arange(len(spec.grid)))
             # PCG64 seed words, indexed [stream, grid index]: CELL_ON is 0, CELL_OFF 1.
@@ -375,7 +366,7 @@ class _BeatnotePipeline(_Pipeline):
 
     def peaks(self, s_out, i_out, phases, delta, stream, points):
         """Records synthesized and read as (P, N) blocks of at most RECORD_BLOCK rows, each
-        into this run's two planes, which grow to the largest block asked for."""
+        into this run's planes."""
         rows = len(phases)
         if rows > RECORD_BLOCK:
             s, i, phi, k, st = np.broadcast_arrays(s_out, i_out, phases, points, stream)
@@ -384,13 +375,9 @@ class _BeatnotePipeline(_Pipeline):
                 for part in (slice(n, n + RECORD_BLOCK) for n in range(0, rows, RECORD_BLOCK))
             ]
             return tuple(np.concatenate(column) for column in zip(*blocks))
-        if rows > len(self._re):  # two arrays: an extremum point's stay under the mmap threshold
-            shape = (rows, self._re.shape[1])
-            self._re, self._im = np.empty(shape), np.empty(shape)
         cfg = self.spec.detection_for(delta)
         noise = _standard_normals(self._words[stream, points], cfg) if cfg.noise_sigma else None
-        planes = self._re[:rows], self._im[:rows]
-        block = synthesize_block(s_out, i_out, phases, delta, cfg, noise, planes)
+        block = synthesize_block(s_out, i_out, phases, delta, cfg, noise, self._planes[:, :rows])
         return block_peaks(block, cfg.sample_rate, delta)  # read before the next block is written
 
 

@@ -173,6 +173,18 @@ class TestExtractGain:
             bad = BeatnoteRecord(np.full(CFG.n_samples, np.nan), DELTA, CFG)
             extract_gain(*((bad, good) if nan_first else (good, bad)))
 
+    @pytest.mark.parametrize("big_first", [True, False], ids=["inf_on", "inf_off"])
+    def test_overflowing_peak_raises_instead_of_inf_or_zero_gain(self, big_first):
+        # Finite samples of +-1.79e308 on the 2*delta tone: their peak sums past the largest float.
+        cfg = DetectionConfig()
+        t_ms = np.arange(cfg.n_samples) / cfg.sample_rate
+        big = BeatnoteRecord(1.79e308 * np.sign(np.cos(2.0 * math.pi * 4.0 * t_ms)), 2.0, cfg)
+        good = synthesize_beatnote(1.0, 1.0, 0.0, 2.0, cfg)
+        on, off = ("inf", r"2\.0\d*") if big_first else (r"2\.0\d*", "inf")
+        message = rf"^2\*delta peak amplitudes must be finite, got on {on} and off {off} at row 0$"
+        with np.errstate(over="ignore"), pytest.raises(DomainError, match=message):
+            extract_gain(*((big, good) if big_first else (good, big)))
+
     @pytest.mark.parametrize(
         "reference, dc", [(np.nan + 0j, 1.0), (1.0 + 0j, np.nan)], ids=["reference", "dc"]
     )

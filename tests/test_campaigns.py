@@ -52,7 +52,7 @@ def test_hash_outputs_is_stable_within_a_process():
     names = [line.split("  ", 1)[1] for line in first]
     # six stock campaigns per pipeline and sigma, plus the full_beatnote spectrum and
     # mixed-seed power sweep per sigma
-    campaigns, cli_sweeps, records, histogram, analyze = 4 * 6 * 3 + 2 * 2 * 3, 5 * 4, 3 * 2, 2, 3
+    campaigns, cli_sweeps, records, histogram, analyze = 4 * 6 * 3 + 2 * 2 * 3, 5 * 4, 3 * 2, 2, 2
     helps, refusals = 1 + len(module.SUBCOMMANDS), 1
     assert len(names) == campaigns + cli_sweeps + records + histogram + analyze + helps + refusals
     assert "cli_unknown_key.stdout" in names

@@ -28,10 +28,11 @@ from psalab.serialize import read_sweep_csv, record_to_binary
 from psalab.sweeps import SCAN_KINDS
 
 
-def v1_record(blob: bytes, sample_rate=100.0, delta=2.0, n=2000) -> bytes:
-    """The stock synth record as version-1 bytes: sample rate, delta and
-    count, then the last ``n`` samples of ``blob``."""
-    return b"PSAB" + struct.pack("<IddQ", 1, sample_rate, delta, n) + blob[len(blob) - 8 * n :]
+def short_header_record(blob: bytes, sample_rate=100.0, delta=2.0, n=2000) -> bytes:
+    """The stock synth record as version-2 bytes whose header holds only the sample
+    rate, delta and count, then the last ``n`` samples of ``blob``."""
+    header = f"sample_rate_khz={sample_rate!r}\ndelta_khz={delta!r}\nn_samples={n}\n".encode()
+    return b"PSAB" + struct.pack("<II", 2, len(header)) + header + blob[len(blob) - 8 * n :]
 
 
 def v2_record(blob: bytes, old: str, new: str, n=2000) -> bytes:
@@ -760,11 +761,11 @@ class TestCliSynthAnalyze:
 
     @staticmethod
     def _one_sample_binary(blob: bytes) -> bytes:
-        return v1_record(blob, n=1)
+        return short_header_record(blob, n=1)
 
     @staticmethod
     def _negative_rate_binary(blob: bytes) -> bytes:
-        return v1_record(blob, sample_rate=-100.0)
+        return short_header_record(blob, sample_rate=-100.0)
 
     @pytest.mark.parametrize(
         "emit, edit, message",
@@ -857,7 +858,7 @@ class TestCliBadInputFiles:
         if emit == "csv":
             path.write_text(path.read_text().replace("# delta_khz=2\n", f"# delta_khz={delta}\n"))
         elif isinstance(delta, float):
-            path.write_bytes(v1_record(path.read_bytes(), delta=delta))
+            path.write_bytes(short_header_record(path.read_bytes(), delta=delta))
         else:
             path.write_bytes(v2_record(path.read_bytes(), "delta_khz=2\n", f"delta_khz={delta}\n"))
         capsys.readouterr()

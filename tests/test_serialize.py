@@ -108,15 +108,12 @@ def test_record_round_trips_in_both_formats(tmp_path, n_samples, sample_rate, no
         assert back.config_echo == cfg
 
 
-def test_v1_binary_reads_with_detection_config_defaults(tmp_path):
-    samples = FUZZ_RECORD.samples
+def test_v1_binary_is_refused_as_an_unsupported_version(tmp_path):
     path = tmp_path / "v1.bin"
-    path.write_bytes(b"PSAB" + struct.pack("<IddQ", 1, 400.0, 20.0, samples.size)
-                     + samples.astype("<f8").tobytes())
-    back = read_record(path)
-    assert np.array_equal(back.samples, samples) and back.delta == 20.0
-    assert back.config_echo == DetectionConfig(sample_rate=400.0, n_samples=samples.size)
-    assert back.config_echo.residual_pump_intensity == 0.25
+    path.write_bytes(ORIGINALS["record_binary_v1"])
+    for reader in (read_record, record_from_binary):
+        with pytest.raises(ConfigError, match=r": unsupported record format version 1$"):
+            reader(path)
 
 
 def test_v1_csv_without_n_samples_counts_its_rows(tmp_path):
@@ -198,7 +195,11 @@ def fuzz_path(tmp_path_factory):
 @settings(max_examples=60, suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_mutated_files_parse_or_raise_config_error(fuzz_path, reader, original, data):
     fuzz_path.write_bytes(data.draw(mutated(original)))
-    parses_or_config_error(reader, fuzz_path)
+    if original is ORIGINALS["record_binary_v1"]:  # layout v1 is no longer read
+        with pytest.raises(ConfigError):
+            reader(fuzz_path)
+    else:
+        parses_or_config_error(reader, fuzz_path)
 
 
 @pytest.mark.parametrize("reader", READERS.values(), ids=READERS.keys())
@@ -218,8 +219,8 @@ def test_garbage_parses_or_raises_config_error(fuzz_path, reader, blob):
 )
 def test_binary_record_with_extreme_header_raises_config_error(tmp_path, sample_rate, delta):
     path = tmp_path / "rec.bin"
-    samples = np.zeros(8)
-    path.write_bytes(b"PSAB" + struct.pack("<IddQ", 1, sample_rate, delta, 8) + samples.tobytes())
+    header = f"sample_rate_khz={sample_rate!r}\ndelta_khz={delta!r}\nn_samples=8\n".encode()
+    path.write_bytes(b"PSAB" + struct.pack("<II", 2, len(header)) + header + np.zeros(8).tobytes())
     with pytest.raises(ConfigError, match="delta: "):
         record_from_binary(path)
 

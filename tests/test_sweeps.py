@@ -673,16 +673,23 @@ class TestBlockedScans:
 
         def recording(s_out, i_out, phases, delta, cfg, noise=None, out=None):
             addresses = tuple(plane.__array_interface__["data"][0] for plane in out)
-            blocks.append((len(phases), addresses))
+            blocks.append((len(phases), addresses, out.base.shape))
             return synthesize(s_out, i_out, phases, delta, cfg, noise, out)
 
         monkeypatch.setattr(sweeps, "synthesize_block", recording)
         detection = DetectionConfig(noise_sigma=sigma, rng_seed=5)
-        run_scan(phase_spec(grid=tuple(self.GRIDS["block_plus_one"]), detection=detection,
-                            pipeline="full_beatnote"))
         block = sweeps.RECORD_BLOCK
-        assert [rows for rows, _ in blocks] == [block, 1, block, 1]  # on-rows, then off-rows
-        assert len({addresses for _, addresses in blocks}) == 1
+        runs = [  # a phase grid's on-rows, then its off-rows; per extremum point its two blocks
+            (phase_spec(grid=tuple(self.GRIDS["block_plus_one"])), [block, 1, block, 1]),
+            (ScanSpec(kind="power_sweep", grid=(10.0, 40.0)), [4, 2, 4, 2]),
+            (ScanSpec(kind="pia_compare", grid=(10.0, 40.0)), [6, 2, 6, 2]),
+        ]
+        for spec, rows in runs:
+            blocks.clear()
+            run_scan(replace(spec, detection=detection, pipeline="full_beatnote"))
+            assert [n for n, _, _ in blocks] == rows, spec.kind
+            assert len({addresses for _, addresses, _ in blocks}) == 1, spec.kind
+            assert {shape for _, _, shape in blocks} == {(2, block, detection.n_samples)}
 
 
 @st.composite
@@ -712,6 +719,9 @@ def agreement_cases(draw):
             )
         ),
         "offset": draw(st.floats(0.0, 1.0)),
+        "order": draw(st.sampled_from([1, -1])),  # grids ascending or descending
+        # Phase grids driven by pump power through the calibration map instead of r.
+        "pump_power": draw(st.one_of(st.none(), st.floats(0.0, 80.0))),
         "powers": (low_power, draw(st.floats(low_power + 1.0, 80.0))),
         "pia_powers": (low_pia, draw(st.floats(low_pia + 1.0, 80.0))),
         "input_ratio": draw(st.floats(0.2, 5.0)),
@@ -737,23 +747,27 @@ class TestPipelineAgreementProperty:
     @given(agreement_cases())
     def test_scans_and_power_sweep_agree(self, case):
         n_grid, detection = case["n_grid"], case["detection"]
-        amplifier = AmplifierParams(r=case["r"], detuning=case["delta"])
+        if case["pump_power"] is None:
+            amplifier = AmplifierParams(r=case["r"], detuning=case["delta"])
+        else:
+            amplifier = AmplifierParams(pump_power=case["pump_power"], detuning=case["delta"])
+        order = case["order"]
         # Keep transfer points off the plateau centres (multiples of pi),
         # where acos turns last-bit cosine differences into ~1e-8 rad.
         transfer_grid = np.linspace(-math.pi, math.pi, n_grid, endpoint=False)
         transfer_grid += case["offset"] * 2.0 * math.pi / n_grid
         assume(np.min(dist_to_half_turns(transfer_grid)) >= 0.01)
         assert_pipelines_agree(ScanSpec(
-            kind="transfer_curve", grid=tuple(transfer_grid), amplifier=amplifier,
+            kind="transfer_curve", grid=tuple(transfer_grid[::order]), amplifier=amplifier,
             detection=detection,
         ))
         if n_grid > 1:  # a phase scan must span 2*pi
             assert_pipelines_agree(ScanSpec(
-                kind="phase_scan", grid=tuple(np.linspace(-math.pi, math.pi, n_grid)),
+                kind="phase_scan", grid=tuple(np.linspace(-math.pi, math.pi, n_grid)[::order]),
                 amplifier=amplifier, detection=detection,
             ))
         assert_pipelines_agree(ScanSpec(
-            kind="power_sweep", grid=case["powers"],
+            kind="power_sweep", grid=case["powers"][::order],
             amplifier=AmplifierParams(detuning=case["delta"]), detection=detection,
             input_ratio=case["input_ratio"],
         ))
@@ -761,14 +775,14 @@ class TestPipelineAgreementProperty:
     @settings(max_examples=40)
     @given(agreement_cases())
     def test_pia_compare_and_spectrum_agree(self, case):
-        detection = case["detection"]
+        detection, order = case["detection"], case["order"]
         assert_pipelines_agree(ScanSpec(
-            kind="pia_compare", grid=case["pia_powers"],
+            kind="pia_compare", grid=case["pia_powers"][::order],
             amplifier=AmplifierParams(detuning=case["delta"]), detection=detection,
             input_ratio=case["input_ratio"],
         ))
         assert_pipelines_agree(ScanSpec(
-            kind="detuning_spectrum", grid=case["deltas"],
+            kind="detuning_spectrum", grid=case["deltas"][::order],
             amplifier=AmplifierParams(pump_power=case["pia_powers"][1], detuning=case["delta"]),
             detection=detection, input_ratio=case["input_ratio"],
         ))
