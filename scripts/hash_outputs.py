@@ -12,6 +12,9 @@ is a rewrite of a file holding other bytes.  Then prints one
   since records refuse delta = 0, and the power sweep at input ratio 1.78,
   whose g_min comes off the quartic's roots; all at noise_sigma 0 and 0.05,
   as csv, json and binary;
+- the stock power sweep and PIA comparison under full_beatnote, each grid
+  point run as its own one-point scan (a ``perfbench`` ``beatnote_extrema``
+  unit) and the rows joined into one csv, at noise_sigma 0 and 0.05;
 - the five sweep subcommands run through the CLI (csv, json and binary,
   plus their summary lines on stdout);
 - ``psalab synth`` records: cell-on, cell-off and a noisy mixed-seed
@@ -58,7 +61,7 @@ from pathlib import Path
 
 import numpy as np
 
-from psalab import run_scan
+from psalab import SweepResult, run_scan
 from psalab.cli import main as cli_main
 from psalab.errors import PsalabError
 from psalab.serialize import write_sweep
@@ -67,6 +70,7 @@ SIGMAS = (0.0, 0.05)
 PIPELINES = ("model_exact", "full_beatnote")
 SWEEPS = ("phase-scan", "power-sweep", "pia-compare", "spectrum", "transfer")
 SUBCOMMANDS = (*SWEEPS, "histogram", "synth", "analyze")
+ONE_POINT_CAMPAIGNS = ("gain_vs_power", "psa_vs_pia")
 
 
 def _campaign_specs(seed: int, pipeline: str) -> dict:
@@ -107,6 +111,20 @@ def write_outputs(seed: int, outdir: Path) -> None:
                     write_sweep(run_scan(spec), outdir, ("csv", "json", "binary"), base)
                 except PsalabError as err:
                     (outdir / f"{base}.error").write_text(f"{type(err).__name__}: {err}\n")
+    for sigma in SIGMAS:  # each grid point its own scan, as a beatnote_extrema unit runs it
+        specs = _campaign_specs(seed, "full_beatnote")
+        for name in ONE_POINT_CAMPAIGNS:
+            spec = replace(specs[name], detection=replace(specs[name].detection, noise_sigma=sigma))
+            base = f"one_point_full_beatnote_sigma{sigma:g}_{name}"
+            try:
+                points = [run_scan(replace(spec, grid=(x,))) for x in spec.grid]
+            except PsalabError as err:
+                (outdir / f"{base}.error").write_text(f"{type(err).__name__}: {err}\n")
+                continue
+            columns = {key: np.concatenate([point.columns[key] for point in points])
+                       for key in points[0].columns}
+            joined = SweepResult(np.asarray(spec.grid), columns, points[0].metadata)
+            write_sweep(joined, outdir, ("csv",), base)
 
     common = ["--seed", str(seed), "--out", str(outdir)]
     stdout = {}

@@ -102,18 +102,15 @@ def gain_ratio(on_two_delta, off_two_delta, off_dc) -> np.ndarray:
     or a NaN one, means no reference beat and raises; so does an infinite
     on or off peak, which would read as a gain of inf or 0.
     """
-    reference = np.abs(off_two_delta)
-    ok = reference > DEFAULT_REFERENCE_FLOOR * np.abs(off_dc)
-    if not np.all(ok):
-        k, ref, dc = _first_failure(ok, reference, off_dc)
-        raise DomainError(
-            f"no reference beat: off-record 2*delta amplitude {ref} is below "
-            f"{DEFAULT_REFERENCE_FLOOR} of its DC level {dc} at row {k}"
-        )
-    on = np.abs(on_two_delta)
-    ok = np.isfinite(on) & np.isfinite(reference)
-    if not np.all(ok):
-        k, on_k, ref = _first_failure(ok, on, reference)
+    reference, on = np.abs(off_two_delta), np.abs(on_two_delta)
+    beat = reference > DEFAULT_REFERENCE_FLOOR * np.abs(off_dc)
+    finite = np.isfinite(on) & np.isfinite(reference)
+    if not all((beat & finite).flat):  # both checks at once; few rows: all() beats .all()
+        if not beat.all():
+            k, ref, dc = _first_failure(beat, reference, off_dc)
+            raise DomainError(f"no reference beat: off-record 2*delta amplitude {ref} is below "
+                              f"{DEFAULT_REFERENCE_FLOOR} of its DC level {dc} at row {k}")
+        k, on_k, ref = _first_failure(finite, on, reference)
         raise DomainError(f"2*delta peak amplitudes must be finite, got on {on_k} "
                           f"and off {ref} at row {k}")
     return on / reference
@@ -144,14 +141,14 @@ def cos_readout(
     if not math.isfinite(i_p) or i_p <= 0.0:
         raise DomainError(f"no local oscillator: residual pump intensity must be > 0, got {i_p}")
     ok = (gain > 0.0) & np.isfinite(gain)
-    if not np.all(ok):
+    if not ok.all():
         k, bad = _first_failure(ok, gain)
         raise DomainError(f"gain must be finite and > 0, got {bad} at row {k}")
     if not math.isfinite(i_s_in) or i_s_in <= 0.0:
         raise DomainError(f"input signal intensity must be > 0, got {i_s_in}")
     value = np.real(at_delta) / (4.0 * np.sqrt(i_p * gain * i_s_in))
     ok = np.abs(value) <= 1.0 + clamp_tol
-    if not np.all(ok):
+    if not ok.all():
         k, bad, tol = _first_failure(ok, value, clamp_tol)
         raise DomainError(
             f"extracted cos amplitude {bad} exceeds the unit circle by more than {tol} at row {k}"
@@ -198,7 +195,7 @@ def unwrap_cos_scan(cos_values, phi_in) -> np.ndarray:
             f"phi_in must hold one phase per cosine: shape {phi_in.shape} for {values.size} cosines"
         )
     ok = np.isfinite(phi_in)
-    if not np.all(ok):
+    if not ok.all():
         k, bad = _first_failure(ok, phi_in)
         raise DomainError(f"phi_in must be finite, got {bad} at row {k}")
     # math.acos per value: np.arccos need not round like libm.
@@ -218,7 +215,7 @@ def phase_histogram(phases, n_bins: int) -> tuple[np.ndarray, np.ndarray]:
     edges = np.linspace(-math.pi, math.pi, int(n_bins) + 1)
     phases = np.asarray(phases, dtype=np.float64)
     ok = np.isfinite(phases)
-    if not np.all(ok):
+    if not ok.all():
         k, bad = _first_failure(ok, phases)
         raise DomainError(f"phases must be finite, got {bad} at row {k}")
     if phases.size == 0:

@@ -90,8 +90,8 @@ def evolve_block(s_in: complex, i_in: complex, r: float, pump_phase) -> tuple[np
     if not (cmath.isfinite(a) and cmath.isfinite(b)):
         raise DomainError(f"field amplitudes must be finite, got ({a}, {b})")
     c, s = math.cosh(r), math.sinh(r)
-    pump = np.exp(2j * np.asarray(pump_phase, dtype=np.float64))
-    return c * a + pump * s * b.conjugate(), c * b + pump * s * a.conjugate()
+    pump = np.exp(2j * np.asarray(pump_phase, dtype=np.float64)) * s
+    return c * a + pump * b.conjugate(), c * b + pump * a.conjugate()
 
 
 def evolve_two_mode(

@@ -26,7 +26,7 @@ the block measured at the phases the search found.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, is_dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -60,9 +60,10 @@ RECORD_BLOCK = 32
 _FIT_PHASES = np.arange(3) * (math.pi / 3.0)
 _FIT_BLOCK_PHASES = np.concatenate(([0.0], _FIT_PHASES, [0.0, 0.0]))
 _FIT_BLOCK_STREAMS = np.array((CELL_OFF, CELL_ON, CELL_ON, CELL_ON, CELL_ON, CELL_OFF))
+_FIT_PUMP = wrap_phase(_FIT_PHASES)  # as AmplifierParams stores them, for the evolution
 # Its quartic's companion matrix (as np.roots builds it) before the first row is set.
 _COMPANION = np.diag(np.ones(3, complex), -1)
-for _constant in (_FIT_PHASES, _FIT_BLOCK_PHASES, _FIT_BLOCK_STREAMS, _COMPANION):
+for _constant in (_FIT_PHASES, _FIT_BLOCK_PHASES, _FIT_BLOCK_STREAMS, _FIT_PUMP, _COMPANION):
     _constant.setflags(write=False)
 
 # Noisy cosine readouts may overshoot the unit circle by this many standard
@@ -198,8 +199,9 @@ class ScanSpec:
 
     def as_dict(self) -> dict:
         """``dataclasses.asdict``, shallow: the grid is shared, nested dataclasses hold scalars."""
-        values = {f.name: getattr(self, f.name) for f in fields(self)}
-        return {key: dict(vars(v)) if is_dataclass(v) else v for key, v in values.items()}
+        values = {name: getattr(self, name) for name in self.__dataclass_fields__}
+        nested = ("amplifier", "calibration", "detection")
+        return {key: dict(vars(v)) if key in nested else v for key, v in values.items()}
 
     def input_fields(self) -> tuple[complex, complex]:
         """Unit signal seed plus idler seed at 1/sqrt(input_ratio)."""
@@ -242,10 +244,10 @@ class _Pipeline:
         raise NotImplementedError
 
     def _outputs(self, r: float, loss: float, phases, idler: complex):
-        """(s_out, i_out) after the loss, at phases wrapped as AmplifierParams stores them."""
+        """(s_out, i_out) after the loss, at pump phases wrapped as AmplifierParams stores them."""
+        s_out, i_out = evolve_block(self.a_s, idler, r, phases)
         scale = math.sqrt(loss)
-        phases = wrap_phase(np.asarray(phases, dtype=np.float64))
-        return tuple(z * scale for z in evolve_block(self.a_s, idler, r, phases))
+        return s_out * scale, i_out * scale
 
     def gain_extrema(self, r: float, loss: float, index: int, delta: float) -> tuple:
         """(g_max, g_min, rho): measured gains at the pump phases of largest and smallest
@@ -264,30 +266,31 @@ class _Pipeline:
         """
         pia = self.spec.kind == "pia_compare"
         rows = 6 if pia else 4
-        s_out, i_out = np.empty(rows, complex), np.empty(rows, complex)
+        s_out, i_out = np.empty((2, rows), complex)
         s_out[0], i_out[0] = self.a_s, self.a_i
-        s_out[1:4], i_out[1:4] = self._outputs(r, loss, _FIT_PHASES, self.a_i)
-        if pia:  # the on-row with an unseeded idler, then its cell-off row
-            s_out[4:5], i_out[4:5] = self._outputs(r, loss, (0.0,), 0j)
+        s_out[1:4], i_out[1:4] = self._outputs(r, loss, _FIT_PUMP, self.a_i)
+        if pia:  # the on-row with an unseeded idler at phi_p = 0, then its cell-off row
+            s_out[4:5], i_out[4:5] = self._outputs(r, loss, _FIT_PUMP[:1], 0j)
             s_out[5], i_out[5] = self.a_s, 0j
         dc, at_delta, two_delta = self.peaks(s_out, i_out, _FIT_BLOCK_PHASES[:rows], delta,
                                              _FIT_BLOCK_STREAMS[:rows], index)
         # ScanSpec refuses a beatnote PIA without the pump, so the off delta-peak is not 0.
-        rho = abs(at_delta[4]) / abs(at_delta[5]) if pia else None
+        rho = abs(at_delta.item(4)) / abs(at_delta.item(5)) if pia else None
         off_dc, reference, on = dc[:1], two_delta[:1], two_delta[1:4]
-        a, b, c = np.fft.fft(on) / 3.0
+        a, b, c = (np.fft.fft(on) / 3.0).tolist()  # Python complex: * and abs as numpy scalars
         if abs(b) + abs(c) <= EXTREMA_FLAT_RTOL * abs(a):  # r = 0: c1 = c2 = 0, no roots
-            gains = gain_ratio(on, reference, off_dc)
-            return float(gains.max()), float(gains.min()), rho
+            gains = gain_ratio(on, reference, off_dc).tolist()
+            return max(gains), min(gains), rho
         c1, c2 = a.conjugate() * b + a * c.conjugate(), b * c.conjugate()
         companion = _COMPANION.copy()  # np.roots' matrix of the quartic
         companion[0] = -np.array((c1, 0.0, -c1.conjugate(), -2.0 * c2.conjugate())) / (2.0 * c2)
-        x = np.angle(np.linalg.eigvals(companion))
+        roots = np.linalg.eigvals(companion)
+        x = np.arctan2(roots.imag, roots.real)  # np.angle's ufunc, without its wrapper
         shape = (c1 * np.exp(1j * x) + c2 * np.exp(2j * x)).real
-        phases = 0.5 * x[[np.argmax(shape), np.argmin(shape)]] % math.pi
-        s_out, i_out = self._outputs(r, loss, phases, self.a_i)
+        phases = 0.5 * x[[shape.argmax(), shape.argmin()]] % math.pi
+        s_out, i_out = self._outputs(r, loss, wrap_phase(phases), self.a_i)
         on = self.peaks(s_out, i_out, phases, delta, CELL_ON, index)[2]
-        return (*gain_ratio(on, reference, off_dc), rho)
+        return (*gain_ratio(on, reference, off_dc).tolist(), rho)
 
     def scan_grid(self) -> dict[str, np.ndarray]:
         """The phase grid's columns: gain, plus gain_idler and cos_phi_out for a transfer
@@ -295,7 +298,7 @@ class _Pipeline:
         spec = self.spec
         ((r, loss, delta),) = spec.operating_points()
         phases = np.asarray(spec.grid)
-        s_out, i_out = self._outputs(r, loss, phases, self.a_i)
+        s_out, i_out = self._outputs(r, loss, wrap_phase(phases), self.a_i)
         transfer = spec.kind == "transfer_curve"
         if transfer and spec.input_ratio != 1.0:
             # No peak ratio gives G_s, G_i or the signal phase of unequal seeds.
@@ -363,6 +366,7 @@ class _BeatnotePipeline(_Pipeline):
             seeds = point_seed(spec.detection.rng_seed, np.arange(len(spec.grid)))
             # PCG64 seed words, indexed [stream, grid index]: CELL_ON is 0, CELL_OFF 1.
             self._words = seed_words(seeds, np.array([[CELL_ON], [CELL_OFF]]), 4)
+            self._kept = {}  # noise rows one block drew for one grid index, by their words
 
     def peaks(self, s_out, i_out, phases, delta, stream, points):
         """Records synthesized and read as (P, N) blocks of at most RECORD_BLOCK rows, each
@@ -376,7 +380,14 @@ class _BeatnotePipeline(_Pipeline):
             ]
             return tuple(np.concatenate(column) for column in zip(*blocks))
         cfg = self.spec.detection_for(delta)
-        noise = _standard_normals(self._words[stream, points], cfg) if cfg.noise_sigma else None
+        noise = None
+        if cfg.noise_sigma:  # a measured block reads the cell-on row its fit block drew
+            words, kept, self._kept = self._words[stream, points], self._kept, {}
+            noise = kept.get(words.tobytes())
+            if noise is None:
+                noise = _standard_normals(words, cfg)
+                if np.ndim(points) == 0:  # one grid index's rows, kept for its next block only
+                    self._kept = dict(zip(map(bytes, words.reshape(-1, 4)), noise))
         block = synthesize_block(s_out, i_out, phases, delta, cfg, noise, self._planes[:, :rows])
         return block_peaks(block, cfg.sample_rate, delta)  # read before the next block is written
 

@@ -261,6 +261,62 @@ class TestErrorsNameOneRow:
         assert len(message) < 200
 
 
+SCALAR_FORMS = pytest.mark.parametrize(
+    "form", [float, lambda x: np.array(x)], ids=["python_float", "zero_d_array"]
+)
+
+
+class TestScalarChecksRaise:
+    """Each merged check still raises its own message for a Python float or 0-d input."""
+
+    @SCALAR_FORMS
+    @pytest.mark.parametrize(
+        "on, off, dc, message",
+        [
+            (2.0, 1e-15, 2.25, "no reference beat: off-record 2*delta amplitude 1e-15 is below "
+                               "1e-12 of its DC level 2.25 at row 0"),
+            (2.0, math.nan, 2.25, "no reference beat: off-record 2*delta amplitude nan is below "
+                                  "1e-12 of its DC level 2.25 at row 0"),
+            # Both checks fail: the reference check speaks first, as before the merge.
+            (math.inf, 1e-15, 2.25, "no reference beat: off-record 2*delta amplitude 1e-15 is "
+                                    "below 1e-12 of its DC level 2.25 at row 0"),
+            (math.inf, 1.0, 2.25, "2*delta peak amplitudes must be finite, got on inf and off "
+                                  "1.0 at row 0"),
+            (2.0, math.inf, 2.25, "2*delta peak amplitudes must be finite, got on 2.0 and off "
+                                  "inf at row 0"),
+        ],
+        ids=["floor", "nan_reference", "floor_first", "inf_on", "inf_off"],
+    )
+    def test_gain_ratio(self, form, on, off, dc, message):
+        with pytest.raises(DomainError) as err:
+            gain_ratio(form(on), form(off), form(dc))
+        assert str(err.value) == message
+
+    @SCALAR_FORMS
+    def test_gain_ratio_of_good_scalars(self, form):
+        assert gain_ratio(form(3.0), form(1.5), form(2.25)) == 2.0
+
+    @SCALAR_FORMS
+    @pytest.mark.parametrize(
+        "at_delta, i_p, gain, message",
+        [
+            (0.5, 0.25, 0.0, "gain must be finite and > 0, got 0.0 at row 0"),
+            (0.5, 0.25, -2.0, "gain must be finite and > 0, got -2.0 at row 0"),
+            (0.5, 0.25, math.nan, "gain must be finite and > 0, got nan at row 0"),
+            (3.0, 0.25, 1.0, "extracted cos amplitude 1.5 exceeds the unit circle by more than "
+                             "1e-06 at row 0"),
+            (math.nan, 0.25, 1.0, "extracted cos amplitude nan exceeds the unit circle by more "
+                                  "than 1e-06 at row 0"),
+            (0.5, 0.0, 1.0, "no local oscillator: residual pump intensity must be > 0, got 0.0"),
+        ],
+        ids=["zero_gain", "negative_gain", "nan_gain", "past_tolerance", "nan_cos", "no_lo"],
+    )
+    def test_cos_readout(self, form, at_delta, i_p, gain, message):
+        with pytest.raises(DomainError) as err:
+            cos_readout(form(at_delta), i_p, form(gain), 1.0)
+        assert str(err.value) == message
+
+
 class TestReconstructPhase:
     def test_scan_matches_model_across_transition(self):
         # noiseless scan across the 0 -> -pi transition of a strong squeezer

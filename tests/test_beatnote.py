@@ -401,6 +401,26 @@ class TestConfigInvariants:
         with pytest.raises(DomainError, match="finite"):
             cell_off_record(s_out, i_out, 0.0, DELTA, quiet_config())
 
+    @pytest.mark.parametrize("form", [float, np.array], ids=["python_float", "zero_d_array"])
+    @pytest.mark.parametrize(
+        "s_out, i_out, phase, message",
+        [
+            (math.nan, 1.0, 0.0, "field amplitudes must be finite, got (nan, 1.0)"),
+            (math.inf, 1.0, 0.0, "field amplitudes must be finite, got (inf, 1.0)"),
+            (1.0, math.nan, 0.0, "field amplitudes must be finite, got (1.0, nan)"),
+            (1.0, -math.inf, 0.0, "field amplitudes must be finite, got (1.0, -inf)"),
+            (1.0, 1.0, math.nan, "pump_phase must be finite, got nan"),
+            (1.0, 1.0, math.inf, "pump_phase must be finite, got inf"),
+            # Both fail: the amplitudes are named first, as before the checks were merged.
+            (math.nan, 1.0, math.inf, "field amplitudes must be finite, got (nan, 1.0)"),
+        ],
+        ids=["nan_s", "inf_s", "nan_i", "inf_i", "nan_phase", "inf_phase", "s_before_phase"],
+    )
+    def test_block_names_its_non_finite_input(self, form, s_out, i_out, phase, message):
+        with pytest.raises(DomainError) as err:
+            synthesize_block(form(s_out), form(i_out), form(phase), DELTA, quiet_config())
+        assert str(err.value) == message
+
     def test_negative_noise_rejected(self):
         with pytest.raises(DomainError):
             quiet_config(noise_sigma=-0.1)

@@ -56,15 +56,17 @@ def test_hash_outputs_is_stable_within_a_process(tmp_path):
     assert first == fresh
     names = [line.split("  ", 1)[1] for line in first]
     # six stock campaigns per pipeline and sigma, plus the full_beatnote spectrum and
-    # mixed-seed power sweep per sigma
+    # mixed-seed power sweep per sigma, and two one-point campaigns per sigma as csv
     campaigns, cli_sweeps, records, histogram, analyze = 4 * 6 * 3 + 2 * 2 * 3, 5 * 4, 3 * 2, 2, 2
-    helps, refusals = 1 + len(module.SUBCOMMANDS), 1
-    assert len(names) == campaigns + cli_sweeps + records + histogram + analyze + helps + refusals
+    helps, refusals, one_point = 1 + len(module.SUBCOMMANDS), 1, 2 * 2
+    assert len(names) == (campaigns + cli_sweeps + records + histogram + analyze + helps
+                          + refusals + one_point)
     assert "cli_unknown_key.stdout" in names
     assert not [name for name in names if name.endswith(".error")]
     assert "campaign_full_beatnote_sigma0.05_transfer_pure.csv" in names
     assert "campaign_full_beatnote_sigma0.05_gain_spectrum_beatnote.csv" in names
     assert "campaign_full_beatnote_sigma0.05_gain_vs_power_mixed.csv" in names
+    assert "one_point_full_beatnote_sigma0.05_psa_vs_pia.csv" in names
 
 
 @pytest.mark.parametrize(

@@ -441,7 +441,7 @@ class TestBeatnoteExtremumSearch:
             assert pipe.gain_extrema(r, loss, index, delta)[2] == abs(on_off[0]) / abs(on_off[1])
 
     @pytest.mark.parametrize("kind", ["power_sweep", "pia_compare"])
-    def test_noisy_point_draws_each_row_once_per_block(self, kind, monkeypatch):
+    def test_noisy_point_draws_each_row_once(self, kind, monkeypatch):
         drawn = []
         draw = sweeps._standard_normals
 
@@ -451,9 +451,14 @@ class TestBeatnoteExtremumSearch:
 
         monkeypatch.setattr(sweeps, "_standard_normals", counting)
         detection = DetectionConfig(noise_sigma=0.05, rng_seed=7)
-        run_scan(ScanSpec(kind=kind, grid=(40.0,), pipeline="full_beatnote", detection=detection))
-        # The fit block's cell-on and cell-off rows, then the measured block's cell-on row.
-        assert drawn == [2, 1]
+        spec = ScanSpec(kind=kind, grid=(40.0,), pipeline="full_beatnote", detection=detection)
+        run_scan(spec)
+        # The fit block's cell-on and cell-off rows; the measured block reuses the cell-on row.
+        assert drawn == [2]
+        pipe = sweeps._BeatnotePipeline(spec)
+        ((r, loss, delta),) = spec.operating_points()
+        pipe.gain_extrema(r, loss, 0, delta)
+        assert drawn == [2, 2] and pipe._kept == {}  # nothing is kept past the point
 
     @pytest.mark.parametrize("sigma", [0.0, 0.05, 0.2])
     @pytest.mark.parametrize("seed", range(4))
@@ -471,7 +476,7 @@ class TestBeatnoteExtremumSearch:
         delta, index = spec.amplifier.detuning, int(rng.integers(len(self.POWERS)))
 
         def on_peaks(phases):
-            s_out, i_out = pipe._outputs(r, loss, phases, pipe.a_i)
+            s_out, i_out = pipe._outputs(r, loss, sweeps.wrap_phase(phases), pipe.a_i)
             dc, _, on = pipe.peaks(s_out, i_out, phases, delta, CELL_ON, index)
             return dc, on
 
