@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_number
 from .beatnote import BeatnoteRecord
 from .squeezer import TWO_PI, wrap_phase
 
@@ -210,15 +210,14 @@ def phase_histogram(phases, n_bins: int) -> tuple[np.ndarray, np.ndarray]:
     ``phases`` is any array-like of finite angles; the total count equals
     its length, so a non-finite phase raises.  Returns (bin_edges, counts).
     """
-    if int(n_bins) != n_bins or n_bins < 2:
-        raise DomainError(f"n_bins must be an integer >= 2, got {n_bins}")
-    edges = np.linspace(-math.pi, math.pi, int(n_bins) + 1)
+    n_bins = check_number("n_bins", n_bins, 2, integer=True)
+    edges = np.linspace(-math.pi, math.pi, n_bins + 1)
     phases = np.asarray(phases, dtype=np.float64)
     ok = np.isfinite(phases)
     if not ok.all():
         k, bad = _first_failure(ok, phases)
         raise DomainError(f"phases must be finite, got {bad} at row {k}")
     if phases.size == 0:
-        return edges, np.zeros(int(n_bins), dtype=np.int64)
+        return edges, np.zeros(n_bins, dtype=np.int64)
     counts, _ = np.histogram(wrap_phase(phases), bins=edges)
     return edges, counts.astype(np.int64)

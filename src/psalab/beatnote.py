@@ -218,20 +218,14 @@ class _SeedWords:
 
 
 def _standard_normals(words: np.ndarray, cfg: DetectionConfig) -> np.ndarray:
-    """``cfg.noise_sigma`` times rows of ``cfg.n_samples`` standard normals, one per row of
-    PCG64 seed words; equal rows are drawn once.  ``normal(0, sigma)`` computes 0 + sigma*z:
-    these are its bits."""
+    """``cfg.noise_sigma`` times rows of ``cfg.n_samples`` standard normals, one drawn per
+    row of PCG64 seed words.  ``normal(0, sigma)`` computes 0 + sigma*z: these are its bits."""
     np.random.bit_generator.ISeedSequence.register(_SeedWords)  # once; then a cached no-op
     words = np.ascontiguousarray(words, np.uint64).reshape(-1, 4)
-    rows = [row.tobytes() for row in words]
-    distinct = dict(zip(rows, words))
-    noise = np.empty((len(distinct), cfg.n_samples))
-    for out, row in zip(noise, distinct.values()):
+    noise = np.empty((len(words), cfg.n_samples))
+    for out, row in zip(noise, words):
         np.random.Generator(np.random.PCG64(_SeedWords(row))).standard_normal(out=out)
     noise *= cfg.noise_sigma
-    if len(distinct) < len(rows):  # rows that share a draw
-        index = {row: j for j, row in enumerate(distinct)}
-        noise = noise[[index[row] for row in rows]]
     return noise
 
 

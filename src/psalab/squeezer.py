@@ -89,6 +89,8 @@ def evolve_block(s_in: complex, i_in: complex, r: float, pump_phase) -> tuple[np
     a, b = complex(s_in), complex(i_in)
     if not (cmath.isfinite(a) and cmath.isfinite(b)):
         raise DomainError(f"field amplitudes must be finite, got ({a}, {b})")
+    if not math.isfinite(r):
+        raise DomainError(f"r: expected a finite number, got {r}")
     c, s = math.cosh(r), math.sinh(r)
     pump = np.exp(2j * np.asarray(pump_phase, dtype=np.float64)) * s
     return c * a + pump * b.conjugate(), c * b + pump * a.conjugate()

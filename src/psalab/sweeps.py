@@ -88,11 +88,12 @@ class ScanSpec:
             raise DomainError(f"kind: expected one of {SCAN_KINDS}, got {self.kind!r}")
         if self.pipeline not in PIPELINES:
             raise DomainError(f"pipeline: expected one of {PIPELINES}, got {self.pipeline!r}")
-        grid = tuple(float(x) for x in self.grid)
+        try:
+            grid = tuple(check_number("grid", x) for x in self.grid)
+        except TypeError:  # not iterable
+            raise DomainError(f"grid: expected a sequence of numbers, got {self.grid!r}") from None
         if not grid:
             raise DomainError("grid: expected a non-empty sequence")
-        if any(not math.isfinite(x) for x in grid):
-            raise DomainError("grid: expected finite values")
         steps = np.diff(grid)
         if len(grid) > 1 and not (np.all(steps > 0.0) or np.all(steps < 0.0)):
             raise DomainError("grid: expected strictly monotone values")
@@ -356,7 +357,8 @@ class _ModelPipeline(_Pipeline):
 
 
 class _BeatnotePipeline(_Pipeline):
-    """Peaks read from synthesized records, seeded per grid point."""
+    """Peaks read from synthesized records, seeded per grid point: a grid index's
+    (CELL_ON, CELL_OFF) noise rows are drawn once and read by each of its blocks."""
 
     def __init__(self, spec: ScanSpec):
         super().__init__(spec)
@@ -366,7 +368,7 @@ class _BeatnotePipeline(_Pipeline):
             seeds = point_seed(spec.detection.rng_seed, np.arange(len(spec.grid)))
             # PCG64 seed words, indexed [stream, grid index]: CELL_ON is 0, CELL_OFF 1.
             self._words = seed_words(seeds, np.array([[CELL_ON], [CELL_OFF]]), 4)
-            self._kept = {}  # noise rows one block drew for one grid index, by their words
+            self._pair = None, None  # (grid index, its noise rows indexed by stream)
 
     def peaks(self, s_out, i_out, phases, delta, stream, points):
         """Records synthesized and read as (P, N) blocks of at most RECORD_BLOCK rows, each
@@ -381,13 +383,13 @@ class _BeatnotePipeline(_Pipeline):
             return tuple(np.concatenate(column) for column in zip(*blocks))
         cfg = self.spec.detection_for(delta)
         noise = None
-        if cfg.noise_sigma:  # a measured block reads the cell-on row its fit block drew
-            words, kept, self._kept = self._words[stream, points], self._kept, {}
-            noise = kept.get(words.tobytes())
-            if noise is None:
-                noise = _standard_normals(words, cfg)
-                if np.ndim(points) == 0:  # one grid index's rows, kept for its next block only
-                    self._kept = dict(zip(map(bytes, words.reshape(-1, 4)), noise))
+        if cfg.noise_sigma:
+            if np.ndim(points):  # a scan block: one row per grid index
+                noise = _standard_normals(self._words[stream, points], cfg)
+            else:  # one grid index: the pair its first block drew
+                if self._pair[0] != points:
+                    self._pair = points, _standard_normals(self._words[:, points], cfg)
+                noise = self._pair[1][stream]
         block = synthesize_block(s_out, i_out, phases, delta, cfg, noise, self._planes[:, :rows])
         return block_peaks(block, cfg.sample_rate, delta)  # read before the next block is written
 

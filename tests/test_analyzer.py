@@ -433,6 +433,11 @@ class TestPhaseHistogram:
         with pytest.raises(DomainError):
             phase_histogram([0.0], 1)
 
+    @pytest.mark.parametrize("n_bins", [1, 1.5, math.nan, math.inf, "4"])
+    def test_rejects_bad_bin_count(self, n_bins):
+        with pytest.raises(DomainError, match="^n_bins: expected "):
+            phase_histogram([0.0], n_bins)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_refuses_non_finite_phases(self, bad):
         # the count must equal the input length, so a phase no bin holds is refused

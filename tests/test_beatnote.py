@@ -215,15 +215,6 @@ class TestBlockSynthesis:
                 rows = streams == stream
                 assert np.array_equal(mixed[rows], single[rows])
 
-    def test_equal_seed_words_draw_once(self, monkeypatch):
-        made, pcg64 = [], np.random.PCG64
-        monkeypatch.setattr(np.random, "PCG64", lambda seed: made.append(seed) or pcg64(seed))
-        cfg = quiet_config(noise_sigma=0.5)
-        noise = _standard_normals(seed_words(np.array([7, 7, 8, 7], np.uint64), 0, 4), cfg)
-        assert len(made) == 2
-        for k, seed in enumerate([7, 7, 8, 7]):
-            assert np.array_equal(noise[k], _rng_for(seed, 0).normal(0.0, 0.5, cfg.n_samples))
-
     @pytest.mark.parametrize("sigma", [0.0, 0.3])
     def test_out_planes_hold_the_block_bit_for_bit(self, sigma):
         cfg = quiet_config(noise_sigma=sigma)

@@ -78,6 +78,11 @@ class TestEvolveTwoMode:
         with pytest.raises(DomainError, match="finite"):
             evolve_two_mode(s_in, i_in, AmplifierParams(r=0.5))
 
+    @pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf])
+    def test_block_rejects_non_finite_r(self, r):
+        with pytest.raises(DomainError, match=f"^r: expected a finite number, got {r}$"):
+            evolve_block(1.0, 1.0, r, 0.0)
+
     def test_rejects_unset_r(self):
         with pytest.raises(DomainError):
             evolve_two_mode(

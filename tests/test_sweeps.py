@@ -55,6 +55,12 @@ class TestScanSpecValidation:
         with pytest.raises(DomainError, match="non-empty"):
             phase_spec(grid=())
 
+    @pytest.mark.parametrize("grid, bad", [(("a",), "a"), ((1.0, math.nan), "nan"),
+                                           ((10**400,), "a finite number"), (None, "None")])
+    def test_rejects_non_numeric_grid(self, grid, bad):
+        with pytest.raises(DomainError, match=f"^grid: expected .*{bad}"):
+            ScanSpec(kind="power_sweep", grid=grid)
+
     def test_rejects_non_monotone_grid(self):
         with pytest.raises(DomainError, match="monotone"):
             ScanSpec(kind="power_sweep", grid=(0.0, 10.0, 5.0))
@@ -440,25 +446,43 @@ class TestBeatnoteExtremumSearch:
                                       (0.0, 0.0), delta, np.array([CELL_ON, CELL_OFF]), index)
             assert pipe.gain_extrema(r, loss, index, delta)[2] == abs(on_off[0]) / abs(on_off[1])
 
-    @pytest.mark.parametrize("kind", ["power_sweep", "pia_compare"])
+    @pytest.mark.parametrize("kind", ["power_sweep", "pia_compare", "detuning_spectrum"])
     def test_noisy_point_draws_each_row_once(self, kind, monkeypatch):
-        drawn = []
-        draw = sweeps._standard_normals
+        """Each grid index draws its cell-on and cell-off rows once, and each of its
+        blocks reads them: numpy's draws under that index's seed, none of another's."""
+        sigma, seed = 0.05, 7
+        drawn, blocks = [], []
+        draw, synthesize = sweeps._standard_normals, sweeps.synthesize_block
 
         def counting(words, cfg):
-            drawn.append(len({row.tobytes() for row in np.reshape(words, (-1, 4))}))
+            rows = np.reshape(words, (-1, 4))
+            drawn.append((len(rows), len({row.tobytes() for row in rows})))
             return draw(words, cfg)
 
+        def recording(s_out, i_out, phases, delta, cfg, noise, out):
+            blocks.append(np.broadcast_to(noise, (len(phases), cfg.n_samples)).copy())
+            return synthesize(s_out, i_out, phases, delta, cfg, noise, out)
+
         monkeypatch.setattr(sweeps, "_standard_normals", counting)
-        detection = DetectionConfig(noise_sigma=0.05, rng_seed=7)
-        spec = ScanSpec(kind=kind, grid=(40.0,), pipeline="full_beatnote", detection=detection)
+        monkeypatch.setattr(sweeps, "synthesize_block", recording)
+        detection = DetectionConfig(noise_sigma=sigma, rng_seed=seed)
+        if kind == "detuning_spectrum":
+            spec = ScanSpec(kind=kind, grid=(10.0, 20.0, 30.0), pipeline="full_beatnote",
+                            amplifier=AmplifierParams(pump_power=40.0), detection=detection)
+        else:
+            spec = ScanSpec(kind=kind, grid=(25.0, 40.0, 63.0), pipeline="full_beatnote",
+                            detection=detection)
         run_scan(spec)
-        # The fit block's cell-on and cell-off rows; the measured block reuses the cell-on row.
-        assert drawn == [2]
-        pipe = sweeps._BeatnotePipeline(spec)
-        ((r, loss, delta),) = spec.operating_points()
-        pipe.gain_extrema(r, loss, 0, delta)
-        assert drawn == [2, 2] and pipe._kept == {}  # nothing is kept past the point
+        assert drawn == [(2, 2)] * len(spec.grid)  # one cell-on and one cell-off row a point
+        fit_rows = 6 if kind == "pia_compare" else 4
+        assert [len(rows) for rows in blocks] == [fit_rows, 2] * len(spec.grid)
+        for j, rows in enumerate(blocks):  # each point's fit block, then its measured block
+            k, measured = divmod(j, 2)
+            streams = [CELL_ON] * 2 if measured else sweeps._FIT_BLOCK_STREAMS[:fit_rows]
+            for row, stream in zip(rows, streams):
+                entropy = np.random.SeedSequence(point_seed(seed, k), spawn_key=(stream,))
+                expected = np.random.default_rng(entropy).normal(0.0, sigma, row.size)
+                assert np.array_equal(row, expected)
 
     @pytest.mark.parametrize("sigma", [0.0, 0.05, 0.2])
     @pytest.mark.parametrize("seed", range(4))
