@@ -78,7 +78,7 @@ class DetectionConfig:
         if not math.isfinite(delta) or delta <= 0.0:
             raise DomainError(f"beatnote synthesis needs detuning > 0 kHz, got {delta}")
         need = NYQUIST_MARGIN * 2.0 * delta
-        if self.sample_rate < need * (1.0 - 1e-12):  # a rate scaled with delta may round low
+        if self.sample_rate < need * (1.0 - 1e-12):  # a rate computed from delta may round low
             raise DomainError(
                 f"sample_rate: {self.sample_rate} kHz violates the Nyquist margin: "
                 f"need >= {need} kHz for delta = {delta} kHz"
@@ -247,6 +247,7 @@ def synthesize_block(s_out, i_out, pump_phase, delta: float, cfg: DetectionConfi
     |E|^2, then adds ``noise``: one row of ``n_samples``, or one per record.
     ``out``, a pair of (P, n_samples) float64 planes, takes Re E and Im E, and
     the block is written into its first; by default both are fresh arrays.
+    ``cfg`` must pass ``validate_for_delta(delta)``: ``ScanSpec`` and ``_record`` check it.
     """
     phase = np.asarray(pump_phase, dtype=np.float64)
     # E(t) = lo + (s + i)*cos(wt) + j*(s - i)*sin(wt), from rows that start as phase, s and i.
@@ -257,7 +258,6 @@ def synthesize_block(s_out, i_out, pump_phase, delta: float, cfg: DetectionConfi
             raise DomainError(f"field amplitudes must be finite, got ({s_out}, {i_out})")
         if not np.isfinite(phase).all():
             raise DomainError(f"pump_phase must be finite, got {pump_phase}")
-    cfg.validate_for_delta(delta)
     n = cfg.n_samples
     if noise is not None and np.shape(noise) not in ((n,), (1, n), (phase.size, n)):
         raise DomainError(f"noise: expected 1 or {phase.size} rows of {n} samples, "
@@ -280,6 +280,7 @@ def synthesize_block(s_out, i_out, pump_phase, delta: float, cfg: DetectionConfi
 
 def _record(s, i, pump_phase, delta, cfg: DetectionConfig, stream: int) -> BeatnoteRecord:
     """One record, its noise drawn under ``SeedSequence(cfg.rng_seed, spawn_key=(stream,))``."""
+    cfg.validate_for_delta(delta)
     noise = _standard_normals(seed_words(cfg.rng_seed, stream, 4), cfg) if cfg.noise_sigma else None
     trace = synthesize_block(s, i, pump_phase, delta, cfg, noise)[0]
     return BeatnoteRecord(trace, delta, cfg)

@@ -2,6 +2,8 @@
 
 import math
 
+import numpy as np
+
 
 class PsalabError(ValueError):
     """Base class for all errors raised by psalab."""
@@ -19,12 +21,14 @@ def check_number(
     name: str, value, lower: float = -math.inf, strict: bool = False, integer: bool = False
 ):
     """``value`` as a finite float (an int if ``integer``) that is >= ``lower``,
-    or > ``lower`` if ``strict``.
+    or > ``lower`` if ``strict``.  A bool or a string is refused, not coerced.
 
     A failure raises DomainError("<name>: expected <bound>, got <value>"),
     which the config layer prefixes with the document's key path.  Hot
     callers pass the bound positionally: keyword calls cost more.
     """
+    if isinstance(value, (bool, np.bool_, str, bytes)):
+        raise DomainError(f"{name}: expected a number, got {value!r}")
     try:
         number = int(value) if integer else float(value)
     except (TypeError, ValueError, OverflowError):

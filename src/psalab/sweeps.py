@@ -26,7 +26,7 @@ the block measured at the phases the search found.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -73,7 +73,8 @@ COS_CLAMP_SIGMAS = 6.0
 
 @dataclass(frozen=True)
 class ScanSpec:
-    """Complete, serialisable description of one campaign."""
+    """Complete, serialisable description of one campaign.  Under full_beatnote every
+    record, at any grid detuning, is sampled with ``detection`` at ``amplifier.detuning``."""
 
     kind: str
     grid: tuple[float, ...]
@@ -139,7 +140,7 @@ class ScanSpec:
                     "(input_ratio = 1); the cosine phase readout assumes the reduced "
                     "beatnote form.  Run mixed seeds through model_exact."
                 )
-            # The records sample the beat at the detuning; a spectrum scales from it.
+            # Every record of the run, a spectrum's too, samples the beat at the detuning.
             detuning = check_number("amplifier.detuning", self.amplifier.detuning, 0.0, strict=True)
             if self.kind == "detuning_spectrum" and min(self.grid) == 0.0:
                 raise DomainError(
@@ -147,8 +148,7 @@ class ScanSpec:
                     "beat is undefined at delta = 0; start the grid above 0 or run model_exact"
                 )
             try:
-                for delta in self.grid if self.kind == "detuning_spectrum" else (detuning,):
-                    self.detection_for(delta).validate_for_delta(delta)
+                self.detection.validate_for_delta(detuning)
             except DomainError as err:  # it names the detection field it bounds
                 raise DomainError(f"detection.{err}") from None
             try:  # the synthesis planes the run allocates, if numpy can hold them
@@ -189,14 +189,6 @@ class ScanSpec:
         else:
             points = [(amp.pump_power, amp.detuning)]
         return [(*effective_r(power, delta, self.calibration), delta) for power, delta in points]
-
-    def detection_for(self, delta: float) -> DetectionConfig:
-        """The detection config at one beat frequency: detuning sweeps keep the
-        samples per period constant by scaling the sample rate with it."""
-        cfg = self.detection
-        if delta == self.amplifier.detuning:
-            return cfg
-        return replace(cfg, sample_rate=cfg.sample_rate / self.amplifier.detuning * delta)
 
     def as_dict(self) -> dict:
         """``dataclasses.asdict``, shallow: the grid is shared, nested dataclasses hold scalars."""
@@ -239,7 +231,7 @@ class _Pipeline:
         self.spec = spec
         self.a_s, self.a_i = spec.input_fields()
 
-    def peaks(self, s_out, i_out, phases, delta: float, stream, points):
+    def peaks(self, s_out, i_out, phases, stream, points):
         """(dc, at_delta, at_two_delta) of the record at each pump phase, a row each; ``stream``
         and ``points`` (a grid index; rows of one share its noise) are scalars or one per row."""
         raise NotImplementedError
@@ -250,7 +242,7 @@ class _Pipeline:
         scale = math.sqrt(loss)
         return s_out * scale, i_out * scale
 
-    def gain_extrema(self, r: float, loss: float, index: int, delta: float) -> tuple:
+    def gain_extrema(self, r: float, loss: float, index: int) -> tuple:
         """(g_max, g_min, rho): measured gains at the pump phases of largest and smallest
         gain, and for a ``pia_compare`` spec the PIA ratio (else None).
 
@@ -273,7 +265,7 @@ class _Pipeline:
         if pia:  # the on-row with an unseeded idler at phi_p = 0, then its cell-off row
             s_out[4:5], i_out[4:5] = self._outputs(r, loss, _FIT_PUMP[:1], 0j)
             s_out[5], i_out[5] = self.a_s, 0j
-        dc, at_delta, two_delta = self.peaks(s_out, i_out, _FIT_BLOCK_PHASES[:rows], delta,
+        dc, at_delta, two_delta = self.peaks(s_out, i_out, _FIT_BLOCK_PHASES[:rows],
                                              _FIT_BLOCK_STREAMS[:rows], index)
         # ScanSpec refuses a beatnote PIA without the pump, so the off delta-peak is not 0.
         rho = abs(at_delta.item(4)) / abs(at_delta.item(5)) if pia else None
@@ -290,14 +282,14 @@ class _Pipeline:
         shape = (c1 * np.exp(1j * x) + c2 * np.exp(2j * x)).real
         phases = 0.5 * x[[shape.argmax(), shape.argmin()]] % math.pi
         s_out, i_out = self._outputs(r, loss, wrap_phase(phases), self.a_i)
-        on = self.peaks(s_out, i_out, phases, delta, CELL_ON, index)[2]
+        on = self.peaks(s_out, i_out, phases, CELL_ON, index)[2]
         return (*gain_ratio(on, reference, off_dc).tolist(), rho)
 
     def scan_grid(self) -> dict[str, np.ndarray]:
         """The phase grid's columns: gain, plus gain_idler and cos_phi_out for a transfer
         curve; each grid point keeps its own on/off record pair and noise seed."""
         spec = self.spec
-        ((r, loss, delta),) = spec.operating_points()
+        ((r, loss, _),) = spec.operating_points()
         phases = np.asarray(spec.grid)
         s_out, i_out = self._outputs(r, loss, wrap_phase(phases), self.a_i)
         transfer = spec.kind == "transfer_curve"
@@ -311,8 +303,8 @@ class _Pipeline:
             cos_out = np.cos(wrap_phase(np.angle(s_out) - phases))
             return {"gain": gain, "gain_idler": gain_idler, "cos_phi_out": cos_out}
         points = np.arange(phases.size)
-        _, on_delta, on_two_delta = self.peaks(s_out, i_out, phases, delta, CELL_ON, points)
-        off_dc, _, reference = self.peaks(self.a_s, self.a_i, phases, delta, CELL_OFF, points)
+        _, on_delta, on_two_delta = self.peaks(s_out, i_out, phases, CELL_ON, points)
+        off_dc, _, reference = self.peaks(self.a_s, self.a_i, phases, CELL_OFF, points)
         gain = gain_ratio(on_two_delta, reference, off_dc)
         if not transfer:
             return {"gain": gain}
@@ -338,14 +330,14 @@ class _ModelPipeline(_Pipeline):
     """Closed-form peaks of noiseless records, plus closed-form extrema and PIA
     ratio in place of the measured ones: they are the oracle, and faster."""
 
-    def peaks(self, s_out, i_out, phases, delta, stream, points):
+    def peaks(self, s_out, i_out, phases, stream, points):
         i_p = self.spec.detection.residual_pump_intensity
         lo = np.exp(1j * np.asarray(phases, dtype=np.float64))
         dc = i_p + np.abs(s_out) ** 2 + np.abs(i_out) ** 2
         at_delta = 2.0 * math.sqrt(i_p) * (s_out * lo.conjugate() + np.conjugate(i_out) * lo)
         return dc, at_delta, 2.0 * s_out * np.conjugate(i_out)
 
-    def gain_extrema(self, r: float, loss: float, index: int, delta: float) -> tuple:
+    def gain_extrema(self, r: float, loss: float, index: int) -> tuple:
         c, s = math.cosh(r), math.sinh(r)
         rho = math.sqrt(loss) * (c + s) if self.spec.kind == "pia_compare" else None
         if self.spec.input_ratio == 1.0:
@@ -357,8 +349,8 @@ class _ModelPipeline(_Pipeline):
 
 
 class _BeatnotePipeline(_Pipeline):
-    """Peaks read from synthesized records, seeded per grid point: a grid index's
-    (CELL_ON, CELL_OFF) noise rows are drawn once and read by each of its blocks."""
+    """Peaks of records sampled with ``spec.detection`` at ``amplifier.detuning``, seeded per
+    grid point: a grid index's (CELL_ON, CELL_OFF) noise rows are drawn once for its blocks."""
 
     def __init__(self, spec: ScanSpec):
         super().__init__(spec)
@@ -370,18 +362,18 @@ class _BeatnotePipeline(_Pipeline):
             self._words = seed_words(seeds, np.array([[CELL_ON], [CELL_OFF]]), 4)
             self._pair = None, None  # (grid index, its noise rows indexed by stream)
 
-    def peaks(self, s_out, i_out, phases, delta, stream, points):
+    def peaks(self, s_out, i_out, phases, stream, points):
         """Records synthesized and read as (P, N) blocks of at most RECORD_BLOCK rows, each
         into this run's planes."""
         rows = len(phases)
         if rows > RECORD_BLOCK:
             s, i, phi, k, st = np.broadcast_arrays(s_out, i_out, phases, points, stream)
             blocks = [
-                self.peaks(s[part], i[part], phi[part], delta, st[part], k[part])
+                self.peaks(s[part], i[part], phi[part], st[part], k[part])
                 for part in (slice(n, n + RECORD_BLOCK) for n in range(0, rows, RECORD_BLOCK))
             ]
             return tuple(np.concatenate(column) for column in zip(*blocks))
-        cfg = self.spec.detection_for(delta)
+        cfg, delta = self.spec.detection, self.spec.amplifier.detuning
         noise = None
         if cfg.noise_sigma:
             if np.ndim(points):  # a scan block: one row per grid index
@@ -422,8 +414,7 @@ def run_scan(spec: ScanSpec) -> SweepResult:
             columns.update(phi_out_wrapped=wrap_phase(unwrapped), phi_out_unwrapped=unwrapped)
         return SweepResult(grid, columns, metadata)
     g_max, g_min, rho = zip(*(
-        pipe.gain_extrema(r, loss, k, delta)
-        for k, (r, loss, delta) in enumerate(spec.operating_points())
+        pipe.gain_extrema(r, loss, k) for k, (r, loss, _) in enumerate(spec.operating_points())
     ))
     if spec.kind == "pia_compare":  # g_pia = c**2 inverts rho through cosh^2 - sinh^2 = 1
         g_pia = [c * c for c in (0.5 * (ratio + 1.0 / ratio) for ratio in rho)]

@@ -61,6 +61,20 @@ class TestScanSpecValidation:
         with pytest.raises(DomainError, match=f"^grid: expected .*{bad}"):
             ScanSpec(kind="power_sweep", grid=grid)
 
+    @pytest.mark.parametrize("build, name, value", [
+        (lambda v: DetectionConfig(rng_seed=v), "rng_seed", True),
+        (lambda v: AmplifierParams(r=v), "r", True),
+        (lambda v: DetectionConfig(sample_rate=v), "sample_rate", "100"),
+        (lambda v: ScanSpec(kind="power_sweep", grid=(v, 5.0)), "grid", "3"),
+        (lambda v: CalibrationMap(p_sat=v), "p_sat", np.bool_(True)),
+        (lambda v: DetectionConfig(n_samples=v), "n_samples", b"2000"),
+    ], ids=["rng_seed_bool", "r_bool", "sample_rate_str", "grid_str", "p_sat_np_bool",
+            "n_samples_bytes"])
+    def test_numbers_refuse_bools_and_strings(self, build, name, value):
+        with pytest.raises(DomainError) as err:
+            build(value)
+        assert str(err.value) == f"{name}: expected a number, got {value!r}"
+
     def test_rejects_non_monotone_grid(self):
         with pytest.raises(DomainError, match="monotone"):
             ScanSpec(kind="power_sweep", grid=(0.0, 10.0, 5.0))
@@ -244,6 +258,26 @@ class TestDetuningSpectrum:
         res = run_scan(self.SPEC)
         assert "phenomenological" in res.metadata["detuning_model"]
 
+    @pytest.mark.parametrize("sigma", [0.0, 0.05])
+    def test_beatnote_records_sample_every_detuning_at_the_base(self, sigma, monkeypatch):
+        calls = []
+        synthesize = sweeps.synthesize_block
+
+        def recording(s_out, i_out, phases, delta, cfg, noise=None, out=None):
+            calls.append((delta, cfg))
+            return synthesize(s_out, i_out, phases, delta, cfg, noise, out)
+
+        monkeypatch.setattr(sweeps, "synthesize_block", recording)
+        spec = ScanSpec(kind="detuning_spectrum", grid=(10.0, 20.0, 30.0),
+                        amplifier=AmplifierParams(pump_power=40.0),
+                        detection=DetectionConfig(noise_sigma=sigma, rng_seed=4),
+                        pipeline="full_beatnote")
+        run_scan(spec)
+        assert len(calls) == 2 * len(spec.grid)  # each point's fit and measured blocks
+        for delta, cfg in calls:
+            assert delta == spec.amplifier.detuning
+            assert cfg is spec.detection
+
 
 class TestTransferCurve:
     # includes the exact extremal phases 0 and -pi/2
@@ -383,12 +417,12 @@ class TestBeatnoteExtremumSearch:
         counts = Counter()
         peaks = sweeps._BeatnotePipeline.peaks
 
-        def counting(pipe, s_out, i_out, phases, delta, stream, points):
+        def counting(pipe, s_out, i_out, phases, stream, points):
             if len(phases) <= sweeps.RECORD_BLOCK:  # one block; a longer call splits
                 for row_stream in np.broadcast_to(stream, len(phases)):
                     counts["off" if row_stream == CELL_OFF else "gain"] += 1
                 counts["calls"] += 1
-            return peaks(pipe, s_out, i_out, phases, delta, stream, points)
+            return peaks(pipe, s_out, i_out, phases, stream, points)
 
         monkeypatch.setattr(sweeps._BeatnotePipeline, "peaks", counting)
         measured = sweeps._BeatnotePipeline.gain_extrema
@@ -440,11 +474,11 @@ class TestBeatnoteExtremumSearch:
         spec = ScanSpec(kind="pia_compare", grid=self.POWERS, pipeline="full_beatnote",
                         detection=detection)
         pipe = sweeps._BeatnotePipeline(spec)
-        for index, (r, loss, delta) in enumerate(spec.operating_points()):
+        for index, (r, loss, _) in enumerate(spec.operating_points()):
             s_out, i_out = pipe._outputs(r, loss, (0.0,), 0j)
             _, on_off, _ = pipe.peaks(np.append(s_out, pipe.a_s), np.append(i_out, 0j),
-                                      (0.0, 0.0), delta, np.array([CELL_ON, CELL_OFF]), index)
-            assert pipe.gain_extrema(r, loss, index, delta)[2] == abs(on_off[0]) / abs(on_off[1])
+                                      (0.0, 0.0), np.array([CELL_ON, CELL_OFF]), index)
+            assert pipe.gain_extrema(r, loss, index)[2] == abs(on_off[0]) / abs(on_off[1])
 
     @pytest.mark.parametrize("kind", ["power_sweep", "pia_compare", "detuning_spectrum"])
     def test_noisy_point_draws_each_row_once(self, kind, monkeypatch):
@@ -497,11 +531,11 @@ class TestBeatnoteExtremumSearch:
             detection=DetectionConfig(noise_sigma=sigma, rng_seed=int(rng.integers(2**32))),
         )
         pipe = sweeps._BeatnotePipeline(spec)
-        delta, index = spec.amplifier.detuning, int(rng.integers(len(self.POWERS)))
+        index = int(rng.integers(len(self.POWERS)))
 
         def on_peaks(phases):
             s_out, i_out = pipe._outputs(r, loss, sweeps.wrap_phase(phases), pipe.a_i)
-            dc, _, on = pipe.peaks(s_out, i_out, phases, delta, CELL_ON, index)
+            dc, _, on = pipe.peaks(s_out, i_out, phases, CELL_ON, index)
             return dc, on
 
         def terms(phases):
@@ -568,7 +602,7 @@ class TestPeakSeam:
         s_out, i_out = (rng.normal(0.0, 2.0, rows) + 1j * rng.normal(0.0, 2.0, rows) for _ in "si")
         phases = rng.uniform(-2.0 * math.pi, 2.0 * math.pi, rows)
 
-        model = sweeps._ModelPipeline(spec).peaks(s_out, i_out, phases, delta, CELL_ON, 0)
+        model = sweeps._ModelPipeline(spec).peaks(s_out, i_out, phases, CELL_ON, 0)
         block = synthesize_block(s_out, i_out, phases, delta, detection)
         read = block_peaks(block, detection.sample_rate, delta)
         scale = (math.sqrt(detection.residual_pump_intensity) + np.abs(s_out) + np.abs(i_out)) ** 2
@@ -601,7 +635,7 @@ class TestPeakSeam:
         pipe = sweeps._ModelPipeline(spec)
         for index, power in enumerate((0.0, 5.0, 30.0, 80.0)):
             for delta in (2.0, 140.0):
-                point = (*effective_r(power, delta, spec.calibration), index, delta)
+                point = (*effective_r(power, delta, spec.calibration), index)
                 *measured, rho = sweeps._Pipeline.gain_extrema(pipe, *point)
                 *exact, exact_rho = pipe.gain_extrema(*point)
                 assert measured == pytest.approx(exact, rel=1e-12, abs=0.0)
@@ -631,8 +665,8 @@ class TestPipelineEquivalence:
         ),
     ]
 
-    # At delta = 1 the scaled sample rate rounds to 19.999999999999996 kHz, 20 samples a
-    # period like the base detuning's, at exactly the Nyquist margin.
+    # At its base detuning this config samples 20 points a period, exactly at the Nyquist
+    # margin, and every grid detuning is read with it.
     AT_MARGIN = ScanSpec(
         kind="detuning_spectrum",
         grid=(1.0, 2.0),
@@ -764,7 +798,7 @@ def agreement_cases(draw):
         "powers": (low_power, draw(st.floats(low_power + 1.0, 80.0))),
         "pia_powers": (low_pia, draw(st.floats(low_pia + 1.0, 80.0))),
         "input_ratio": draw(st.floats(0.2, 5.0)),
-        # detection_for keeps the samples per period, so any delta > 0 is valid.
+        # Records are sampled at the base detuning whatever the grid, so any delta > 0 is valid.
         "deltas": (low_delta, draw(st.floats(low_delta + 1.0, 1000.0))),
     }
 
