@@ -8,10 +8,9 @@ is a rewrite of a file holding other bytes.  Then prints one
 
 - the six stock campaigns of ``run_campaigns.py`` with its pipeline set to
   each of the two (the spectrum and the mixed transfer curve stay pinned to
-  model_exact), plus two full_beatnote copies: the spectrum from 10 kHz,
-  since records refuse delta = 0, and the power sweep at input ratio 1.78,
-  whose g_min comes off the quartic's roots; all at noise_sigma 0 and 0.05,
-  as csv, json and binary;
+  model_exact), plus two full_beatnote copies: the spectrum on a 10-1000 kHz
+  grid and the power sweep at input ratio 1.78, whose g_min comes off the
+  quartic's roots; all at noise_sigma 0 and 0.05, as csv, json and binary;
 - the stock power sweep and PIA comparison under full_beatnote, each grid
   point run as its own one-point scan (a ``perfbench`` ``beatnote_extrema``
   unit) and the rows joined into one csv, at noise_sigma 0 and 0.05;
@@ -24,6 +23,8 @@ is a rewrite of a file holding other bytes.  Then prints one
 - a transfer histogram written by ``psalab histogram``;
 - a phase scan whose ``--config`` misspells ``noise_sigma``, refused
   before it writes anything (its stderr and exit code);
+- the CLI's refusal of each run document in ``REFUSED_DOCUMENTS``: its
+  subcommand and JSON, then its stderr and exit code, in one file;
 - the ``--help`` text of ``psalab`` and of every subcommand.
 
 The temporary directory reads ``<out>`` in the CLI sidecars and stdout.
@@ -71,6 +72,19 @@ PIPELINES = ("model_exact", "full_beatnote")
 SWEEPS = ("phase-scan", "power-sweep", "pia-compare", "spectrum", "transfer")
 SUBCOMMANDS = (*SWEEPS, "histogram", "synth", "analyze")
 ONE_POINT_CAMPAIGNS = ("gain_vs_power", "psa_vs_pia")
+# (subcommand, run document) pairs the config layer refuses: a wrong JSON type,
+# a bound, a grid parameter, a grid value, an anchor value and an emit list.
+REFUSED_DOCUMENTS = (
+    ("phase-scan", {"scan": {"detection": {"noise_sigma": [0.05]}}}),
+    ("phase-scan", {"verbosity": True}),
+    ("phase-scan", {"verbosity": 3}),
+    ("phase-scan", {"scan": {"grid": {"start": -4, "stop": 4, "num": 2.5}}}),
+    ("phase-scan", {"scan": {"grid": {"start": "0", "stop": 4, "num": 9}}}),
+    ("power-sweep", {"scan": {"grid": {"start": 0, "stop": 80, "step": -1}}}),
+    ("power-sweep", {"scan": {"grid": {"values": [0, "a"]}}}),
+    ("power-sweep", {"scan": {"calibration": {"anchor": {"power": "x"}}}}),
+    ("phase-scan", {"emit": "csv"}),
+)
 
 
 def _campaign_specs(seed: int, pipeline: str) -> dict:
@@ -148,6 +162,13 @@ def write_outputs(seed: int, outdir: Path) -> None:
                                          "detection": {"noise_sigm": 0.05}}}))
     stdout["cli_unknown_key"] = _cli(["phase-scan", *common, "--config", str(typo)])
     typo.unlink()
+    refused, refusals = outdir / "refused.json", []
+    for sub, doc in REFUSED_DOCUMENTS:
+        refused.write_text(json.dumps(doc))
+        argv = [sub, *common, "--config", str(refused)]
+        refusals.append(f"{sub} {json.dumps(doc)}\n{_cli(argv)}")
+    stdout["cli_refusals"] = "".join(refusals)
+    refused.unlink()
 
     columns = os.environ.get("COLUMNS")
     os.environ["COLUMNS"] = "80"  # argparse wraps help text to the terminal width

@@ -61,7 +61,7 @@ def campaign_specs(seed: int, pipeline: str) -> dict[str, ScanSpec]:
             grid=tuple(np.arange(0.0, 1000.1, 10.0)),
             amplifier=operating,
             detection=detection,
-            pipeline="model_exact",  # records refuse the grid's delta = 0
+            pipeline="model_exact",  # pinned, so its bytes stay; full_beatnote would run it too
         ),
         "transfer_pure": ScanSpec(
             kind="transfer_curve",

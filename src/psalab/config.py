@@ -19,15 +19,15 @@ A run document looks like
 
 Every key is optional except scan.kind.  Each section fills one library
 dataclass (the calibration section goes through ``fitted_calibration``),
-whose defaults fill omitted keys and whose checks bound the values given;
-a field's DomainError comes back as a ConfigError that names the key path.
-This module checks only what a dataclass cannot: JSON types, unknown or
-repeated keys (errors that name the full key path) and grid forms.  It
-supplies the two defaults that belong to the document, the kind's grid
-(DEFAULT_GRIDS) and DEFAULT_PUMP_POWER_MW while ``r`` is unset, so a minimal
-pure-PSA phase scan needs nothing but the kind.  A grid is given in one form:
-explicit ``values``, or ``start``/``stop`` plus ``num`` (inclusive linspace)
-or ``step``; a mixture of forms is an error.
+whose defaults fill omitted keys and whose checks refuse the values given,
+every number through ``errors.check_number``; a field's DomainError comes
+back as a ConfigError that names the key path.  This module checks only what
+a dataclass cannot: unknown or repeated keys, sections that are not objects
+and grid forms.  It supplies the two defaults that belong to the document,
+the kind's grid (DEFAULT_GRIDS) and DEFAULT_PUMP_POWER_MW while ``r`` is
+unset, so a minimal pure-PSA phase scan needs nothing but the kind.  A grid
+is given in one form: explicit ``values``, or ``start``/``stop`` plus ``num``
+(inclusive linspace) or ``step``; a mixture of forms is an error.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ import numpy as np
 
 from .beatnote import DetectionConfig
 from .calibration import CalibrationMap, fitted_calibration
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, check_number
 from .serialize import check_emit
 from .squeezer import AmplifierParams
 from .sweeps import POWER_RANGE_MW, SCAN_KINDS, ScanSpec
@@ -70,11 +70,14 @@ class RunConfig:
     verbosity: int = 1
 
     def __post_init__(self) -> None:
+        if not isinstance(self.output_dir, (str, os.PathLike)):
+            raise ConfigError(f"output_dir: expected a string path, got {self.output_dir!r}")
         object.__setattr__(self, "output_dir", Path(self.output_dir))
         object.__setattr__(self, "emit", check_emit(self.emit))
-        if int(self.verbosity) != self.verbosity or not 0 <= self.verbosity <= 2:
+        verbosity = check_number("verbosity", self.verbosity, 0, integer=True)
+        if verbosity > 2:
             raise ConfigError(f"verbosity: expected integer in [0, 2], got {self.verbosity!r}")
-        object.__setattr__(self, "verbosity", int(self.verbosity))
+        object.__setattr__(self, "verbosity", verbosity)
 
 
 def _names(cls, *extra: str) -> tuple[str, ...]:
@@ -113,15 +116,12 @@ def _section(doc: dict, path: str, key: str) -> dict:
     return value
 
 
-def _number(value, label: str, nullable: bool = False):
-    """A JSON number, checked for type and finiteness; bounds are the dataclasses'."""
-    if value is None and nullable:
-        return None
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{label}: expected a number, got {value!r}")
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ConfigError(f"{label}: expected a finite number, got {value!r}")
-    return value
+def _grid_number(grid: dict, key: str, *bounds, **flags):
+    """``grid[key]`` through ``check_number``, its error named ``scan.grid.<key>``."""
+    try:
+        return check_number(key, grid[key], *bounds, **flags)
+    except DomainError as err:
+        raise ConfigError(f"scan.grid.{err}") from None
 
 
 def _expand(key: str, make, *args) -> tuple[float, ...]:
@@ -132,7 +132,7 @@ def _expand(key: str, make, *args) -> tuple[float, ...]:
         raise ConfigError(f"scan.grid.{key}: {args[-1]!r} does not expand: {err}") from None
 
 
-def _parse_grid(scan: dict, kind: str) -> tuple[float, ...]:
+def _parse_grid(scan: dict, kind: str) -> list | tuple:
     if "grid" not in scan:
         return DEFAULT_GRIDS[kind]
     raw = scan["grid"]
@@ -145,17 +145,12 @@ def _parse_grid(scan: dict, kind: str) -> tuple[float, ...]:
         if "values" not in raw:
             if "start" not in raw or "stop" not in raw:
                 raise ConfigError("scan.grid: needs 'values' or both 'start' and 'stop'")
-            start = _number(raw["start"], "scan.grid.start")
-            stop = _number(raw["stop"], "scan.grid.stop")
+            start, stop = _grid_number(raw, "start"), _grid_number(raw, "stop")
             if "num" in raw:
-                num = _number(raw["num"], "scan.grid.num")
-                if int(num) != num or num < 1:
-                    raise ConfigError(f"scan.grid.num: expected an integer >= 1, got {num!r}")
-                return _expand("num", np.linspace, start, stop, int(num))
+                num = _grid_number(raw, "num", 1, integer=True)
+                return _expand("num", np.linspace, start, stop, num)
             if "step" in raw:
-                step = _number(raw["step"], "scan.grid.step")
-                if not step > 0:
-                    raise ConfigError(f"scan.grid.step: expected > 0, got {step!r}")
+                step = _grid_number(raw, "step", 0.0, strict=True)
                 return _expand("step", np.arange, start, stop + 0.5 * step, step)
             raise ConfigError("scan.grid: start/stop need either 'num' or 'step'")
         values = raw["values"]
@@ -163,43 +158,25 @@ def _parse_grid(scan: dict, kind: str) -> tuple[float, ...]:
         raise ConfigError(f"scan.grid: expected a list or an object, got {raw!r}")
     if not isinstance(values, list) or not values:
         raise ConfigError(f"scan.grid.values: expected a non-empty list, got {values!r}")
-    for x in values:
-        if isinstance(x, bool) or not isinstance(x, (int, float)):
-            raise ConfigError(f"scan.grid.values: expected numbers, got {x!r}")
-    return tuple(float(x) for x in values)
+    return values
 
 
-def _values(cls, section: dict, path: str, **given) -> dict:
-    """Keyword arguments for ``cls``: ``given``, plus each other field the
-    section holds, with its JSON type checked against the field's default.
-
-    A string field goes to the dataclass as is (it checks its choices), a
-    tuple field needs a list, and any other field needs a number; null is
-    a value only where the default is None.
-    """
-    for f in fields(cls):
-        if f.name not in section or f.name in given:
-            continue
-        value, label = section[f.name], _join(path, f.name)
-        if isinstance(f.default, tuple) and not isinstance(value, list):
-            raise ConfigError(f"{label}: expected a list, got {value!r}")
-        if not isinstance(f.default, (str, tuple)):
-            value = _number(value, label, nullable=f.default is None)
-        given[f.name] = value
-    return given
+def _values(cls, section: dict, **given) -> dict:
+    """Keyword arguments for ``cls``: each field the section holds, as it is
+    (``cls`` checks its values), then ``given`` over them."""
+    return {**{f.name: section[f.name] for f in fields(cls) if f.name in section}, **given}
 
 
 def _named(path: str, err: DomainError) -> ConfigError:
     """A DomainError as a ConfigError on the key path of the field it
     names (``<field>: ...``), or on the section if it names none."""
     field = str(err).partition(":")[0].partition(".")[0]
-    sep = "." if field in _KNOWN_KEYS[path] else ": "
-    return ConfigError(f"{path}{sep}{err}")
+    return ConfigError(_join(path, str(err)) if field in _KNOWN_KEYS[path] else f"{path}: {err}")
 
 
 def _build(cls, section: dict, path: str, **given):
     try:
-        return cls(**_values(cls, section, path, **given))
+        return cls(**_values(cls, section, **given))
     except DomainError as err:
         raise _named(path, err) from None
 
@@ -217,9 +194,8 @@ def _calibration(scan: dict) -> CalibrationMap:
     path = "scan.calibration"
     section = _section(scan, "scan", "calibration")
     anchor = _section(section, path, "anchor")
-    shape = _values(CalibrationMap, section, path)
+    shape = _values(CalibrationMap, section)
     overrides = {key: shape.pop(key) for key in ("slope", "r_sat") if key in shape}
-    anchor = {key: _number(value, f"{path}.anchor.{key}") for key, value in anchor.items()}
     try:
         return replace(fitted_calibration(**anchor, **shape), **overrides)
     except DomainError as err:
@@ -248,9 +224,7 @@ def parse_config_document(doc: dict, *, default_kind: str | None = None) -> RunC
         detection=_build(DetectionConfig, _section(scan, "scan", "detection"), "scan.detection"),
     )
     output_dir = doc.get("output_dir", os.environ.get(ENV_OUTPUT_DIR, "."))
-    if not isinstance(output_dir, str):
-        raise ConfigError(f"output_dir: expected a string path, got {output_dir!r}")
-    return _build(RunConfig, doc, "", scan=spec, output_dir=Path(output_dir))
+    return _build(RunConfig, doc, "", scan=spec, output_dir=output_dir)
 
 
 class _Pairs(list):

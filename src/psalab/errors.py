@@ -21,17 +21,19 @@ def check_number(
     name: str, value, lower: float = -math.inf, strict: bool = False, integer: bool = False
 ):
     """``value`` as a finite float (an int if ``integer``) that is >= ``lower``,
-    or > ``lower`` if ``strict``.  A bool or a string is refused, not coerced.
+    or > ``lower`` if ``strict``.  A bool, a string, a complex or a non-number is refused.
 
     A failure raises DomainError("<name>: expected <bound>, got <value>"),
     which the config layer prefixes with the document's key path.  Hot
     callers pass the bound positionally: keyword calls cost more.
     """
-    if isinstance(value, (bool, np.bool_, str, bytes)):
+    if isinstance(value, (bool, np.bool_, str, bytes, np.complexfloating)):
         raise DomainError(f"{name}: expected a number, got {value!r}")
     try:
         number = int(value) if integer else float(value)
-    except (TypeError, ValueError, OverflowError):
+    except TypeError:  # None, a list, an object, a Python complex
+        raise DomainError(f"{name}: expected a number, got {value!r}") from None
+    except (ValueError, OverflowError):  # nan or inf as an int, an int past float range
         number = math.nan
     if (number > lower if strict else number >= lower) and (
         number == value if integer else math.isfinite(number)

@@ -162,8 +162,10 @@ def default_basename(kind: str, seed: int) -> str:
 
 
 def check_emit(emit) -> tuple[str, ...]:
-    """``emit`` as a tuple of output formats: at least one, each of EMIT_FORMATS, none
-    named twice; anything else raises ConfigError naming ``emit``."""
+    """``emit``, a list or tuple, as a tuple of output formats: at least one, each of
+    EMIT_FORMATS, none named twice; anything else raises ConfigError naming ``emit``."""
+    if not isinstance(emit, (list, tuple)):
+        raise ConfigError(f"emit: expected a list, got {emit!r}")
     emit = tuple(emit)
     if not emit:
         raise ConfigError("emit: at least one output format is required")

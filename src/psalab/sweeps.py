@@ -140,13 +140,9 @@ class ScanSpec:
                     "(input_ratio = 1); the cosine phase readout assumes the reduced "
                     "beatnote form.  Run mixed seeds through model_exact."
                 )
-            # Every record of the run, a spectrum's too, samples the beat at the detuning.
+            # Every record of the run samples the beat at amplifier.detuning; a spectrum's
+            # grid detuning, 0 kHz included, sets only its point's (r, loss).
             detuning = check_number("amplifier.detuning", self.amplifier.detuning, 0.0, strict=True)
-            if self.kind == "detuning_spectrum" and min(self.grid) == 0.0:
-                raise DomainError(
-                    "full_beatnote detuning grid holds delta = 0 kHz: the non-degenerate "
-                    "beat is undefined at delta = 0; start the grid above 0 or run model_exact"
-                )
             try:
                 self.detection.validate_for_delta(detuning)
             except DomainError as err:  # it names the detection field it bounds

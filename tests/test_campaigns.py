@@ -58,7 +58,7 @@ def test_hash_outputs_is_stable_within_a_process(tmp_path):
     # six stock campaigns per pipeline and sigma, plus the full_beatnote spectrum and
     # mixed-seed power sweep per sigma, and two one-point campaigns per sigma as csv
     campaigns, cli_sweeps, records, histogram, analyze = 4 * 6 * 3 + 2 * 2 * 3, 5 * 4, 3 * 2, 2, 2
-    helps, refusals, one_point = 1 + len(module.SUBCOMMANDS), 1, 2 * 2
+    helps, refusals, one_point = 1 + len(module.SUBCOMMANDS), 2, 2 * 2
     assert len(names) == (campaigns + cli_sweeps + records + histogram + analyze + helps
                           + refusals + one_point)
     assert "cli_unknown_key.stdout" in names

@@ -4,7 +4,7 @@ import json
 import math
 import re
 import struct
-from dataclasses import MISSING, asdict, fields
+from dataclasses import MISSING, asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -19,12 +19,14 @@ from psalab import (
     RunConfig,
     ScanSpec,
     parse_config,
+    run_scan,
     to_document,
 )
 from psalab.calibration import effective_r, fitted_calibration
 from psalab.cli import EXIT_CONFIG, EXIT_DOMAIN, EXIT_IO, EXIT_OK, build_parser, main
 from psalab.config import DEFAULT_GRIDS, DEFAULT_PUMP_POWER_MW
-from psalab.serialize import read_sweep_csv, record_to_binary
+from psalab.errors import check_number
+from psalab.serialize import check_emit, read_sweep_csv, record_to_binary
 from psalab.sweeps import SCAN_KINDS
 
 
@@ -129,6 +131,9 @@ class TestParseConfig:
         [
             ('"grid": {"start": -4, "stop": 4, "num": Infinity}', "scan.grid.num"),
             ('"detection": {"n_samples": NaN}', "scan.detection.n_samples"),
+            # an integer past float range
+            ('"grid": {"start": -4, "stop": 1%s, "num": 9}' % ("0" * 400), "scan.grid.stop"),
+            ('"grid": [0, 1%s]' % ("0" * 400), "scan.grid"),
         ],
     )
     def test_non_finite_numbers_rejected(self, scan, key):
@@ -175,10 +180,16 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="2\\*pi"):
             parse_config('{"scan": {"kind": "phase_scan", "grid": [0.0, 1.0]}}')
 
-    def test_full_beatnote_spectrum_default_grid_fails_at_parse(self):
+    def test_full_beatnote_spectrum_default_grid_runs(self):
         # The default detuning grid starts at 0 kHz.
-        with pytest.raises(ConfigError, match="undefined at delta = 0"):
-            parse_config('{"scan": {"kind": "detuning_spectrum", "pipeline": "full_beatnote"}}')
+        doc = {"scan": {"kind": "detuning_spectrum", "pipeline": "full_beatnote"}}
+        spec = parse_config(json.dumps(doc)).scan
+        assert spec.grid[0] == 0.0
+        beat, model = run_scan(spec), run_scan(replace(spec, pipeline="model_exact"))
+        for name, expected in model.columns.items():
+            difference = np.abs(beat.columns[name] - expected) / np.maximum(np.abs(expected), 1.0)
+            assert np.max(difference) <= 1e-9, name
+        assert beat.metadata["bandwidth_khz"] == model.metadata["bandwidth_khz"]
 
     def test_not_json(self):
         with pytest.raises(ConfigError, match="not valid JSON"):
@@ -230,9 +241,29 @@ class TestParseConfig:
             fitted_calibration(**shape)
 
     @pytest.mark.parametrize("emit", ['"csv"', '{"csv": 1}'])
-    def test_emit_must_be_a_list(self, emit):
+    @pytest.mark.parametrize("api", ["document", "check_emit", "RunConfig"])
+    def test_emit_must_be_a_list(self, emit, api):
+        value = json.loads(emit)
+        build = {
+            "document": lambda: parse_config('{"scan": {"kind": "phase_scan"}, "emit": %s}' % emit),
+            "check_emit": lambda: check_emit(value),
+            "RunConfig": lambda: RunConfig(ScanSpec("power_sweep", (0.0,)), ".", value),
+        }[api]
         with pytest.raises(ConfigError, match="^emit: expected a list"):
-            parse_config('{"scan": {"kind": "phase_scan"}, "emit": %s}' % emit)
+            build()
+
+    @pytest.mark.parametrize("verbosity", [True, [1]], ids=["bool", "list"])
+    def test_run_config_verbosity_is_a_number(self, verbosity):
+        with pytest.raises(DomainError, match=r"^verbosity: expected a number, got "):
+            RunConfig(ScanSpec("power_sweep", (0.0,)), ".", verbosity=verbosity)
+
+    @pytest.mark.parametrize("output_dir", [5, None, ["out"]])
+    def test_output_dir_is_a_path(self, output_dir):
+        message = f"^output_dir: expected a string path, got {re.escape(repr(output_dir))}$"
+        with pytest.raises(ConfigError, match=message):
+            RunConfig(ScanSpec("power_sweep", (0.0,)), output_dir)
+        with pytest.raises(ConfigError, match=message):
+            parse_config(json.dumps({"scan": {"kind": "phase_scan"}, "output_dir": output_dir}))
 
     @pytest.mark.parametrize(
         "key, value", [("step", 1e-300), ("num", 1e300), ("step", 1e-15), ("num", 1e15)]
@@ -291,10 +322,18 @@ class TestSchemaCoverage:
         }
 
     @pytest.mark.parametrize("path, default", NUMERIC_KEYS, ids=NUMERIC_IDS)
-    @pytest.mark.parametrize("value", ["1.0", True], ids=["string", "bool"])
+    @pytest.mark.parametrize(
+        "value", ["1.0", True, [1.0], {}], ids=["string", "bool", "list", "object"]
+    )
     def test_non_number_named(self, path, default, value):
         with pytest.raises(ConfigError, match=rf"^{'.'.join(path)}: expected a number"):
             parse_config(document_with(path, value))
+
+    @pytest.mark.parametrize("value", [None, [1.0], {}, 1j, np.complex128(0.5 + 2j), object()])
+    @pytest.mark.parametrize("integer", [False, True])
+    def test_check_number_names_a_non_number(self, value, integer):
+        with pytest.raises(DomainError, match=r"^x: expected a number, got "):
+            check_number("x", value, integer=integer)
 
     def test_out_of_range_named(self):
         # pump_phase is stored wrapped, so no finite value is out of its range.

@@ -291,8 +291,10 @@ def test_record_csv_reads_times_within_the_tolerance(tmp_path):
          "emit: format 'json' is named twice, got ['csv', 'json', 'json']"),
         (("csv", "xml"), "emit: unknown format 'xml', expected subset of "),
         ((), "emit: at least one output format is required"),
+        ("csv", "emit: expected a list, got 'csv'"),
+        ({"csv": 1}, "emit: expected a list, got {'csv': 1}"),
     ],
-    ids=["csv_twice", "json_twice", "unknown", "none"],
+    ids=["csv_twice", "json_twice", "unknown", "none", "string", "object"],
 )
 def test_write_sweep_refuses_bad_emit_before_writing(tmp_path, emit, message):
     result = SweepResult([0.0, 1.0], {"gain": [1.0, 2.0]}, {"x_name": "phi_in"})

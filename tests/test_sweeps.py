@@ -105,15 +105,13 @@ class TestScanSpecValidation:
                 pipeline="full_beatnote",
             )
 
-    def test_full_beatnote_spectrum_rejects_zero_detuning_at_build(self):
-        with pytest.raises(DomainError, match="detuning grid.*undefined at delta = 0") as err:
-            ScanSpec(
-                kind="detuning_spectrum",
-                grid=(0.0, 100.0, 200.0),
-                amplifier=AmplifierParams(pump_power=30.0, detuning=2.0),
-                pipeline="full_beatnote",
-            )
-        assert any(entry.name == "_validate_kind" for entry in err.traceback)
+    def test_full_beatnote_spectrum_runs_from_zero_detuning(self):
+        # Records are sampled at amplifier.detuning: 0 kHz only sets its point's (r, loss).
+        assert_pipelines_agree(ScanSpec(
+            kind="detuning_spectrum",
+            grid=(0.0, 100.0, 200.0),
+            amplifier=AmplifierParams(pump_power=30.0, detuning=2.0),
+        ))
 
 
 class TestOperatingPoints:
@@ -343,13 +341,13 @@ HEADERS = {
 }
 METADATA_KEYS = {"kind", "x_name", "scan_spec", "master_seed", "version"}
 BANDWIDTH_KEYS = {"bandwidth_khz", "bandwidth_tolerance", "detuning_model"}
-# Small specs both pipelines accept: a full_beatnote spectrum starts above 0 kHz.
+# Small specs both pipelines accept.
 SHAPE_SPECS = {
     "phase_scan": dict(grid=tuple(np.linspace(-math.pi, math.pi, 9)),
                        amplifier=AmplifierParams(r=0.5)),
     "power_sweep": dict(grid=(0.0, 40.0, 80.0)),
     "pia_compare": dict(grid=(0.0, 40.0, 80.0)),
-    "detuning_spectrum": dict(grid=(10.0, 100.0, 1000.0),
+    "detuning_spectrum": dict(grid=(0.0, 100.0, 1000.0),
                               amplifier=AmplifierParams(pump_power=30.0)),
     "transfer_curve": dict(grid=tuple(np.linspace(-math.pi, math.pi, 8, endpoint=False)),
                            amplifier=AmplifierParams(r=0.5)),
@@ -776,7 +774,7 @@ def agreement_cases(draw):
     # pia_compare stays at >= 1 mW: at 0 mW g_pia - 1 is a last-bit residue,
     # which the sqrt(g - 1) in g_max_from_pia amplifies to ~4.4e-9.
     low_pia = draw(st.floats(1.0, 40.0))
-    low_delta = draw(st.floats(0.5, 400.0))
+    low_delta = draw(st.floats(0.0, 400.0))
     return {
         "delta": delta,
         "detection": DetectionConfig(
@@ -798,7 +796,7 @@ def agreement_cases(draw):
         "powers": (low_power, draw(st.floats(low_power + 1.0, 80.0))),
         "pia_powers": (low_pia, draw(st.floats(low_pia + 1.0, 80.0))),
         "input_ratio": draw(st.floats(0.2, 5.0)),
-        # Records are sampled at the base detuning whatever the grid, so any delta > 0 is valid.
+        # Records are sampled at the base detuning whatever the grid, so any delta >= 0 is valid.
         "deltas": (low_delta, draw(st.floats(low_delta + 1.0, 1000.0))),
     }
 
