@@ -7,10 +7,10 @@ is a rewrite of a file holding other bytes.  Then prints one
 ``sha256  name`` line per file the second pass wrote, sorted by name:
 
 - the six stock campaigns of ``run_campaigns.py`` with its pipeline set to
-  each of the two (the spectrum and the mixed transfer curve stay pinned to
-  model_exact), plus two full_beatnote copies: the spectrum on a 10-1000 kHz
-  grid and the power sweep at input ratio 1.78, whose g_min comes off the
-  quartic's roots; all at noise_sigma 0 and 0.05, as csv, json and binary;
+  each of the two (the mixed transfer curve stays pinned to model_exact),
+  plus two copies of the stock power sweep under each pipeline: at input
+  ratio 1.78, whose g_min comes off the quartic's roots, and on a linear
+  calibration map; all at noise_sigma 0 and 0.05, as csv, json and binary;
 - the stock power sweep and PIA comparison under full_beatnote, each grid
   point run as its own one-point scan (a ``perfbench`` ``beatnote_extrema``
   unit) and the rows joined into one csv, at noise_sigma 0 and 0.05;
@@ -62,7 +62,7 @@ from pathlib import Path
 
 import numpy as np
 
-from psalab import SweepResult, run_scan
+from psalab import SweepResult, fitted_calibration, run_scan
 from psalab.cli import main as cli_main
 from psalab.errors import PsalabError
 from psalab.serialize import write_sweep
@@ -112,12 +112,9 @@ def write_outputs(seed: int, outdir: Path) -> None:
     for pipeline in PIPELINES:
         for sigma in SIGMAS:
             specs = _campaign_specs(seed, pipeline)
-            if pipeline == "full_beatnote":  # the stock spectrum is pinned to model_exact
-                specs["gain_spectrum_beatnote"] = replace(
-                    specs["gain_spectrum"], pipeline=pipeline,
-                    grid=tuple(np.arange(10.0, 1000.1, 10.0)),
-                )
-                specs["gain_vs_power_mixed"] = replace(specs["gain_vs_power"], input_ratio=1.78)
+            specs["gain_vs_power_mixed"] = replace(specs["gain_vs_power"], input_ratio=1.78)
+            specs["gain_vs_power_linear"] = replace(
+                specs["gain_vs_power"], calibration=fitted_calibration(mode="linear"))
             for name, spec in specs.items():
                 spec = replace(spec, detection=replace(spec.detection, noise_sigma=sigma))
                 base = f"campaign_{pipeline}_sigma{sigma:g}_{name}"

@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 """Produce the standard simulated-experiment datasets in one go.
 
-Runs the five stock campaigns (gain versus input phase, pump power,
+Runs the six stock campaigns (gain versus input phase, pump power,
 seeded-versus-unseeded gain, detuning spectrum, and the pure/mixed phase
 transfer pair) plus the output-phase histogram, writing plot-ready CSVs
-with JSON sidecars.  Everything is deterministic for a given --seed.
+with JSON sidecars.  Each campaign is its CLI subcommand's default run;
+the transfer pair adds r for a gain of 5.3, and the mixed curve an input
+ratio of 1.78.  Everything is deterministic for a given --seed.
 
 Usage:
     python scripts/run_campaigns.py --out results --seed 7
@@ -13,72 +15,28 @@ Usage:
 from __future__ import annotations
 
 import argparse
-import math
 from pathlib import Path
 
-import numpy as np
-
-from psalab import (
-    AmplifierParams,
-    DetectionConfig,
-    ScanSpec,
-    phase_histogram,
-    r_for_max_gain,
-    run_scan,
-)
+from psalab import ScanSpec, phase_histogram, r_for_max_gain, run_scan
+from psalab.config import parse_config_document
 from psalab.serialize import histogram_to_csv, write_sweep
 
 
 def campaign_specs(seed: int, pipeline: str) -> dict[str, ScanSpec]:
-    detection = DetectionConfig(rng_seed=seed)
-    operating = AmplifierParams(pump_power=30.0, detuning=2.0)
-    transfer_grid = tuple(np.linspace(-math.pi, math.pi, 512, endpoint=False))
-    r_pure = r_for_max_gain(5.3)
-    return {
-        "gain_vs_phase": ScanSpec(
-            kind="phase_scan",
-            grid=tuple(np.linspace(-math.pi, math.pi, 257)),
-            amplifier=operating,
-            detection=detection,
-            pipeline=pipeline,
-        ),
-        "gain_vs_power": ScanSpec(
-            kind="power_sweep",
-            grid=tuple(np.linspace(0.0, 80.0, 33)),
-            amplifier=operating,
-            detection=detection,
-            pipeline=pipeline,
-        ),
-        "psa_vs_pia": ScanSpec(
-            kind="pia_compare",
-            grid=tuple(np.linspace(0.0, 80.0, 33)),
-            amplifier=operating,
-            detection=detection,
-            pipeline=pipeline,
-        ),
-        "gain_spectrum": ScanSpec(
-            kind="detuning_spectrum",
-            grid=tuple(np.arange(0.0, 1000.1, 10.0)),
-            amplifier=operating,
-            detection=detection,
-            pipeline="model_exact",  # pinned, so its bytes stay; full_beatnote would run it too
-        ),
-        "transfer_pure": ScanSpec(
-            kind="transfer_curve",
-            grid=transfer_grid,
-            amplifier=AmplifierParams(r=r_pure, detuning=2.0),
-            detection=detection,
-            pipeline=pipeline,
-        ),
-        "transfer_mixed": ScanSpec(
-            kind="transfer_curve",
-            grid=transfer_grid,
-            amplifier=AmplifierParams(r=r_pure, detuning=2.0),
-            detection=detection,
-            input_ratio=1.78,
-            pipeline="model_exact",  # mixed seeds run the theory route
-        ),
+    """The stock campaigns at ``seed``, each parsed from its run document's scan section."""
+    transfer = {"kind": "transfer_curve", "amplifier": {"r": r_for_max_gain(5.3)}}
+    scans = {
+        "gain_vs_phase": {"kind": "phase_scan"},
+        "gain_vs_power": {"kind": "power_sweep"},
+        "psa_vs_pia": {"kind": "pia_compare"},
+        "gain_spectrum": {"kind": "detuning_spectrum"},
+        "transfer_pure": transfer,
+        # ScanSpec refuses a full_beatnote mixed-seed curve, so it runs the closed form.
+        "transfer_mixed": {**transfer, "input_ratio": 1.78, "pipeline": "model_exact"},
     }
+    common = {"pipeline": pipeline, "detection": {"rng_seed": seed}}
+    return {name: parse_config_document({"scan": {**common, **scan}}).scan
+            for name, scan in scans.items()}
 
 
 def write_histogram(result, outdir: Path, name: str, bins: int = 64) -> Path:
@@ -94,7 +52,7 @@ def main() -> None:
         "--pipeline",
         choices=("model_exact", "full_beatnote"),
         default="full_beatnote",
-        help="measurement pipeline for the equal-seed campaigns",
+        help="measurement pipeline for every campaign but transfer_mixed, which runs model_exact",
     )
     args = parser.parse_args()
 

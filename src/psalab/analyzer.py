@@ -84,9 +84,14 @@ def block_peaks(
 
 
 def spectrum_peaks(rec: BeatnoteRecord) -> tuple[float, complex, complex]:
-    """DC and the delta / 2*delta coherent amplitudes of a record."""
-    dc, at_delta, at_two_delta = block_peaks(rec.samples[np.newaxis], rec.sample_rate, rec.delta)
-    return float(dc[0]), complex(at_delta[0]), complex(at_two_delta[0])
+    """DC and the delta / 2*delta coherent amplitudes of a record; a non-finite one raises."""
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite peak is refused below
+        dc, at_delta, at_two_delta = block_peaks(rec.samples[None], rec.sample_rate, rec.delta)
+    peaks = float(dc[0]), complex(at_delta[0]), complex(at_two_delta[0])
+    for name, peak in zip(("dc", "at_delta", "at_two_delta"), peaks):
+        if not math.isfinite(abs(peak)):  # finite samples can still sum past the largest float
+            raise DomainError(f"{name}: peak amplitude {abs(peak)} is not finite")
+    return peaks
 
 
 def _first_failure(ok, *values) -> tuple:

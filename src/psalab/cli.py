@@ -143,6 +143,10 @@ def _cmd_histogram(args: argparse.Namespace) -> int:
         raise ConfigError(
             f"{args.input}: column {args.column!r} not found (has: {', '.join(names)})"
         )
+    if not args.column.startswith("phi_"):  # phase_histogram wraps what it bins
+        known = ", ".join(name for name in names if name.startswith("phi_")) or "none"
+        raise ConfigError(f"--column {args.column!r} is not a phase column "
+                          f"(phase columns of {args.input}: {known})")
     phases = data[:, names.index(args.column)]
     edges, counts = phase_histogram(phases, args.bins)
     out = Path(args.out) if args.out else Path(args.input).parent
@@ -181,12 +185,10 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     record = read_record(args.record)
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite peak is refused below
+    try:
         dc, at_delta, at_two_delta = spectrum_peaks(record)
-    sizes = {"dc": dc, "at_delta": abs(at_delta), "at_two_delta": abs(at_two_delta)}
-    for name, size in sizes.items():
-        if not math.isfinite(size):  # finite samples can still sum past the largest float
-            raise DomainError(f"{args.record}: {name}: peak amplitude {size} is not finite")
+    except DomainError as err:
+        raise DomainError(f"{args.record}: {err}") from None
 
     def tone(z: complex) -> dict:
         return {"re": z.real, "im": z.imag, "abs": abs(z)}

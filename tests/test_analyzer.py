@@ -3,6 +3,7 @@
 import cmath
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -128,6 +129,16 @@ class TestSpectrumPeaks:
         rec = BeatnoteRecord(samples, 2.025, cfg)
         with pytest.raises(DomainError, match="off the FFT bin grid"):
             spectrum_peaks(rec)
+
+    def test_a_peak_that_overflows_raises_without_a_warning(self):
+        # Finite samples of +-1.79e308 on the 2*delta tone: their peak sums past the largest float.
+        t = np.arange(CFG.n_samples) / CFG.sample_rate
+        samples = 1.79e308 * np.sign(np.cos(2.0 * math.pi * 2.0 * DELTA * t))
+        message = "^at_two_delta: peak amplitude inf is not finite$"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=message):
+                spectrum_peaks(BeatnoteRecord(samples, DELTA, CFG))
 
 
 class TestExtractGain:

@@ -7,10 +7,13 @@ import os
 import subprocess
 import sys
 import tarfile
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from psalab import run_scan
 from psalab.cli import EXIT_OK, main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -38,12 +41,28 @@ def test_campaign_histogram_matches_cli_histogram(tmp_path, pipeline):
     assert (out / "transfer_pure_hist.csv").read_bytes() == expected
 
 
-def _hash_outputs():
-    path = ROOT / "scripts" / "hash_outputs.py"
-    spec = importlib.util.spec_from_file_location("hash_outputs", path)
+def _script(name):
+    path = ROOT / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _hash_outputs():
+    return _script("hash_outputs")
+
+
+def test_stock_spectrum_is_measured_under_full_beatnote():
+    spec = _script("run_campaigns").campaign_specs(7, "full_beatnote")["gain_spectrum"]
+    assert spec.pipeline == "full_beatnote"
+    measured, model = run_scan(spec), run_scan(replace(spec, pipeline="model_exact"))
+    np.testing.assert_array_equal(measured.x, model.x)
+    assert measured.columns.keys() == model.columns.keys()
+    for name, column in model.columns.items():
+        np.testing.assert_allclose(measured.columns[name], column, rtol=1e-9, atol=0.0)
+    assert measured.metadata["bandwidth_khz"] == pytest.approx(model.metadata["bandwidth_khz"],
+                                                               rel=1e-9)
 
 
 def test_hash_outputs_is_stable_within_a_process(tmp_path):
@@ -55,16 +74,18 @@ def test_hash_outputs_is_stable_within_a_process(tmp_path):
              for path in sorted(tmp_path.iterdir())]
     assert first == fresh
     names = [line.split("  ", 1)[1] for line in first]
-    # six stock campaigns per pipeline and sigma, plus the full_beatnote spectrum and
-    # mixed-seed power sweep per sigma, and two one-point campaigns per sigma as csv
-    campaigns, cli_sweeps, records, histogram, analyze = 4 * 6 * 3 + 2 * 2 * 3, 5 * 4, 3 * 2, 2, 2
+    # six stock campaigns plus the mixed-seed and linear-map power sweeps per pipeline
+    # and sigma, and two one-point campaigns per sigma as csv
+    campaigns = 4 * 6 * 3 + 2 * 2 * 3 + 2 * 2 * 3
+    cli_sweeps, records, histogram, analyze = 5 * 4, 3 * 2, 2, 2
     helps, refusals, one_point = 1 + len(module.SUBCOMMANDS), 2, 2 * 2
     assert len(names) == (campaigns + cli_sweeps + records + histogram + analyze + helps
                           + refusals + one_point)
     assert "cli_unknown_key.stdout" in names
     assert not [name for name in names if name.endswith(".error")]
     assert "campaign_full_beatnote_sigma0.05_transfer_pure.csv" in names
-    assert "campaign_full_beatnote_sigma0.05_gain_spectrum_beatnote.csv" in names
+    assert "campaign_model_exact_sigma0.05_gain_vs_power_mixed.csv" in names
+    assert "campaign_full_beatnote_sigma0.05_gain_vs_power_linear.csv" in names
     assert "campaign_full_beatnote_sigma0.05_gain_vs_power_mixed.csv" in names
     assert "one_point_full_beatnote_sigma0.05_psa_vs_pia.csv" in names
 

@@ -667,6 +667,25 @@ class TestCliTransferAndHistogram:
         bad.write_text("a,b\n1,2\n")
         assert main(["histogram", str(bad)]) == EXIT_CONFIG
 
+    def test_histogram_refuses_a_column_that_is_not_a_phase(self, tmp_path, capsys):
+        # Gains above pi would wrap into the low bins.
+        main(["phase-scan", "--out", str(tmp_path), "--name", "ph", "--quiet"])
+        path = tmp_path / "ph.csv"
+        assert main(["histogram", str(path), "--column", "gain"]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("psalab: config error: --column 'gain' is not a phase column "
+                                f"(phase columns of {path}: phi_in)\n")
+        assert not (tmp_path / "ph_hist.csv").exists()
+
+    def test_histogram_bins_an_input_phase_column(self, tmp_path):
+        main(["phase-scan", "--out", str(tmp_path), "--name", "ph", "--quiet"])
+        argv = ["histogram", str(tmp_path / "ph.csv"), "--column", "phi_in", "--quiet"]
+        assert main(argv) == EXIT_OK
+        counts = [int(line.split(",")[2])
+                  for line in (tmp_path / "ph_hist.csv").read_text().splitlines()[1:]]
+        assert sum(counts) == len(DEFAULT_GRIDS["phase_scan"])
+
     @pytest.mark.parametrize("bins", ["1", "0", "-3"])
     def test_histogram_rejects_too_few_bins(self, tmp_path, capsys, bins):
         sweep = tmp_path / "one.csv"
