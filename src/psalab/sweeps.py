@@ -21,11 +21,22 @@ which makes the implied maximum gain rho**2 agree exactly with the seeded one.
 Under full_beatnote an extremum point reads two record blocks: the fit block
 at fixed pump phases (which also holds a PIA comparison's two records) and
 the block measured at the phases the search found.
+
+A phase scan's records are synthesized and read RECORD_BLOCK points at a time,
+each block into its worker's planes, which the run allocates once (1 MB a
+worker at 2,000 samples).  A noisy scan on two or more usable CPUs has two
+workers, the calling thread and one helper thread joined within the call, as
+its noise draws release the GIL; any other run has one and starts no thread.
+Every row keeps its own seed words and every block is computed as the serial
+loop computes it, so the worker count moves no output bit.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,8 +62,8 @@ EXTREMA_FLAT_RTOL = 1e-13
 # this fraction of 1/g_max; the largest such detuning is the bandwidth.
 BANDWIDTH_TOLERANCE = 0.05
 
-# full_beatnote synthesizes and reads at most this many records per block, every block
-# of a run into the (2, RECORD_BLOCK, n_samples) planes its pipeline allocates once.
+# full_beatnote synthesizes and reads at most this many records per block, each block
+# into its worker's (2, RECORD_BLOCK, n_samples) planes, which the run allocates once.
 RECORD_BLOCK = 32
 
 # The extremum search's fit block: the cell-off row, the on-rows at phi_p = 0, pi/3 and
@@ -148,7 +159,7 @@ class ScanSpec:
             except DomainError as err:  # it names the detection field it bounds
                 raise DomainError(f"detection.{err}") from None
             try:  # the synthesis planes the run allocates, if numpy can hold them
-                np.empty((2, RECORD_BLOCK, self.detection.n_samples))
+                _synthesis_planes(self)
             except (ValueError, MemoryError) as err:  # numpy's _ArrayMemoryError: too many samples
                 raise DomainError(f"detection.n_samples: {err}") from None
         self._validate_operating_points()
@@ -211,6 +222,20 @@ class SweepResult:
         for name, col in self.columns.items():
             if col.shape != self.x.shape:
                 raise DomainError(f"column {name!r} length {col.size} != grid length {self.x.size}")
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _synthesis_planes(spec: ScanSpec) -> np.ndarray:
+    """A full_beatnote run's (workers, 2, RECORD_BLOCK, n_samples) synthesis planes: two
+    workers for a noisy phase scan or transfer curve (its draws release the GIL) where two
+    CPUs are usable, else one; the extremum search's blocks all run on the calling thread."""
+    noisy_scan = spec.kind in ("phase_scan", "transfer_curve") and spec.detection.noise_sigma > 0.0
+    workers = 2 if noisy_scan and _usable_cpus() >= 2 else 1
+    return np.empty((workers, 2, RECORD_BLOCK, spec.detection.n_samples))
 
 
 def point_seed(master_seed: int, index):
@@ -350,24 +375,47 @@ class _BeatnotePipeline(_Pipeline):
 
     def __init__(self, spec: ScanSpec):
         super().__init__(spec)
-        # The Re E and Im E planes every block of the run is synthesized into.
-        self._planes = np.empty((2, RECORD_BLOCK, spec.detection.n_samples))
+        # Per worker, the Re E and Im E planes each of its blocks is synthesized into.
+        self._planes = _synthesis_planes(spec)
         if spec.detection.noise_sigma > 0.0:  # noiseless runs derive no seeds
             seeds = point_seed(spec.detection.rng_seed, np.arange(len(spec.grid)))
             # PCG64 seed words, indexed [stream, grid index]: CELL_ON is 0, CELL_OFF 1.
             self._words = seed_words(seeds, np.array([[CELL_ON], [CELL_OFF]]), 4)
             self._pair = None, None  # (grid index, its noise rows indexed by stream)
 
-    def peaks(self, s_out, i_out, phases, stream, points):
+    def peaks(self, s_out, i_out, phases, stream, points, worker=0):
         """Records synthesized and read as (P, N) blocks of at most RECORD_BLOCK rows, each
-        into this run's planes."""
+        into its worker's planes: block j of a larger call goes to worker j mod workers,
+        the calling thread being worker 0 and a helper thread, joined here, worker 1."""
         rows = len(phases)
         if rows > RECORD_BLOCK:
             s, i, phi, k, st = np.broadcast_arrays(s_out, i_out, phases, points, stream)
-            blocks = [
-                self.peaks(s[part], i[part], phi[part], st[part], k[part])
-                for part in (slice(n, n + RECORD_BLOCK) for n in range(0, rows, RECORD_BLOCK))
-            ]
+            parts = [slice(n, n + RECORD_BLOCK) for n in range(0, rows, RECORD_BLOCK)]
+            workers = len(self._planes)
+            blocks = [None] * len(parts)  # slot j: block j's peaks, or the error it raised
+
+            def work(worker):  # this worker's blocks in grid order, up to its first error
+                for j in range(worker, len(parts), workers):
+                    part = parts[j]
+                    try:
+                        blocks[j] = self.peaks(s[part], i[part], phi[part], st[part], k[part],
+                                               worker)
+                    except Exception as err:  # raised below, after the helper is joined
+                        blocks[j] = err
+                        return
+
+            helper = None
+            if workers > 1:  # under the caller's numpy errstate, a context variable
+                helper = threading.Thread(target=contextvars.copy_context().run, args=(work, 1))
+                helper.start()
+            try:
+                work(0)
+            finally:
+                if helper is not None:
+                    helper.join()
+            for result in blocks:  # the lowest-numbered failing block, as a serial loop raises
+                if isinstance(result, Exception):
+                    raise result
             return tuple(np.concatenate(column) for column in zip(*blocks))
         cfg, delta = self.spec.detection, self.spec.amplifier.detuning
         noise = None
@@ -378,7 +426,8 @@ class _BeatnotePipeline(_Pipeline):
                 if self._pair[0] != points:
                     self._pair = points, _standard_normals(self._words[:, points], cfg)
                 noise = self._pair[1][stream]
-        block = synthesize_block(s_out, i_out, phases, delta, cfg, noise, self._planes[:, :rows])
+        planes = self._planes[worker, :, :rows]
+        block = synthesize_block(s_out, i_out, phases, delta, cfg, noise, planes)
         return block_peaks(block, cfg.sample_rate, delta)  # read before the next block is written
 
 

@@ -4,6 +4,7 @@ import json
 import math
 import re
 import struct
+import sys
 from dataclasses import MISSING, asdict, fields, replace
 
 import numpy as np
@@ -22,6 +23,7 @@ from psalab import (
     run_scan,
     to_document,
 )
+from psalab import sweeps
 from psalab.calibration import effective_r, fitted_calibration
 from psalab.cli import EXIT_CONFIG, EXIT_DOMAIN, EXIT_IO, EXIT_OK, build_parser, main
 from psalab.config import DEFAULT_GRIDS, DEFAULT_PUMP_POWER_MW
@@ -495,6 +497,42 @@ class TestCliSweeps:
         cfg.write_text(json.dumps({"scan": {"kind": kind, "pipeline": "full_beatnote", **keys}}))
         assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith(f"psalab: config error: {key}: ")
+        assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="needs Linux's RLIMIT_AS and /proc/self/statm")
+    def test_planes_of_two_workers_are_checked_when_the_spec_is_built(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """Address space for one worker's synthesis planes but not for two: a noisy run on
+        two CPUs exits 2 before it starts, while a noiseless or one-CPU spec is built."""
+        import resource
+
+        n_samples = 1_000_000  # 1000 periods of 2 kHz at 100 kHz; one worker's planes: 512 MB
+        with open("/proc/self/statm") as statm:
+            mapped = int(statm.read().split()[0]) * resource.getpagesize()
+        soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+        limit = mapped + 768 * 2**20
+        if hard != resource.RLIM_INFINITY and hard < limit:
+            pytest.skip("the hard address-space limit leaves no room for one worker's planes")
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"scan": {"kind": "phase_scan", "pipeline": "full_beatnote",
+                                            "detection": {"n_samples": n_samples,
+                                                          "noise_sigma": 0.05}}}))
+        spec = parse_config(cfg.read_text()).scan
+        monkeypatch.setattr(sweeps, "_usable_cpus", lambda: 2)
+        resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+        try:
+            replace(spec, detection=replace(spec.detection, noise_sigma=0.0))
+            with monkeypatch.context() as one_cpu:
+                one_cpu.setattr(sweeps, "_usable_cpus", lambda: 1)
+                replace(spec)
+            code = main(["phase-scan", "--config", str(cfg), "--out", str(tmp_path)])
+        finally:
+            resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("psalab: config error: scan.detection.n_samples: ")
         assert not list(tmp_path.glob("*.csv"))
 
     @pytest.mark.parametrize("scan", [{}, {"input_ratio": 1.78}, {"pipeline": "full_beatnote"}],

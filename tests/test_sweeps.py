@@ -5,6 +5,8 @@ import cmath
 import importlib.util
 import json
 import math
+import sys
+import threading
 from collections import Counter
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -738,29 +740,134 @@ class TestBlockedScans:
         self.assert_rows_match_single_records(spec, 23)
 
     @pytest.mark.parametrize("sigma", [0.0, 0.1], ids=["noiseless", "noisy"])
-    def test_a_run_synthesizes_every_block_into_one_pair_of_planes(self, sigma, monkeypatch):
+    def test_each_worker_synthesizes_its_blocks_into_its_own_planes(self, sigma, monkeypatch):
         blocks = []
+        caller = threading.get_ident()
         synthesize = sweeps.synthesize_block
 
         def recording(s_out, i_out, phases, delta, cfg, noise=None, out=None):
             addresses = tuple(plane.__array_interface__["data"][0] for plane in out)
-            blocks.append((len(phases), addresses, out.base.shape))
+            worker = 0 if threading.get_ident() == caller else 1
+            blocks.append((worker, len(phases), addresses, out.base))
             return synthesize(s_out, i_out, phases, delta, cfg, noise, out)
 
         monkeypatch.setattr(sweeps, "synthesize_block", recording)
+        monkeypatch.setattr(sweeps, "_usable_cpus", lambda: 2)
         detection = DetectionConfig(noise_sigma=sigma, rng_seed=5)
-        block = sweeps.RECORD_BLOCK
-        runs = [  # a phase grid's on-rows, then its off-rows; per extremum point its two blocks
-            (phase_spec(grid=tuple(self.GRIDS["block_plus_one"])), [block, 1, block, 1]),
-            (ScanSpec(kind="power_sweep", grid=(10.0, 40.0)), [4, 2, 4, 2]),
-            (ScanSpec(kind="pia_compare", grid=(10.0, 40.0)), [6, 2, 6, 2]),
+        block, workers = sweeps.RECORD_BLOCK, 2 if sigma else 1
+        # A phase grid's on-rows, then its off-rows, as blocks 0-3 each: worker j mod workers
+        # takes block j.  Per extremum point its two blocks, on a run's one worker.
+        grid = tuple(np.linspace(-math.pi, math.pi, 3 * block + 1))
+        scan_rows = {0: [block, block, block, 1] * 2} if workers == 1 else {
+            0: [block, block] * 2, 1: [block, 1] * 2}
+        runs = [
+            (phase_spec(grid=grid), scan_rows),
+            (ScanSpec(kind="power_sweep", grid=(10.0, 40.0)), {0: [4, 2, 4, 2]}),
+            (ScanSpec(kind="pia_compare", grid=(10.0, 40.0)), {0: [6, 2, 6, 2]}),
         ]
         for spec, rows in runs:
             blocks.clear()
             run_scan(replace(spec, detection=detection, pipeline="full_beatnote"))
-            assert [n for n, _, _ in blocks] == rows, spec.kind
-            assert len({addresses for _, addresses, _ in blocks}) == 1, spec.kind
-            assert {shape for _, _, shape in blocks} == {(2, block, detection.n_samples)}
+            by_worker = {w: [b for b in blocks if b[0] == w] for w in rows}
+            assert {w: [n for _, n, _, _ in b] for w, b in by_worker.items()} == rows, spec.kind
+            planes = [{addresses for _, _, addresses, _ in b} for b in by_worker.values()]
+            assert [len(p) for p in planes] == [1] * len(rows), spec.kind  # reused, per worker
+            assert len(set().union(*planes)) == len(rows), spec.kind  # one pair each
+            base = blocks[0][3]  # allocated once per run, as one array
+            assert all(b is base for _, _, _, b in blocks), spec.kind
+            assert base.shape == (len(rows), 2, block, detection.n_samples), spec.kind
+
+
+def _worker_scan(kind, n, cpus, monkeypatch, seed=29):
+    """A noisy full_beatnote scan of ``n`` points run with ``cpus`` usable CPUs."""
+    monkeypatch.setattr(sweeps, "_usable_cpus", lambda: cpus)
+    grid = tuple(np.linspace(-math.pi, math.pi, n)) if n > 1 else (0.3,)
+    return run_scan(ScanSpec(kind=kind, grid=grid, amplifier=AmplifierParams(r=R_53),
+                             detection=DetectionConfig(noise_sigma=0.05, rng_seed=seed),
+                             pipeline="full_beatnote"))
+
+
+class TestBlockWorkers:
+    """A noisy scan splits its blocks between the calling thread and one helper thread,
+    joined in the call; every row keeps its seed words, so no output bit moves."""
+
+    # A phase scan spans 2*pi, so it has no 1-point grid.
+    @pytest.mark.parametrize(
+        "kind, n",
+        [("transfer_curve", 1)]
+        + [(kind, n) for kind in ("phase_scan", "transfer_curve")
+           for n in (31, 32, 33, 64, 65, 257)],
+    )
+    def test_one_and_two_workers_give_the_same_bytes(self, kind, n, monkeypatch):
+        one = _worker_scan(kind, n, 1, monkeypatch)
+        two = _worker_scan(kind, n, 2, monkeypatch)
+        assert one.columns.keys() == two.columns.keys()
+        for name, column in one.columns.items():
+            assert np.array_equal(column, two.columns[name]), name
+        again = _worker_scan(kind, n, 2, monkeypatch)
+        assert sweep_csv_bytes(again) == sweep_csv_bytes(two) == sweep_csv_bytes(one)
+        assert sweep_json_bytes(again) == sweep_json_bytes(two)
+
+    def test_workers_switching_every_microsecond_give_the_same_bytes(self, monkeypatch):
+        one = _worker_scan("transfer_curve", 257, 1, monkeypatch)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # the threads interleave as finely as they can
+        try:
+            two = _worker_scan("transfer_curve", 257, 2, monkeypatch)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sweep_csv_bytes(two) == sweep_csv_bytes(one)
+
+    GRID_POINTS = 3 * sweeps.RECORD_BLOCK + 5  # blocks 0-3, the last one partial
+
+    @pytest.mark.parametrize("failing", [0, 1, 3], ids=["block_0", "block_1", "last_block"])
+    def test_a_failing_block_raises_the_serial_error(self, failing, monkeypatch):
+        grid = np.linspace(-math.pi, math.pi, self.GRID_POINTS)
+        synthesize = sweeps.synthesize_block
+
+        def failing_from(s_out, i_out, phases, delta, cfg, noise=None, out=None):
+            j = int(np.flatnonzero(grid == phases[0])[0]) // sweeps.RECORD_BLOCK
+            if j >= failing:  # this block and every later one, so both workers fail
+                raise DomainError(f"block {j}")
+            return synthesize(s_out, i_out, phases, delta, cfg, noise, out)
+
+        monkeypatch.setattr(sweeps, "synthesize_block", failing_from)
+        threads = threading.active_count()
+        errors = []
+        for cpus in (1, 2):
+            with pytest.raises(DomainError) as info:
+                _worker_scan("phase_scan", self.GRID_POINTS, cpus, monkeypatch)
+            errors.append(str(info.value))
+            assert threading.active_count() == threads
+        assert errors == [f"block {failing}"] * 2
+
+    def test_the_helper_runs_under_the_callers_errstate_and_ends_with_the_run(self, monkeypatch):
+        calls = []
+        synthesize = sweeps.synthesize_block
+
+        def recording(*args):
+            calls.append((threading.get_ident(), np.geterr()["over"]))
+            return synthesize(*args)
+
+        monkeypatch.setattr(sweeps, "synthesize_block", recording)
+        threads = threading.active_count()
+        with np.errstate(over="raise"):
+            _worker_scan("transfer_curve", self.GRID_POINTS, 2, monkeypatch)
+        assert threading.active_count() == threads
+        assert len({ident for ident, _ in calls}) > 1  # a helper took some blocks
+        assert {over for _, over in calls} == {"raise"}
+
+    @pytest.mark.parametrize("sigma, cpus", [(0.0, 2), (0.05, 1)], ids=["noiseless", "one_cpu"])
+    def test_serial_runs_start_no_thread(self, sigma, cpus, monkeypatch):
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a serial run started a thread")
+
+        monkeypatch.setattr(sweeps, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(threading, "Thread", no_thread)
+        spec = replace(phase_spec(grid=tuple(np.linspace(-math.pi, math.pi, self.GRID_POINTS))),
+                       detection=DetectionConfig(noise_sigma=sigma, rng_seed=3),
+                       pipeline="full_beatnote")
+        assert run_scan(spec).columns["gain"].size == self.GRID_POINTS
 
 
 @st.composite
