@@ -10,7 +10,6 @@ failures and I/O failures.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from pathlib import Path
@@ -26,6 +25,7 @@ from .errors import ConfigError, DomainError
 from .serialize import (
     default_basename,
     histogram_to_csv,
+    json_text,
     read_record,
     read_sweep_csv,
     read_text,
@@ -202,7 +202,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         "sample_rate_khz": record.sample_rate,
         "n_samples": record.n_samples,
     }
-    print(json.dumps(summary, indent=2, sort_keys=True, allow_nan=False))
+    print(json_text(summary))
     return EXIT_OK
 
 

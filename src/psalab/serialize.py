@@ -1,14 +1,16 @@
 """File formats: CSV, JSON sidecars and the compact binary layouts.
 
 All CSV numbers are written with 17 significant digits, which round-trips
-IEEE doubles losslessly.  Nothing time-dependent is ever written inside a
-file, so a scan re-run with the same seed produces byte-identical output;
-only the default file *names* carry a timestamp.
+IEEE doubles losslessly; a whole table is rendered with one %-format.  A JSON
+sidecar is exactly what ``json.dumps(indent=2, sort_keys=True, allow_nan=False)``
+writes, rendered by ``json_text`` in one pass.  Nothing time-dependent is ever
+written inside a file, so a scan re-run with the same seed produces
+byte-identical output; only the default file *names* carry a timestamp.
 
-An existing output is rewritten in place: the new bytes go over the old ones,
-then any old tail is cut.  A write is not atomic: an interrupted rewrite can
-leave the new bytes followed by the old tail, which a rerun repairs.  Nothing
-is synced to disk (no fsync).
+An existing output is rewritten in place through its descriptor: the new bytes
+go over the old ones, looping on partial writes, then any old tail is cut.  A
+write is not atomic: an interrupted rewrite can leave the new bytes followed by
+the old tail, which a rerun repairs.  Nothing is synced to disk (no fsync).
 
 Beatnote record binary layout, version 2 (little-endian):
 
@@ -34,11 +36,13 @@ Sweep binary layout (little-endian):
 from __future__ import annotations
 
 import hashlib
-import json
+import math
 import os
 import struct
 from dataclasses import asdict, fields
 from datetime import datetime, timezone
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -63,11 +67,54 @@ def fmt17(value: float) -> str:
 
 
 def _csv_bytes(head: list[str], columns, row_format: str | None = None) -> bytes:
-    """``head`` lines, then one line per row of ``columns``: one %-format per
-    row, each value as ``fmt17`` renders it unless ``row_format`` says otherwise."""
-    row_format = row_format or ",".join(["%.17g"] * len(columns))
-    rows = [row_format % row for row in zip(*(np.asarray(c).tolist() for c in columns))]
-    return ("\n".join([*head, *rows]) + "\n").encode("utf-8")
+    """``head`` lines, then one line per row of ``columns``, each value as ``fmt17`` renders
+    it unless ``row_format`` says otherwise: one %-format over the row-major values (integer
+    columns stay Python ints).  Columns of unequal length raise DomainError."""
+    lists = [np.asarray(c).tolist() for c in columns]
+    if len({len(c) for c in lists}) > 1:
+        raise DomainError(f"CSV columns differ in length: {[len(c) for c in lists]}")
+    row_format = (row_format or ",".join(["%.17g"] * len(columns))) + "\n"
+    body = row_format * len(lists[0]) % tuple(chain.from_iterable(zip(*lists)))
+    return ("\n".join(head) + "\n" + body).encode("utf-8")
+
+
+def json_text(value, level: int = 0) -> str:
+    """``value`` as ``json.dumps(value, indent=2, sort_keys=True, allow_nan=False)``
+    renders it, at indent ``level``: the same types in json's isinstance order, NaN
+    and infinities raise DomainError (a ValueError) and any other type TypeError.  A
+    run of floats (every grid echo) is checked and rendered in one pass."""
+    if not isinstance(value, (list, tuple, dict)):
+        return _json_scalar(value)
+    if not value:
+        return "{}" if isinstance(value, dict) else "[]"
+    pad = "\n" + "  " * level
+    sep = "," + pad + "  "
+    if isinstance(value, dict):
+        body = sep.join(
+            encode_basestring_ascii(key if isinstance(key, str) else _json_scalar(key))
+            + ": " + json_text(item, level + 1) for key, item in sorted(value.items()))
+        return "{" + sep[1:] + body + pad + "}"
+    try:  # float.__repr__ takes floats only; anything else goes one item at a time
+        body = sep.join(map(float.__repr__, value)) if all(map(math.isfinite, value)) else ""
+    except (TypeError, OverflowError):  # not a number, or an int past float range
+        body = ""
+    body = body or sep.join(json_text(item, level + 1) for item in value)
+    return "[" + sep[1:] + body + pad + "]"
+
+
+def _json_scalar(value) -> str:
+    """A non-container value (or a non-string key) as json renders it."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if math.isfinite(value):
+            return float.__repr__(value)
+        raise DomainError(f"Out of range float values are not JSON compliant: {value!r}")
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 # No O_TRUNC: ext4 (auto_da_alloc) flushes a file truncated to zero and rewritten in
@@ -80,10 +127,15 @@ def _write(path: str | Path, blob: bytes) -> Path:
     umask), then cut any old tail; the file ends with exactly ``blob``.  A device such
     as /dev/null has no tail to cut, and some refuse ``ftruncate``."""
     path = Path(path)
-    with open(os.open(path, _WRITE_FLAGS, 0o666), "wb") as handle:
-        handle.write(blob)
-        if os.fstat(handle.fileno()).st_size > len(blob):
-            handle.truncate(len(blob))
+    fd = os.open(path, _WRITE_FLAGS, 0o666)
+    try:
+        view = memoryview(blob)
+        while view:  # a write may take fewer bytes than it is given
+            view = view[os.write(fd, view):]
+        if os.fstat(fd).st_size > len(blob):
+            os.ftruncate(fd, len(blob))
+    finally:
+        os.close(fd)
     return path
 
 
@@ -100,7 +152,7 @@ def sweep_json_bytes(result) -> bytes:
     sidecar = dict(result.metadata)
     sidecar["columns"] = [result.metadata.get("x_name", "x"), *result.columns.keys()]
     sidecar["n_points"] = int(result.x.size)
-    return (json.dumps(sidecar, indent=2, sort_keys=True, allow_nan=False) + "\n").encode("utf-8")
+    return (json_text(sidecar) + "\n").encode("utf-8")
 
 
 def sweep_binary_bytes(result) -> bytes:
@@ -183,17 +235,25 @@ def write_sweep(
     emit: tuple[str, ...] = ("csv", "json"),
     basename: str | None = None,
 ) -> list[Path]:
-    """Write the requested formats and return the created paths; ``emit`` is checked
-    (``check_emit``) before anything is written."""
+    """Write the requested formats and return the created paths.  ``emit`` is checked
+    (``check_emit``) and every format rendered before anything is written: a NaN or
+    infinity in a column or in the metadata raises DomainError and writes no file."""
     emit = check_emit(emit)
+    names = [result.metadata.get("x_name", "x"), *result.columns]
+    for name, column in zip(names, [result.x, *result.columns.values()]):
+        if not np.isfinite(column).all():
+            k = np.flatnonzero(~np.isfinite(column))[0]
+            raise DomainError(f"sweep column {name!r}: data row {k + 1} is {column[k]}, "
+                              "not a finite number")
+    writers = {"csv": (".csv", sweep_csv_bytes), "json": (".json", sweep_json_bytes),
+               "binary": (".bin", sweep_binary_bytes)}
+    blobs = {writers[fmt][0]: writers[fmt][1](result) for fmt in emit}
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     base = basename or default_basename(
         result.metadata.get("kind", "scan"), result.metadata.get("master_seed", 0)
     )
-    writers = {"csv": (".csv", sweep_csv_bytes), "json": (".json", sweep_json_bytes),
-               "binary": (".bin", sweep_binary_bytes)}
-    return [_write(outdir / f"{base}{writers[fmt][0]}", writers[fmt][1](result)) for fmt in emit]
+    return [_write(outdir / f"{base}{suffix}", blob) for suffix, blob in blobs.items()]
 
 
 # ---------------------------------------------------------------------------

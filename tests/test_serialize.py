@@ -1,6 +1,7 @@
 """CSV writers against the per-value rendering, record round trips in both
 formats, and the readers under fuzzed input."""
 
+import json
 import math
 import os
 import re
@@ -14,11 +15,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from psalab import BeatnoteRecord, DetectionConfig, synthesize_beatnote
-from psalab.errors import ConfigError
+from psalab.errors import ConfigError, DomainError
 from psalab.serialize import (
     RECORD_TIME_TOL,
     fmt17,
     histogram_to_csv,
+    json_text,
     read_record,
     read_sweep_csv,
     record_binary_bytes,
@@ -349,3 +351,135 @@ def test_new_file_takes_the_umask_and_devices_take_a_write(tmp_path):
     assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~0o027
     assert record_to_binary(FUZZ_RECORD, os.devnull) == Path(os.devnull)
     assert stat.S_ISCHR(os.stat(os.devnull).st_mode)  # written through, not replaced
+
+
+def test_every_write_loops_until_the_whole_blob_is_on_disk(tmp_path, monkeypatch):
+    expected = {}
+    for name, (filename, write) in _WRITERS.items():
+        fresh = tmp_path / "fresh" / name / filename
+        fresh.parent.mkdir(parents=True)
+        write(fresh)
+        expected[name] = fresh.read_bytes()
+    real_write, calls = os.write, []
+
+    def short_write(fd, data):
+        calls.append(len(data))
+        return real_write(fd, bytes(data[:7]))
+
+    monkeypatch.setattr(os, "write", short_write)
+    for name, (filename, write) in _WRITERS.items():
+        path = tmp_path / "short" / name / filename
+        path.parent.mkdir(parents=True)
+        path.write_bytes(b"\xff" * (len(expected[name]) + 3))
+        write(path)
+        assert path.read_bytes() == expected[name]
+    assert len(calls) > sum(len(blob) // 7 for blob in expected.values())
+
+
+# ---------------------------------------------------------------------------
+# the sidecar encoder renders what json.dumps renders
+
+
+def _dumps(value) -> str:
+    return json.dumps(value, indent=2, sort_keys=True, allow_nan=False)
+
+
+ESCAPES = st.text(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u00e9\u2028\ud800\U0001f600a'))
+TEXT = st.one_of(st.text(), ESCAPES)
+FLOATS = st.one_of(st.sampled_from(EDGE_VALUES), st.floats(allow_nan=False, allow_infinity=False))
+LEAVES = st.one_of(
+    TEXT, FLOATS, FLOATS.map(np.float64), st.integers(-2**70, 2**70), st.booleans(), st.none(),
+)
+FLOAT_RUNS = st.lists(st.one_of(FLOATS, FLOATS.map(np.float64)), min_size=1, max_size=8)
+MIXED_RUNS = st.tuples(
+    FLOAT_RUNS, st.one_of(st.integers(-2**70, 2**70), st.booleans()), st.integers(0, 8),
+).map(lambda t: t[0][:t[2]] + [t[1]] + t[0][t[2]:])
+JSON_VALUES = st.recursive(
+    st.one_of(LEAVES, FLOAT_RUNS, MIXED_RUNS),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4), st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(TEXT, children, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+@given(JSON_VALUES)
+@settings(max_examples=400)
+def test_json_text_is_json_dumps(value):
+    assert json_text(value) == _dumps(value)
+
+
+@st.composite
+def nested(draw, leaf):
+    """``leaf`` at a drawn depth, among finite floats, in lists, tuples and dicts."""
+    value = leaf
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(["list", "tuple", "dict"]))
+        at = draw(st.integers(0, 3))
+        if kind == "dict":
+            value = {**{f"k{k}": float(k) for k in range(3)}, draw(TEXT): value}
+        else:
+            items = [float(k) for k in range(3)]
+            items.insert(at, value)
+            value = items if kind == "list" else tuple(items)
+    return value
+
+
+@given(st.data())
+@settings(max_examples=100)
+@pytest.mark.parametrize("leaf", [math.nan, math.inf, -math.inf, np.float64("nan")],
+                         ids=["nan", "inf", "-inf", "np_nan"])
+def test_json_text_refuses_non_finite_floats_at_any_depth(leaf, data):
+    value = data.draw(nested(leaf))
+    with pytest.raises(ValueError):
+        _dumps(value)
+    with pytest.raises(DomainError, match="^Out of range float values are not JSON compliant"):
+        json_text(value)
+
+
+@given(st.data())
+@settings(max_examples=100)
+@pytest.mark.parametrize("leaf", [np.int64(3), {1.0, 2.0}, b"bytes", np.float32(1.5)],
+                         ids=["np_int64", "set", "bytes", "np_float32"])
+def test_json_text_refuses_unsupported_types_at_any_depth(leaf, data):
+    value = data.draw(nested(leaf))
+    with pytest.raises(TypeError):
+        _dumps(value)
+    with pytest.raises(TypeError, match="is not JSON serializable$"):
+        json_text(value)
+
+
+# ---------------------------------------------------------------------------
+# what a writer refuses, it refuses before anything is written
+
+
+def test_ragged_csv_columns_are_refused_before_writing(tmp_path):
+    path = tmp_path / "hist.csv"
+    with pytest.raises(DomainError, match=r"^CSV columns differ in length: \[3, 3, 1\]$"):
+        histogram_to_csv(np.array([0.0, 1.0, 2.0, 3.0]), np.array([5]), path)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("emit", [("csv",), ("binary", "csv", "json")])
+@pytest.mark.parametrize("column", ["phi_in", "gain"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_write_sweep_refuses_a_non_finite_column_before_writing(tmp_path, emit, column, bad):
+    table = {"phi_in": [0.0, 0.5, 1.0], "gain": [1.0, 6.75, 0.125]}
+    table[column][2] = bad
+    result = SweepResult(table["phi_in"], {"gain": table["gain"]}, {"x_name": "phi_in"})
+    outdir = tmp_path / "out"
+    message = f"sweep column {column!r}: data row 3 is {bad}, not a finite number"
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        write_sweep(result, outdir, emit, "x")
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_write_sweep_refuses_non_finite_metadata_before_writing(tmp_path, bad):
+    result = SweepResult([0.0, 1.0], {"gain": [1.0, 2.0]},
+                         {"x_name": "phi_in", "scan_spec": {"grid": [0.0, bad]}})
+    outdir = tmp_path / "out"
+    with pytest.raises(DomainError, match="^Out of range float values are not JSON compliant"):
+        write_sweep(result, outdir, ("csv", "json"), "x")
+    assert not outdir.exists()
