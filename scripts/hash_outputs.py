@@ -24,7 +24,8 @@ is a rewrite of a file holding other bytes.  Then prints one
 - a phase scan whose ``--config`` misspells ``noise_sigma``, refused
   before it writes anything (its stderr and exit code);
 - the CLI's refusal of each run document in ``REFUSED_DOCUMENTS``: its
-  subcommand and JSON, then its stderr and exit code, in one file;
+  subcommand and JSON, then its stderr and exit code (or the exception that
+  escaped the CLI), in one file;
 - the ``--help`` text of ``psalab`` and of every subcommand.
 
 The temporary directory reads ``<out>`` in the CLI sidecars and stdout.
@@ -57,6 +58,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -72,8 +74,9 @@ PIPELINES = ("model_exact", "full_beatnote")
 SWEEPS = ("phase-scan", "power-sweep", "pia-compare", "spectrum", "transfer")
 SUBCOMMANDS = (*SWEEPS, "histogram", "synth", "analyze")
 ONE_POINT_CAMPAIGNS = ("gain_vs_power", "psa_vs_pia")
-# (subcommand, run document) pairs the config layer refuses: a wrong JSON type,
-# a bound, a grid parameter, a grid value, an anchor value and an emit list.
+# (subcommand, run document) pairs the CLI refuses: a wrong JSON type, a bound, a grid
+# parameter, a grid value, an anchor value and an emit list, then an idler seed past
+# e^R_MAX, twice, and two records whose extremum fit overflows.
 REFUSED_DOCUMENTS = (
     ("phase-scan", {"scan": {"detection": {"noise_sigma": [0.05]}}}),
     ("phase-scan", {"verbosity": True}),
@@ -84,6 +87,13 @@ REFUSED_DOCUMENTS = (
     ("power-sweep", {"scan": {"grid": {"values": [0, "a"]}}}),
     ("power-sweep", {"scan": {"calibration": {"anchor": {"power": "x"}}}}),
     ("phase-scan", {"emit": "csv"}),
+    ("transfer", {"scan": {"kind": "transfer_curve", "input_ratio": 5e-324}}),
+    ("power-sweep", {"scan": {"kind": "power_sweep", "pipeline": "full_beatnote",
+                              "input_ratio": 1e-320}}),
+    ("pia-compare", {"scan": {"kind": "pia_compare", "pipeline": "full_beatnote",
+                              "detection": {"noise_sigma": 1e308}}}),
+    ("spectrum", {"scan": {"kind": "detuning_spectrum", "pipeline": "full_beatnote",
+                           "detection": {"residual_pump_intensity": 1.7976931348623157e308}}}),
 )
 
 
@@ -97,13 +107,19 @@ def _campaign_specs(seed: int, pipeline: str) -> dict:
 
 
 def _cli(argv: list[str]) -> str:
-    """Standard output of one in-process CLI call, with its exit code."""
+    """Standard output of one in-process CLI call, with its exit code or the exception
+    that escaped it.  Python warnings are silenced: their text names source files and
+    lines, and each prints once per line."""
     out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+    with (contextlib.redirect_stdout(out), contextlib.redirect_stderr(out),
+          warnings.catch_warnings()):
+        warnings.simplefilter("ignore")
         try:
             code = cli_main(argv)
         except SystemExit as stop:  # --help
             code = stop.code
+        except Exception as err:  # a run the CLI turns into no exit code
+            return f"{out.getvalue()}raised {type(err).__name__}: {err}\n"
     return f"{out.getvalue()}exit {code}\n"
 
 

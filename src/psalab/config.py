@@ -116,19 +116,11 @@ def _section(doc: dict, path: str, key: str) -> dict:
     return value
 
 
-def _grid_number(grid: dict, key: str, *bounds, **flags):
-    """``grid[key]`` through ``check_number``, its error named ``scan.grid.<key>``."""
-    try:
-        return check_number(key, grid[key], *bounds, **flags)
-    except DomainError as err:
-        raise ConfigError(f"scan.grid.{err}") from None
-
-
 def _expand(key: str, make, *args) -> tuple[float, ...]:
     """The grid ``make(*args)``; a count numpy refuses is named on its key."""
     try:
         return tuple(float(x) for x in make(*args))
-    except (ValueError, MemoryError) as err:  # numpy's _ArrayMemoryError: too many points
+    except (ValueError, MemoryError, IndexError) as err:  # too many points (linspace: IndexError)
         raise ConfigError(f"scan.grid.{key}: {args[-1]!r} does not expand: {err}") from None
 
 
@@ -145,13 +137,16 @@ def _parse_grid(scan: dict, kind: str) -> list | tuple:
         if "values" not in raw:
             if "start" not in raw or "stop" not in raw:
                 raise ConfigError("scan.grid: needs 'values' or both 'start' and 'stop'")
-            start, stop = _grid_number(raw, "start"), _grid_number(raw, "stop")
-            if "num" in raw:
-                num = _grid_number(raw, "num", 1, integer=True)
-                return _expand("num", np.linspace, start, stop, num)
-            if "step" in raw:
-                step = _grid_number(raw, "step", 0.0, strict=True)
-                return _expand("step", np.arange, start, stop + 0.5 * step, step)
+            try:  # a number's DomainError names its key, here scan.grid.<key>
+                start, stop = check_number("start", raw["start"]), check_number("stop", raw["stop"])
+                if "num" in raw:
+                    num = check_number("num", raw["num"], 1, integer=True)
+                    return _expand("num", np.linspace, start, stop, num)
+                if "step" in raw:
+                    step = check_number("step", raw["step"], 0.0, strict=True)
+                    return _expand("step", np.arange, start, stop + 0.5 * step, step)
+            except DomainError as err:
+                raise ConfigError(f"scan.grid.{err}") from None
             raise ConfigError("scan.grid: start/stop need either 'num' or 'step'")
         values = raw["values"]
     else:

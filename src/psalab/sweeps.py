@@ -54,6 +54,9 @@ PIPELINES = ("model_exact", "full_beatnote")
 # Pump-power range the amplifier cell is characterised over.
 POWER_RANGE_MW = (0.0, 80.0)
 
+# The least loss and input ratio a spec takes: no field amplitude then passes e^R_MAX.
+LOSS_FLOOR = math.exp(-2.0 * R_MAX)
+
 # An extremum search whose fitted phase terms |B| + |C| are below this fraction
 # of |A| is flat to rounding (no squeezing): its measured extremes are final.
 EXTREMA_FLAT_RTOL = 1e-13
@@ -110,7 +113,7 @@ class ScanSpec:
         if len(grid) > 1 and not (np.all(steps > 0.0) or np.all(steps < 0.0)):
             raise DomainError("grid: expected strictly monotone values")
         object.__setattr__(self, "grid", grid)
-        ratio = check_number("input_ratio", self.input_ratio, 0.0, strict=True)
+        ratio = check_number("input_ratio", self.input_ratio, LOSS_FLOOR)
         object.__setattr__(self, "input_ratio", ratio)
         self._validate_kind()
 
@@ -154,36 +157,21 @@ class ScanSpec:
             # Every record of the run samples the beat at amplifier.detuning; a spectrum's
             # grid detuning, 0 kHz included, sets only its point's (r, loss).
             detuning = check_number("amplifier.detuning", self.amplifier.detuning, 0.0, strict=True)
+            try:  # numpy can hold the run's planes, so the sampling check's count is a float
+                _synthesis_planes(self)
+            except (ValueError, MemoryError) as err:  # numpy's _ArrayMemoryError: too many samples
+                raise DomainError(f"detection.n_samples: {err}") from None
             try:
                 self.detection.validate_for_delta(detuning)
             except DomainError as err:  # it names the detection field it bounds
                 raise DomainError(f"detection.{err}") from None
-            try:  # the synthesis planes the run allocates, if numpy can hold them
-                _synthesis_planes(self)
-            except (ValueError, MemoryError) as err:  # numpy's _ArrayMemoryError: too many samples
-                raise DomainError(f"detection.n_samples: {err}") from None
-        self._validate_operating_points()
-
-    def _validate_operating_points(self) -> None:
-        """r <= R_MAX and loss >= exp(-2*R_MAX) at every point, so nothing overflows."""
-        try:
-            points = self.operating_points()
-        except OverflowError:  # (delta / bandwidth_hwhm) ** 2 at the largest detuning
-            spectrum = self.kind == "detuning_spectrum"
-            key = "grid" if spectrum else "amplifier.detuning"
-            delta = max(self.grid) if spectrum else self.amplifier.detuning
-            raise DomainError(f"{key}: {delta:g} kHz overflows the detuning window") from None
-        for k, (r, loss, delta) in enumerate(points):
-            if not (r <= R_MAX and loss >= math.exp(-2.0 * R_MAX)):  # an explicit r passes
-                sweep = self.kind in ("power_sweep", "pia_compare")
-                power = self.grid[k] if sweep else self.amplifier.pump_power
-                raise DomainError(f"calibration: gives r = {r:g}, loss {loss:g} at {power:g} mW "
-                                  f"{delta:g} kHz; expect r <= {R_MAX:g}, loss >= e^-{2 * R_MAX:g}")
+        self.operating_points()
 
     def operating_points(self) -> list[tuple[float, float, float]]:
         """(r, loss, detuning) at each grid point of a power or detuning sweep, or at the
         one point a phase grid is scanned at.  An explicit r is the lossless squeezer and
-        wins over pump_power; a pump power goes through the calibration map."""
+        wins over pump_power; a pump power goes through the calibration map, and a point
+        at r > R_MAX or loss < LOSS_FLOOR, where a field could overflow, is refused."""
         amp = self.amplifier
         if self.kind == "detuning_spectrum":
             points = [(amp.pump_power, delta) for delta in self.grid]
@@ -195,7 +183,18 @@ class ScanSpec:
             raise DomainError("amplifier: needs either r or pump_power to be set")
         else:
             points = [(amp.pump_power, amp.detuning)]
-        return [(*effective_r(power, delta, self.calibration), delta) for power, delta in points]
+        cal = self.calibration
+        try:
+            found = [(*effective_r(power, delta, cal), delta) for power, delta in points]
+        except OverflowError:  # (delta / bandwidth_hwhm) ** 2 at the largest detuning
+            key = "grid" if self.kind == "detuning_spectrum" else "amplifier.detuning"
+            delta = max(delta for _, delta in points)
+            raise DomainError(f"{key}: {delta:g} kHz overflows the detuning window") from None
+        for (power, _), (r, loss, delta) in zip(points, found):
+            if not (r <= R_MAX and loss >= LOSS_FLOOR):
+                raise DomainError(f"calibration: gives r = {r:g}, loss {loss:g} at {power:g} mW "
+                                  f"{delta:g} kHz; expect r <= {R_MAX:g}, loss >= e^-{2 * R_MAX:g}")
+        return found
 
     def as_dict(self) -> dict:
         """``dataclasses.asdict``, shallow: the grid is shared, nested dataclasses hold scalars."""
@@ -298,7 +297,11 @@ class _Pipeline:
         c1, c2 = a.conjugate() * b + a * c.conjugate(), b * c.conjugate()
         companion = _COMPANION.copy()  # np.roots' matrix of the quartic
         companion[0] = -np.array((c1, 0.0, -c1.conjugate(), -2.0 * c2.conjugate())) / (2.0 * c2)
-        roots = np.linalg.eigvals(companion)
+        try:
+            roots = np.linalg.eigvals(companion)
+        except np.linalg.LinAlgError:  # an overflowing fit block: c1 or c2 is not finite
+            raise DomainError(f"extremum fit: the quartic's coefficients c1 = {c1}, c2 = {c2} "
+                              f"do not give finite roots at grid point {index}") from None
         x = np.arctan2(roots.imag, roots.real)  # np.angle's ufunc, without its wrapper
         shape = (c1 * np.exp(1j * x) + c2 * np.exp(2j * x)).real
         phases = 0.5 * x[[shape.argmax(), shape.argmin()]] % math.pi

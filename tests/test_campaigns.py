@@ -3,6 +3,7 @@
 import hashlib
 import importlib.util
 import io
+import json
 import os
 import subprocess
 import sys
@@ -15,6 +16,8 @@ import pytest
 
 from psalab import run_scan
 from psalab.cli import EXIT_OK, main
+from psalab.config import parse_config_document
+from psalab.serialize import sweep_csv_bytes, write_sweep
 
 ROOT = Path(__file__).resolve().parents[1]
 CAMPAIGNS = ("gain_vs_phase", "gain_vs_power", "psa_vs_pia", "gain_spectrum",
@@ -148,3 +151,17 @@ def test_hash_outputs_runs_itself_on_the_archived_src(monkeypatch):
     assert module.lines_at("abc123", [3, 5]) == ["seed=3 h3  a", "seed=5 h5  a"]
     assert seen == {"archive": ["git", "archive", "abc123", "src"], "init": init,
                     "argv": [sys.executable, module.__file__, "--seed", "3,5"]}
+
+
+@pytest.mark.parametrize("pipeline", ["model_exact", "full_beatnote"])
+def test_sidecar_scan_spec_is_its_own_run_document(tmp_path, pipeline):
+    """Each stock campaign's sidecar ``scan_spec``, given as a run document's scan section,
+    builds the same ScanSpec, and that spec writes the same CSV bytes."""
+    specs = _script("run_campaigns").campaign_specs(7, pipeline)
+    for name, spec in specs.items():
+        spec = replace(spec, detection=replace(spec.detection, noise_sigma=0.05))
+        write_sweep(run_scan(spec), tmp_path, ("csv", "json"), name)
+        sidecar = json.loads((tmp_path / f"{name}.json").read_text())
+        rebuilt = parse_config_document({"scan": sidecar["scan_spec"]}).scan
+        assert rebuilt == spec, name
+        assert sweep_csv_bytes(run_scan(rebuilt)) == (tmp_path / f"{name}.csv").read_bytes(), name

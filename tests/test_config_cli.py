@@ -1,14 +1,22 @@
 """Configuration schema and command-line behaviour."""
 
+import contextlib
+import copy
+import io
 import json
 import math
 import re
 import struct
 import sys
+import tempfile
+import warnings
 from dataclasses import MISSING, asdict, fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from psalab import (
     AmplifierParams,
@@ -26,8 +34,8 @@ from psalab import (
 from psalab import sweeps
 from psalab.calibration import effective_r, fitted_calibration
 from psalab.cli import EXIT_CONFIG, EXIT_DOMAIN, EXIT_IO, EXIT_OK, build_parser, main
-from psalab.config import DEFAULT_GRIDS, DEFAULT_PUMP_POWER_MW
-from psalab.errors import check_number
+from psalab.config import DEFAULT_GRIDS, DEFAULT_PUMP_POWER_MW, parse_config_document
+from psalab.errors import PsalabError, check_number
 from psalab.serialize import check_emit, read_sweep_csv, record_to_binary
 from psalab.sweeps import SCAN_KINDS
 
@@ -268,11 +276,13 @@ class TestParseConfig:
             parse_config(json.dumps({"scan": {"kind": "phase_scan"}, "output_dir": output_dir}))
 
     @pytest.mark.parametrize(
-        "key, value", [("step", 1e-300), ("num", 1e300), ("step", 1e-15), ("num", 1e15)]
+        "key, value",
+        [("step", 1e-300), ("num", 1e300), ("step", 1e-15), ("num", 1e15), ("num", 2**63)],
     )
     def test_grid_numpy_cannot_expand(self, key, value):
-        # numpy refuses the first two counts outright; the last two ask for more
-        # bytes than a 128 TiB address space, so their allocation fails untouched
+        # numpy refuses the first two counts outright; the next two ask for more
+        # bytes than a 128 TiB address space, so their allocation fails untouched;
+        # linspace raises IndexError at 2**63 points
         grid = {"start": 0, "stop": 80, key: value}
         with pytest.raises(ConfigError, match=rf"^scan\.grid\.{key}: "):
             parse_config(json.dumps({"scan": {"kind": "power_sweep", "grid": grid}}))
@@ -461,8 +471,14 @@ class TestCliSweeps:
                 "scan.calibration.loss_exponent_scale",
             ),
             ("spectrum", {"kind": "detuning_spectrum", "grid": [0, 1e200]}, "scan.grid"),
+            # An idler seed 1/sqrt(input_ratio) past e^R_MAX, the bound the loss floor sets.
+            ("transfer", {"kind": "transfer_curve", "input_ratio": 5e-324}, "scan.input_ratio"),
+            ("power-sweep", {"kind": "power_sweep", "pipeline": "full_beatnote",
+                             "input_ratio": 1e-320}, "scan.input_ratio"),
+            ("phase-scan", {"kind": "phase_scan", "input_ratio": 1e-320}, "scan.input_ratio"),
         ],
-        ids=["huge_r", "huge_loss_exponent", "huge_detuning"],
+        ids=["huge_r", "huge_loss_exponent", "huge_detuning", "huge_idler_transfer",
+             "huge_idler_beatnote_power_sweep", "huge_idler_phase_scan"],
     )
     def test_overflowing_operating_point_exits_config(self, tmp_path, capsys, command, scan, key):
         # Each field is within its own bound; the amplifier they imply would
@@ -472,6 +488,33 @@ class TestCliSweeps:
         assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith(f"psalab: config error: {key}: ")
         assert not list(tmp_path.glob("*.csv"))
+
+    def test_input_ratio_floor_bounds_the_idler_seed_by_e_to_r_max(self):
+        with pytest.raises(DomainError, match=r"^input_ratio: expected >= 1\.3839e-87, got 1e-88$"):
+            ScanSpec("power_sweep", (40.0,), input_ratio=1e-88)
+        spec = ScanSpec("power_sweep", (40.0,), input_ratio=math.exp(-2.0 * sweeps.R_MAX))
+        assert abs(spec.input_fields()[1]) == pytest.approx(math.exp(sweeps.R_MAX), rel=1e-15)
+
+    @pytest.mark.parametrize(
+        "command, scan",
+        [
+            ("spectrum", {"kind": "detuning_spectrum",
+                          "detection": {"residual_pump_intensity": 1.7976931348623157e308}}),
+            ("pia-compare", {"kind": "pia_compare", "detection": {"noise_sigma": 1e308}}),
+        ],
+        ids=["spectrum_pump", "pia_noise"],
+    )
+    def test_overflowing_extremum_fit_exits_domain(self, tmp_path, capsys, command, scan):
+        # Finite fields, records past a float: the fit's quartic has no finite roots.
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"scan": {**scan, "pipeline": "full_beatnote"}}))
+        with np.errstate(all="ignore"):
+            code = main([command, "--config", str(cfg), "--out", str(tmp_path)])
+        assert code == EXIT_DOMAIN
+        err = capsys.readouterr().err
+        assert err.startswith("psalab: domain error: extremum fit: the quartic's coefficients ")
+        assert err.endswith(" do not give finite roots at grid point 0\n")
+        assert sorted(tmp_path.iterdir()) == [cfg]
 
     @pytest.mark.parametrize(
         "command, kind, keys, key",
@@ -488,9 +531,14 @@ class TestCliSweeps:
             # More samples than the address space holds: refused before any record is made.
             ("phase-scan", "phase_scan", {"detection": {"n_samples": 1e15}},
              "scan.detection.n_samples"),
+            # Counts past a float, before their period count is taken.
+            ("phase-scan", "phase_scan", {"detection": {"n_samples": 1.7976931348623157e308}},
+             "scan.detection.n_samples"),
+            ("power-sweep", "power_sweep", {"detection": {"n_samples": 2**1100}},
+             "scan.detection.n_samples"),
         ],
         ids=["huge_detuning", "slow_sampling", "fractional_periods", "spectrum_periods", "no_beat",
-             "huge_record"],
+             "huge_record", "float_max_record", "past_float_record"],
     )
     def test_sampling_errors_name_their_key(self, tmp_path, capsys, command, kind, keys, key):
         cfg = tmp_path / "c.json"
@@ -1036,3 +1084,75 @@ def test_unknown_key_exits_config_and_writes_nothing(tmp_path, capsys, command):
     assert captured.err == ("psalab: config error: unknown key 'scan.detection.noise_sigm' "
                             f"(known keys here: {known})\n")
     assert sorted(tmp_path.iterdir()) == [path]
+
+
+# The no-escape property's documents: a sweep subcommand's kind (or synth's phase scan)
+# under either pipeline, with 1 to 4 values from EDGE_VALUES placed at any scan key.
+# Caps: a document that builds has at most MAX_GRID_POINTS grid points and
+# MAX_N_SAMPLES samples a record, so that no example runs for long.
+RUN_COMMANDS = {"phase-scan": "phase_scan", "power-sweep": "power_sweep",
+                "pia-compare": "pia_compare", "spectrum": "detuning_spectrum",
+                "transfer": "transfer_curve", "synth": "phase_scan"}
+SCAN_PATHS = (
+    [(key,) for key in ("kind", "pipeline", "grid", "amplifier", "calibration", "detection")]
+    + [("grid", key) for key in ("values", "start", "stop", "num", "step")]
+    + [("calibration", "mode"), ("calibration", "anchor")]
+    + [path[1:] for path, _ in NUMERIC_KEYS if path[0] == "scan"]
+)
+EDGE_VALUES = (
+    0, 1, -1, 0.5, 2.5, 7, 40, 80, 257, 2000, 100000, 2**63, 2**1100,
+    5e-324, 1e-320, 1e-160, 1e-15, 1e15, 1e200, 1e308, 1.7976931348623157e308, -1e308,
+    None, True, False, "", "x", "model_exact", "full_beatnote", "linear",
+    [], [0.0], [0.0, 80.0], [1e200, 0.0], [3, 2, 1], {}, {"values": [1.0]}, {"start": 0, "stop": 1},
+)
+MAX_GRID_POINTS = 600
+MAX_N_SAMPLES = 10**5
+
+
+@st.composite
+def run_documents(draw):
+    """(subcommand, run document) with the edge values set in the stock document's scan."""
+    command = draw(st.sampled_from(sorted(RUN_COMMANDS)))
+    scan = {"kind": RUN_COMMANDS[command], "pipeline": draw(st.sampled_from(sweeps.PIPELINES))}
+    for path in draw(st.lists(st.sampled_from(SCAN_PATHS), min_size=1, max_size=4)):
+        section = scan
+        for key in path[:-1]:
+            if not isinstance(section.get(key), dict):
+                section[key] = {}
+            section = section[key]
+        section[path[-1]] = copy.deepcopy(draw(st.sampled_from(EDGE_VALUES)))
+    try:
+        spec = parse_config_document({"scan": scan}).scan
+    except PsalabError:  # refused when built: nothing runs
+        pass
+    else:
+        assume(len(spec.grid) <= MAX_GRID_POINTS and spec.detection.n_samples <= MAX_N_SAMPLES)
+    return command, {"scan": scan}
+
+
+# Each of the first four escaped cli.main (OverflowError, then numpy's LinAlgError three
+# times); the last exited 3 after numpy RuntimeWarnings.
+@example(("transfer", {"scan": {"kind": "transfer_curve", "input_ratio": 5e-324}}))
+@example(("power-sweep", {"scan": {"kind": "power_sweep", "pipeline": "full_beatnote",
+                                   "input_ratio": 1e-320}}))
+@example(("pia-compare", {"scan": {"kind": "pia_compare", "pipeline": "full_beatnote",
+                                   "detection": {"noise_sigma": 1e308}}}))
+@example(("spectrum", {"scan": {"kind": "detuning_spectrum", "pipeline": "full_beatnote",
+                                "detection": {"residual_pump_intensity": 1.7976931348623157e308}}}))
+@example(("phase-scan", {"scan": {"kind": "phase_scan", "input_ratio": 1e-320}}))
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(run_documents())
+def test_no_run_document_escapes_the_cli(case):
+    """Every run document runs (exit 0) or exits 2, 3 or 4; nothing is raised past
+    cli.main, and a refused run writes no file."""
+    command, doc = case
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, out = Path(tmp) / "c.json", Path(tmp) / "out"
+        cfg.write_text(json.dumps(doc))
+        with (contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()),
+              warnings.catch_warnings()):
+            warnings.simplefilter("ignore")
+            code = main([command, "--config", str(cfg), "--out", str(out)])
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_DOMAIN, EXIT_IO)
+        if code != EXIT_OK:
+            assert not out.exists() or not any(out.iterdir())
