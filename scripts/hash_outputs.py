@@ -107,9 +107,8 @@ def _campaign_specs(seed: int, pipeline: str) -> dict:
 
 
 def _cli(argv: list[str]) -> str:
-    """Standard output of one in-process CLI call, with its exit code or the exception
-    that escaped it.  Python warnings are silenced: their text names source files and
-    lines, and each prints once per line."""
+    """Standard output of one in-process CLI call, with its exit code.  Python warnings
+    are silenced: their text names source files and lines, and each prints once per line."""
     out = io.StringIO()
     with (contextlib.redirect_stdout(out), contextlib.redirect_stderr(out),
           warnings.catch_warnings()):
@@ -118,8 +117,6 @@ def _cli(argv: list[str]) -> str:
             code = cli_main(argv)
         except SystemExit as stop:  # --help
             code = stop.code
-        except Exception as err:  # a run the CLI turns into no exit code
-            return f"{out.getvalue()}raised {type(err).__name__}: {err}\n"
     return f"{out.getvalue()}exit {code}\n"
 
 
@@ -179,7 +176,11 @@ def write_outputs(seed: int, outdir: Path) -> None:
     for sub, doc in REFUSED_DOCUMENTS:
         refused.write_text(json.dumps(doc))
         argv = [sub, *common, "--config", str(refused)]
-        refusals.append(f"{sub} {json.dumps(doc)}\n{_cli(argv)}")
+        try:
+            result = _cli(argv)
+        except Exception as err:  # a tree where the document escapes the CLI's exit codes
+            result = f"raised {type(err).__name__}: {err}\n"
+        refusals.append(f"{sub} {json.dumps(doc)}\n{result}")
     stdout["cli_refusals"] = "".join(refusals)
     refused.unlink()
 
