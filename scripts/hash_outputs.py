@@ -76,7 +76,8 @@ SUBCOMMANDS = (*SWEEPS, "histogram", "synth", "analyze")
 ONE_POINT_CAMPAIGNS = ("gain_vs_power", "psa_vs_pia")
 # (subcommand, run document) pairs the CLI refuses: a wrong JSON type, a bound, a grid
 # parameter, a grid value, an anchor value and an emit list, then an idler seed past
-# e^R_MAX, twice, and two records whose extremum fit overflows.
+# e^R_MAX, twice, and a noise_sigma and a residual pump intensity past e^(2*R_MAX), whose
+# records' extremum fit would overflow: each is refused when its spec is built.
 REFUSED_DOCUMENTS = (
     ("phase-scan", {"scan": {"detection": {"noise_sigma": [0.05]}}}),
     ("phase-scan", {"verbosity": True}),

@@ -28,10 +28,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, check_number
+from .squeezer import R_MAX
 
 # Nyquist margin: the 2*delta beat must sit at or below sample_rate / 10.
 NYQUIST_MARGIN = 10.0
 MIN_PERIODS = 4
+
+# The most noise_sigma or residual pump a record takes in: the input-ratio floor's idler seed.
+INTENSITY_MAX = math.exp(2.0 * R_MAX)
 
 # Seed streams so cell-on and cell-off records of one acquisition draw
 # independent noise from the same configured seed.
@@ -67,11 +71,13 @@ class DetectionConfig:
         object.__setattr__(self, "sample_rate", rate)
         n = check_number("n_samples", self.n_samples, 2, integer=True)
         object.__setattr__(self, "n_samples", n)
-        object.__setattr__(self, "noise_sigma", check_number("noise_sigma", self.noise_sigma, 0.0))
         seed = check_number("rng_seed", self.rng_seed, 0, integer=True)
         object.__setattr__(self, "rng_seed", seed)
-        pump = check_number("residual_pump_intensity", self.residual_pump_intensity, 0.0)
-        object.__setattr__(self, "residual_pump_intensity", pump)
+        for name in ("noise_sigma", "residual_pump_intensity"):
+            value = check_number(name, getattr(self, name), 0.0)
+            if value > INTENSITY_MAX:
+                raise DomainError(f"{name}: expected <= {INTENSITY_MAX:g}, got {value}")
+            object.__setattr__(self, name, value)
 
     def validate_for_delta(self, delta: float) -> None:
         """Check the sampling invariants against a concrete beat frequency."""

@@ -24,18 +24,18 @@ the block measured at the phases the search found.
 
 A phase scan's records are synthesized and read RECORD_BLOCK points at a time,
 each block into its worker's planes, which the run allocates once (1 MB a
-worker at 2,000 samples).  A noisy scan on two or more usable CPUs has two
-workers, the calling thread and one helper thread joined within the call, as
-its noise draws release the GIL; any other run has one and starts no thread.
-Every row keeps its own seed words and every block is computed as the serial
-loop computes it, so the worker count moves no output bit.
+worker at 2,000 samples).  A noisy scan has two workers on any host, the
+calling thread and one helper thread joined within the call, as its noise draws
+release the GIL; any other run has one and starts no thread.  The spec alone
+sets the count, so the spec's checks and its run hold on every host.  Every row
+keeps its own seed words and every block is computed as the serial loop computes
+it, so the worker count moves no output bit.
 """
 
 from __future__ import annotations
 
 import contextvars
 import math
-import os
 import threading
 from dataclasses import dataclass, field
 
@@ -223,18 +223,12 @@ class SweepResult:
                 raise DomainError(f"column {name!r} length {col.size} != grid length {self.x.size}")
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-
-
 def _synthesis_planes(spec: ScanSpec) -> np.ndarray:
-    """A full_beatnote run's (workers, 2, RECORD_BLOCK, n_samples) synthesis planes: two
-    workers for a noisy phase scan or transfer curve (its draws release the GIL) where two
-    CPUs are usable, else one; the extremum search's blocks all run on the calling thread."""
+    """A full_beatnote run's (workers, 2, RECORD_BLOCK, n_samples) synthesis planes, read
+    from the spec alone: two workers for a noisy phase scan or transfer curve (its draws
+    release the GIL), else one; the extremum search's blocks all run on the calling thread."""
     noisy_scan = spec.kind in ("phase_scan", "transfer_curve") and spec.detection.noise_sigma > 0.0
-    workers = 2 if noisy_scan and _usable_cpus() >= 2 else 1
-    return np.empty((workers, 2, RECORD_BLOCK, spec.detection.n_samples))
+    return np.empty((2 if noisy_scan else 1, 2, RECORD_BLOCK, spec.detection.n_samples))
 
 
 def point_seed(master_seed: int, index):

@@ -496,25 +496,35 @@ class TestCliSweeps:
         assert abs(spec.input_fields()[1]) == pytest.approx(math.exp(sweeps.R_MAX), rel=1e-15)
 
     @pytest.mark.parametrize(
-        "command, scan",
+        "command, scan, key, value",
         [
             ("spectrum", {"kind": "detuning_spectrum",
-                          "detection": {"residual_pump_intensity": 1.7976931348623157e308}}),
-            ("pia-compare", {"kind": "pia_compare", "detection": {"noise_sigma": 1e308}}),
+                          "detection": {"residual_pump_intensity": 1.7976931348623157e308}},
+             "scan.detection.residual_pump_intensity", "1.7976931348623157e+308"),
+            ("pia-compare", {"kind": "pia_compare", "detection": {"noise_sigma": 1e308}},
+             "scan.detection.noise_sigma", "1e+308"),
         ],
         ids=["spectrum_pump", "pia_noise"],
     )
-    def test_overflowing_extremum_fit_exits_domain(self, tmp_path, capsys, command, scan):
-        # Finite fields, records past a float: the fit's quartic has no finite roots.
+    def test_overflowing_intensity_exits_config(self, tmp_path, capsys, command, scan, key,
+                                                value):
+        # Finite fields whose records would overflow a float: refused when the spec is
+        # built, above the largest idler seed intensity, e^(2*R_MAX).
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"scan": {**scan, "pipeline": "full_beatnote"}}))
-        with np.errstate(all="ignore"):
-            code = main([command, "--config", str(cfg), "--out", str(tmp_path)])
-        assert code == EXIT_DOMAIN
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert err.startswith("psalab: domain error: extremum fit: the quartic's coefficients ")
-        assert err.endswith(" do not give finite roots at grid point 0\n")
+        assert err == f"psalab: config error: {key}: expected <= 7.22597e+86, got {value}\n"
         assert sorted(tmp_path.iterdir()) == [cfg]
+
+    def test_overflowing_extremum_fit_raises_domain_error(self):
+        # Past R_MAX, which no spec reaches, the fit block overflows and the quartic's
+        # companion matrix is not finite: eigvals' LinAlgError becomes a DomainError.
+        spec = ScanSpec("power_sweep", (40.0,), pipeline="full_beatnote")
+        with np.errstate(all="ignore"), pytest.raises(DomainError) as info:
+            sweeps._BeatnotePipeline(spec).gain_extrema(300.0, 1.0, 0)
+        assert str(info.value).startswith("extremum fit: the quartic's coefficients ")
+        assert str(info.value).endswith(" do not give finite roots at grid point 0")
 
     @pytest.mark.parametrize(
         "command, kind, keys, key",
@@ -549,11 +559,9 @@ class TestCliSweeps:
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"),
                         reason="needs Linux's RLIMIT_AS and /proc/self/statm")
-    def test_planes_of_two_workers_are_checked_when_the_spec_is_built(
-        self, tmp_path, capsys, monkeypatch
-    ):
-        """Address space for one worker's synthesis planes but not for two: a noisy run on
-        two CPUs exits 2 before it starts, while a noiseless or one-CPU spec is built."""
+    def test_planes_of_two_workers_are_checked_when_the_spec_is_built(self, tmp_path, capsys):
+        """Address space for one worker's synthesis planes but not for two: a noisy scan
+        exits 2 before it starts, on any host, while the noiseless spec is built."""
         import resource
 
         n_samples = 1_000_000  # 1000 periods of 2 kHz at 100 kHz; one worker's planes: 512 MB
@@ -568,13 +576,9 @@ class TestCliSweeps:
                                             "detection": {"n_samples": n_samples,
                                                           "noise_sigma": 0.05}}}))
         spec = parse_config(cfg.read_text()).scan
-        monkeypatch.setattr(sweeps, "_usable_cpus", lambda: 2)
         resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
         try:
             replace(spec, detection=replace(spec.detection, noise_sigma=0.0))
-            with monkeypatch.context() as one_cpu:
-                one_cpu.setattr(sweeps, "_usable_cpus", lambda: 1)
-                replace(spec)
             code = main(["phase-scan", "--config", str(cfg), "--out", str(tmp_path)])
         finally:
             resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
@@ -1144,14 +1148,15 @@ def run_documents(draw):
 @given(run_documents())
 def test_no_run_document_escapes_the_cli(case):
     """Every run document runs (exit 0) or exits 2, 3 or 4; nothing is raised past
-    cli.main, and a refused run writes no file."""
+    cli.main, no warning is issued (warnings are errors here), and a refused run
+    writes no file."""
     command, doc = case
     with tempfile.TemporaryDirectory() as tmp:
         cfg, out = Path(tmp) / "c.json", Path(tmp) / "out"
         cfg.write_text(json.dumps(doc))
         with (contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()),
               warnings.catch_warnings()):
-            warnings.simplefilter("ignore")
+            warnings.simplefilter("error")
             code = main([command, "--config", str(cfg), "--out", str(out)])
         assert code in (EXIT_OK, EXIT_CONFIG, EXIT_DOMAIN, EXIT_IO)
         if code != EXIT_OK:

@@ -752,7 +752,6 @@ class TestBlockedScans:
             return synthesize(s_out, i_out, phases, delta, cfg, noise, out)
 
         monkeypatch.setattr(sweeps, "synthesize_block", recording)
-        monkeypatch.setattr(sweeps, "_usable_cpus", lambda: 2)
         detection = DetectionConfig(noise_sigma=sigma, rng_seed=5)
         block, workers = sweeps.RECORD_BLOCK, 2 if sigma else 1
         # A phase grid's on-rows, then its off-rows, as blocks 0-3 each: worker j mod workers
@@ -778,9 +777,15 @@ class TestBlockedScans:
             assert base.shape == (len(rows), 2, block, detection.n_samples), spec.kind
 
 
-def _worker_scan(kind, n, cpus, monkeypatch, seed=29):
-    """A noisy full_beatnote scan of ``n`` points run with ``cpus`` usable CPUs."""
-    monkeypatch.setattr(sweeps, "_usable_cpus", lambda: cpus)
+def _force_workers(workers, monkeypatch):
+    """Give every full_beatnote run ``workers`` workers' synthesis planes."""
+    monkeypatch.setattr(sweeps, "_synthesis_planes", lambda spec: np.empty(
+        (workers, 2, sweeps.RECORD_BLOCK, spec.detection.n_samples)))
+
+
+def _worker_scan(kind, n, workers, monkeypatch, seed=29):
+    """A noisy full_beatnote scan of ``n`` points whose blocks go to ``workers`` workers."""
+    _force_workers(workers, monkeypatch)
     grid = tuple(np.linspace(-math.pi, math.pi, n)) if n > 1 else (0.3,)
     return run_scan(ScanSpec(kind=kind, grid=grid, amplifier=AmplifierParams(r=R_53),
                              detection=DetectionConfig(noise_sigma=0.05, rng_seed=seed),
@@ -834,9 +839,9 @@ class TestBlockWorkers:
         monkeypatch.setattr(sweeps, "synthesize_block", failing_from)
         threads = threading.active_count()
         errors = []
-        for cpus in (1, 2):
+        for workers in (1, 2):
             with pytest.raises(DomainError) as info:
-                _worker_scan("phase_scan", self.GRID_POINTS, cpus, monkeypatch)
+                _worker_scan("phase_scan", self.GRID_POINTS, workers, monkeypatch)
             errors.append(str(info.value))
             assert threading.active_count() == threads
         assert errors == [f"block {failing}"] * 2
@@ -857,12 +862,14 @@ class TestBlockWorkers:
         assert len({ident for ident, _ in calls}) > 1  # a helper took some blocks
         assert {over for _, over in calls} == {"raise"}
 
-    @pytest.mark.parametrize("sigma, cpus", [(0.0, 2), (0.05, 1)], ids=["noiseless", "one_cpu"])
-    def test_serial_runs_start_no_thread(self, sigma, cpus, monkeypatch):
+    @pytest.mark.parametrize("sigma, workers", [(0.0, None), (0.05, 1)],
+                             ids=["noiseless", "one_worker"])
+    def test_serial_runs_start_no_thread(self, sigma, workers, monkeypatch):
         def no_thread(*args, **kwargs):
             raise AssertionError("a serial run started a thread")
 
-        monkeypatch.setattr(sweeps, "_usable_cpus", lambda: cpus)
+        if workers is not None:  # a noisy scan's blocks forced onto the serial loop
+            _force_workers(workers, monkeypatch)
         monkeypatch.setattr(threading, "Thread", no_thread)
         spec = replace(phase_spec(grid=tuple(np.linspace(-math.pi, math.pi, self.GRID_POINTS))),
                        detection=DetectionConfig(noise_sigma=sigma, rng_seed=3),
